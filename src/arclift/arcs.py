@@ -170,8 +170,10 @@ def _finish(model: SmoothModel, t, hensel: HenselResult) -> LiftResult:
     residual_f = min(f.eval(ypoint).order_floor() for f in model.problem.f_polys)
     residual_i = min(g.eval(ypoint).order_floor() for g in model.problem.ideal_gens)
     eff = min(s.prec for s in y2)
-    assert residual_f >= eff, "subsystem residual dipped below the arc's precision"
-    assert residual_i >= eff - model.c, "ideal residual dipped below its guaranteed floor"
+    if residual_f < eff:
+        raise IdentityFailedError("subsystem residual dipped below the arc's precision")
+    if residual_i < eff - model.c:
+        raise IdentityFailedError("ideal residual dipped below its guaranteed floor")
     strict = _is_strict(model, y2)
     return LiftResult(
         t=tuple(t),
@@ -213,11 +215,13 @@ def make_lift(model: SmoothModel, t_free=None, target: int | None = None) -> Lif
             )
     if target is None:
         target = default_target(model)
-    if target < 1:
-        raise StructureError(
-            f"working precision {ring.n_work} leaves no room above the "
-            f"denominator order 2c = {2 * model.c}"
-        )
+        if target < 1:
+            raise StructureError(
+                f"working precision {ring.n_work} leaves no room above the "
+                f"denominator order 2c = {2 * model.c}"
+            )
+    elif target < 1:
+        raise StructureError(f"target residual order must be at least 1, got {target}")
     hr = hensel_solve(model, t_free, target)
     return _finish(model, hr.t_bound + t_free, hr)
 
@@ -245,11 +249,13 @@ def offset_lift(model: SmoothModel, reference: LiftResult, z, target: int | None
         target = default_target(model)
     hr = hensel_solve(model, t_free, target, seed=reference.t[:r])
     out = _finish(model, hr.t_bound + t_free, hr)
-    assert out.strict, "offset lift lost strictness"
+    if not out.strict:
+        raise IdentityFailedError("offset lift lost strictness")
     for i in range(model.n):
-        assert (out.y2[i] - reference.y2[i]).order_floor() >= need, (
-            "offset lift drifted from the reference inside the congruence window"
-        )
+        if (out.y2[i] - reference.y2[i]).order_floor() < need:
+            raise IdentityFailedError(
+                "offset lift drifted from the reference inside the congruence window"
+            )
     return out
 
 
@@ -343,10 +349,11 @@ def extract_params(model: SmoothModel, arc, reference: LiftResult) -> tuple:
     floor = max(1, eff - (4 * model.c + 1))
     for i in range(model.n):
         got = (arc[i] - relift.y2[i]).order_floor()
-        assert got >= floor, (
-            f"relift from the recovered offsets matches component {i + 1} only "
-            f"through x^{got - 1}, short of the guaranteed x^{floor - 1}"
-        )
+        if got < floor:
+            raise IdentityFailedError(
+                f"relift from the recovered offsets matches component {i + 1} only "
+                f"through x^{got - 1}, short of the guaranteed x^{floor - 1}"
+            )
     return z
 
 

@@ -19,12 +19,24 @@ order is only known to be >= eff_prec, and `order_floor` returns that bound.
 The working precision N_work caps every eff_prec and lives on the
 SeriesRing, the only shared context object.  Series are immutable after
 construction and safe to share.
+
+Products, inverses and quotients run on integer vectors, the same way for
+both fields: a coefficient vector becomes integer numerators over one common
+denominator (the lcm of the denominators over Q, 1 over F_p).  A product is
+one big-integer multiplication by Kronecker substitution (D. Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", J. Symbolic
+Comput. 2009).  The inverse of a unit is Newton doubling g <- g*(2 - a*g) on
+top of that product, and an exact quotient is a/x^oa times the inverse of
+b/x^ob (R. P. Brent and H. T. Kung, "Fast algorithms for manipulating formal
+power series", J. ACM 1978).  The results are exact, so they agree
+coefficient for coefficient with the schoolbook recurrences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     FieldMismatchError,
@@ -295,8 +307,12 @@ class Series:
         self._compat(other)
         prec = min(self.prec, other.prec)
         field = self.ring.field
-        n = min(max(len(self.coeffs), len(other.coeffs)), prec)
-        out = [field.add(self.coeff_at(k), other.coeff_at(k)) for k in range(n)]
+        a, b = self.coeffs[:prec], other.coeffs[:prec]
+        if len(a) < len(b):
+            a, b = b, a
+        # products leave many zero slots; adding a zero only copies
+        out = [field.add(x, y) if y else x for x, y in zip(a, b)]
+        out.extend(a[len(b):])
         return Series._make(self.ring, out, prec)
 
     def __neg__(self):
@@ -319,41 +335,24 @@ class Series:
         prec = min(self.prec + fb, other.prec + fa, ring.n_work)
         if oa is None or ob is None:
             return Series._make(ring, [], prec)
-        p = ring.field.p
-        out = [0] * min(prec, len(self.coeffs) + len(other.coeffs) - 1)
-        bc = other.coeffs
-        nb = len(bc)
-        for i, ai in enumerate(self.coeffs):
-            if not ai:
-                continue
-            jmax = min(nb, len(out) - i)
-            for j in range(jmax):
-                bj = bc[j]
-                if bj:
-                    out[i + j] += ai * bj
-        if p is not None:
-            out = [v % p for v in out]
-        return Series._make(ring, out, prec)
+        field = ring.field
+        shift = oa + ob
+        m = min(prec, len(self.coeffs) + len(other.coeffs) - 1) - shift
+        if m < 1:
+            return Series._make(ring, [], prec)
+        a, da = _ints(field, self.coeffs[oa:oa + m])
+        b, db = _ints(field, other.coeffs[ob:ob + m])
+        out = _scalars(field, _kmul(a, b, m), da * db)
+        return Series._make(ring, [field.zero] * shift + out, prec)
 
     def inv_unit(self) -> Series:
         """Inverse of a unit (order exactly 0); precision is preserved."""
         if self.order() != 0:
             raise NotAUnitError("series has positive order, cannot invert")
-        ring = self.ring
-        field = ring.field
-        prec = self.prec
-        a = self.coeffs
-        na = len(a)
-        inv0 = field.inv(a[0])
-        out = [field.zero] * prec
-        out[0] = inv0
-        for k in range(1, prec):
-            s = field.zero
-            for i in range(1, min(k, na - 1) + 1):
-                if not field.is_zero(a[i]):
-                    s = field.add(s, field.mul(a[i], out[k - i]))
-            out[k] = field.neg(field.mul(inv0, s))
-        return Series._make(ring, out, prec)
+        field = self.ring.field
+        a, da = _ints(field, self.coeffs)
+        g, dg = _inverse(a, self.prec, field.p)
+        return Series._make(self.ring, _scalars(field, [v * da for v in g], dg), self.prec)
 
     def div_exact(self, other: Series) -> Series:
         """Exact quotient self / other; dividing by x^k costs k digits of precision."""
@@ -378,14 +377,10 @@ class Series:
             raise PrecisionExhaustedError("quotient would carry no certified coefficients")
         shift = oa - ob
         m = qprec - shift
-        inv0 = field.inv(other.coeff_at(ob))
-        q = [field.zero] * m
-        for k in range(m):
-            s = self.coeff_at(k + oa)
-            for i in range(k):
-                if not field.is_zero(q[i]):
-                    s = field.add(s, field.neg(field.mul(q[i], other.coeff_at(k - i + ob))))
-            q[k] = field.mul(inv0, s)
+        a, da = _ints(field, self.coeffs[oa:oa + m])
+        b, db = _ints(field, other.coeffs[ob:ob + m])
+        g, dg = _inverse(b, m, field.p)
+        q = _scalars(field, [v * db for v in _kmul(a, g, m)], da * dg)
         return Series._make(ring, [field.zero] * shift + q, qprec)
 
     def truncate(self, prec: int) -> Series:
@@ -440,3 +435,72 @@ class Series:
 
     def __repr__(self):
         return f"Series({self.render(show_prec=True)!r})"
+
+
+# -- the integer-vector kernel -------------------------------------------
+
+
+def _ints(field, coeffs) -> tuple[list, int]:
+    """Integer numerators and one positive common denominator of field scalars."""
+    if field.p is not None:
+        return list(coeffs), 1
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _scalars(field, ints, den: int) -> list:
+    """The field scalars v/den for the integers v; den must be a unit of the field."""
+    if field.p is None:
+        zero = field.zero
+        return [Fraction(v, den) if v else zero for v in ints]
+    p = field.p
+    inv = field.inv(den)
+    return [v * inv % p for v in ints]
+
+
+def _kmul(a, b, m: int) -> list:
+    """The first m coefficients of the product of two integer vectors.
+
+    Kronecker substitution: each vector becomes one integer, with a slot wide
+    enough for any product coefficient plus a sign bit, and one big-integer
+    product does all the work.  Every slot carries an offset of half its
+    range, so signed digits pack and unpack through bytes without borrows.
+    """
+    a, b = a[:m], b[:m]
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+    slot = bytes(width - 1) + b"\x80"
+
+    def pack(v):
+        raw = b"".join((c + half).to_bytes(width, "little") for c in v)
+        return int.from_bytes(raw, "little") - int.from_bytes(slot * len(v), "little")
+
+    low = pack(a) * pack(b) + int.from_bytes(slot * m, "little")
+    raw = (low & ((1 << (8 * width * m)) - 1)).to_bytes(width * m, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * m, width)]
+
+
+def _inverse(b, n: int, p) -> tuple[list, int]:
+    """(g, den) with g/den = 1/b mod x^n for an integer vector b with b[0] a unit.
+
+    Newton doubling: from b*g = den + x^h*r (mod x^2h), the next iterate
+    g*(2 - b*g/den) is (den*g - x^h*g*r) / den^2.  Over Q the content is
+    divided out at every step, or den would square the denominators of all
+    of b's coefficients at each doubling; over F_p (p not None) every vector
+    is reduced mod p, so den stays a residue.
+    """
+    g, den, h = [1], b[0], 1
+    while h < n:
+        k = min(2 * h, n)
+        r = _kmul(b, g, k)[h:]
+        g = [v * den for v in g] + [-v for v in _kmul(g, r, k - h)]
+        den *= den
+        if p is None:
+            c = gcd(den, *g)
+            g, den = [v // c for v in g], den // c
+        else:
+            g, den = [v % p for v in g], den % p
+        h = k
+    return g, den

@@ -1,5 +1,7 @@
 """Lifting, parameter extraction, reference search, and the enumeration oracle."""
 
+import dataclasses
+
 import pytest
 
 import helpers
@@ -26,6 +28,8 @@ from arclift import (
     offset_lift,
     oracle_enumerate,
 )
+from arclift import arcs
+from arclift.polyring import Poly
 
 
 # -- Newton iteration ----------------------------------------------------
@@ -112,6 +116,27 @@ def test_low_targets_cap_the_certified_precision(cusp_q):
     assert lift.residual_f >= lift.eff_prec
 
 
+def test_an_explicit_target_below_one_is_named(cusp_q):
+    with pytest.raises(StructureError, match="target residual order must be at least 1, got 0"):
+        make_lift(cusp_q, target=0)
+
+
+def test_no_room_for_the_default_target_blames_the_working_precision(cusp_q, monkeypatch):
+    monkeypatch.setattr(arcs, "default_target", lambda model: 0)
+    with pytest.raises(StructureError, match="working precision 40 leaves no room above the "
+                                             "denominator order 2c = 8"):
+        make_lift(cusp_q)
+
+
+def test_a_residual_below_its_floor_fails_the_identity(cusp_q):
+    ring = cusp_q.ring
+    y1 = cusp_q.images["Y1"]
+    moved = y1 + Poly.constant(ring, y1.space, ring.parse("x^12"))
+    tampered = dataclasses.replace(cusp_q, images={**cusp_q.images, "Y1": moved})
+    with pytest.raises(IdentityFailedError, match="subsystem residual"):
+        make_lift(tampered)
+
+
 # -- inverting the parametrization ---------------------------------------
 
 
@@ -164,6 +189,23 @@ def test_offset_agrees_with_the_reference_through_the_window(cusp_q):
     shifted = offset_lift(cusp_q, ref, (cusp_q.ring.parse("1 + x"),))
     for a, b in zip(shifted.y2, ref.y2):
         assert (a - b).order_floor() >= 2 * cusp_q.c + 1
+
+
+def test_offset_lift_that_loses_strictness_fails_the_identity(cusp_q, monkeypatch):
+    ref = make_lift(cusp_q)
+    monkeypatch.setattr(arcs, "_is_strict", lambda model, y2: False)
+    with pytest.raises(IdentityFailedError, match="lost strictness"):
+        offset_lift(cusp_q, ref, (cusp_q.ring.x(),))
+
+
+def test_a_relift_that_misses_the_arc_fails_the_identity(cusp_q, monkeypatch):
+    ring = cusp_q.ring
+    ref = make_lift(cusp_q)
+    shifted = offset_lift(cusp_q, ref, (ring.x(),))
+    real = arcs.offset_lift
+    monkeypatch.setattr(arcs, "offset_lift", lambda model, r, z: real(model, r, (z[0] + ring.x(),)))
+    with pytest.raises(IdentityFailedError, match="relift from the recovered offsets"):
+        extract_params(cusp_q, shifted.y2, ref)
 
 
 def test_offset_requires_a_strict_reference(node):

@@ -318,6 +318,12 @@ def test_usage_error_is_a_parse_error(capsys):
     assert code == 4
 
 
+def test_lift_names_a_bad_target(capsys):
+    code, out, err = run(capsys, "lift", CUSP, "--t-free", "x^9", "--prec", "0")
+    assert code == 1
+    assert err == "arclift: target residual order must be at least 1, got 0\n"
+
+
 def test_smooth_point_has_no_parameters(capsys):
     code, out, err = run(capsys, "lift", SMOOTH, "--t-free", "")
     assert code in (0, 4)

@@ -278,3 +278,109 @@ def test_unit_inverse_property(u):
     if u.order() != 0:
         return
     assert u * u.inv_unit() == R5.one()
+
+
+# -- the product, inverse and quotient against a schoolbook reference ------
+
+RINGS = (SeriesRing(QQ, 24), SeriesRing(PrimeField(5), 24), SeriesRing(PrimeField(2**31 - 1), 24))
+
+
+def _scalar(field):
+    if field.p is None:
+        small = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+        tall = st.builds(Fraction, st.integers(-(2**260), 2**260), st.integers(1, 2**80))
+        return st.one_of(small, tall)
+    return st.integers(min_value=0, max_value=field.p - 1)
+
+
+@st.composite
+def _wide_series(draw, ring, min_order=0, max_order=None, exact_order=False):
+    """Series with negative, tall or zero coefficients, leading zeros and any precision.
+
+    With exact_order the order is known and at least min_order; otherwise
+    the series may also be zero.
+    """
+    field = ring.field
+    if max_order is None:
+        max_order = min_order + 3
+    order = draw(st.integers(min_value=min_order, max_value=max_order))
+    head = _scalar(field).filter(bool) if exact_order else _scalar(field)
+    coeffs = [0] * order + [draw(head)] + draw(st.lists(_scalar(field), max_size=ring.n_work))
+    prec = draw(st.integers(min_value=order + 1, max_value=ring.n_work))
+    return ring.series(coeffs, prec)
+
+
+def _canonical(field, v):
+    return v if field.p is None else v % field.p
+
+
+def _stripped(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _school_mul(a, b):
+    field = a.ring.field
+    prec = min(a.prec + b.order_floor(), b.prec + a.order_floor(), a.ring.n_work)
+    out = [field.zero] * prec
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            if i + j < prec:
+                out[i + j] = _canonical(field, out[i + j] + x * y)
+    return _stripped(out), prec
+
+
+def _school_div(a, b):
+    """a / b by the recurrence q_k = (a_k - sum_{i<k} q_i b_{k-i}) / b_0, after removing orders."""
+    field = a.ring.field
+    oa, ob = a.order(), b.order()
+    qprec = min(a.prec - ob, b.prec - 2 * ob + oa, a.ring.n_work)
+    shift = oa - ob
+    num, den = a.coeffs[oa:], b.coeffs[ob:]
+    inv0 = 1 / den[0] if field.p is None else pow(den[0], -1, field.p)
+    q = []
+    for k in range(qprec - shift):
+        s = num[k] if k < len(num) else field.zero
+        for i in range(max(0, k - len(den) + 1), k):
+            s -= q[i] * den[k - i]
+        q.append(_canonical(field, s * inv0))
+    return _stripped([field.zero] * shift + q), qprec
+
+
+def _assert_same(got, want):
+    coeffs, prec = want
+    assert got.coeffs == coeffs
+    assert got.prec == prec
+    field = got.ring.field
+    if field.p is None:
+        assert all(type(v) is Fraction for v in got.coeffs)
+    else:
+        assert all(type(v) is int and 0 <= v < field.p for v in got.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mul_matches_schoolbook(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    a = data.draw(_wide_series(ring))
+    b = data.draw(_wide_series(ring))
+    _assert_same(a * b, _school_mul(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inv_unit_matches_schoolbook(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    u = data.draw(_wide_series(ring, max_order=0, exact_order=True))
+    _assert_same(u.inv_unit(), _school_div(ring.series([1], u.prec), u))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_div_exact_matches_schoolbook(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    b = data.draw(_wide_series(ring, exact_order=True))
+    a = data.draw(_wide_series(ring, min_order=b.order(), exact_order=True))
+    _assert_same(a.div_exact(b), _school_div(a, b))
