@@ -1,10 +1,12 @@
 """Count jet-space solutions over F_p window by window and compare with lifts.
 
-For each truncation window x^m the brute-force pass enumerates every
-coefficient vector that extends the jet of the cusp and kills the ideal,
-then checks that randomly lifted arcs land inside the enumerated set.
-The counts should grow by a factor of p^n per unit of window beyond the
-congruence threshold 2c + 1.
+For each truncation window x^m the oracle enumerates every coefficient
+vector that extends the jet of the cusp and kills the ideal, then checks
+that randomly lifted arcs land inside the enumerated set.  Beyond the
+congruence threshold 2c + 1 the counts first grow by p^n per unit of
+window, while the ideal does not yet see the newest coefficients, and then
+by p^(n-r), the dimension of the smooth family: over F5 the census prints
+1, 25, 625, 15625, 78125 at x^9..x^13, so x25 and then x5.
 
     python3 scripts/jet_census.py
     python3 scripts/jet_census.py --p 7 --windows 9 10 11 --samples 25

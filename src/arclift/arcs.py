@@ -16,8 +16,9 @@ This module provides that machinery in both directions:
                      search for a lift that agrees with the jet through
                      x^(2c), trying zero first, then greedy affine
                      corrections layer by layer
-    oracle_enumerate brute force: every coefficient vector mod x^m over a
-                     finite field that extends the jet and kills the ideal
+    oracle_enumerate exhaustive layer-by-layer enumeration: every
+                     coefficient vector mod x^m over a finite field that
+                     extends the jet and kills the ideal
 
 A lift is strict when every component matches the jet through x^(2c).
 Strict lifts are exactly the arcs the family parametrizes, which is what
@@ -30,8 +31,8 @@ cannot settle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import product
+from math import prod
 
 from . import linalg
 from .desing import Problem, SmoothModel
@@ -411,9 +412,10 @@ def find_strict_reference(model: SmoothModel, search_depth: int = 8) -> LiftResu
             cols.append([field.add(a, field.neg(b)) for a, b in zip(v_u, vbase)])
         rows = [[cols[u][row] for u in range(nfree)] for row in range(len(vbase))]
         rhs = [field.neg(v) for v in vbase]
-        alpha = linalg.solve_linear(field, rows, rhs)
-        if alpha is None or all(a == field.zero for a in alpha):
+        sol = linalg.solve_linear(field, rows, rhs)
+        if sol is None or all(a == field.zero for a in sol[0]):
             continue
+        alpha = sol[0]
         cand_free = list(t_free)
         for u in range(nfree):
             if alpha[u] != field.zero:
@@ -464,25 +466,40 @@ class JetSet:
 
 
 def _conv(a, b, p):
-    """Truncated Cauchy product of row batches, entries reduced mod p."""
-    m = a.shape[1]
-    out = np.zeros_like(a)
-    for sh in range(m):
-        out[:, sh:] += a[:, sh : sh + 1] * b[:, : m - sh]
-    return out % p
+    """Cauchy product of two coefficient lists, truncated to len(a), mod p."""
+    out = [0] * len(a)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b[: len(a) - i]):
+                out[i + j] += ai * bj
+    return [v % p for v in out]
 
 
-_ENUM_BUDGET = 1 << 24
+def _evaluate(terms, u, p):
+    """A generator at the coefficient lists u, mod x^len(u[0]) and mod p."""
+    acc = [0] * len(u[0])
+    for exps, coeff in terms:
+        term = coeff[: len(u[0])]
+        for y, e in zip(u, exps):
+            for _ in range(e):
+                term = _conv(term, y, p)
+        acc = [a + t for a, t in zip(acc, term)]
+    return [a % p for a in acc]
 
 
-def oracle_enumerate(problem: Problem, m: int, chunk: int = 1 << 16) -> JetSet:
-    """Brute force every arc mod x^m over F_p extending the jet mod x^(2c+1).
+_ENUM_BUDGET_BITS = 24
 
-    Candidates fix the jet's coefficients below 2c+1 and range over all of
-    F_p in each higher slot; one survives when every ideal generator
-    vanishes mod x^m.  The candidate count p^(n*(m-2c-1)) must stay within
-    2^24.  Exact, exhaustive, and independent of the model construction,
-    which is the point: it cross-checks the lifting machinery from below.
+
+def oracle_enumerate(problem: Problem, m: int) -> JetSet:
+    """Every arc mod x^m over F_p that extends the jet mod x^(2c+1) and kills the ideal.
+
+    Exhaustive, one x-power at a time: as g(u + delta*x^k) = g(u) +
+    x^k*J0*delta mod x^(k+1) for k >= 1, with J0 the Jacobian at x = 0 and
+    the jet's constant terms, a member u mod x^k extends by exactly the
+    delta with J0*delta = -[x^k] g(u).  The candidate count p^(n*(m-2c-1))
+    must stay within 2^24.  Independent of the model construction and of
+    the series kernel, which is the point: it cross-checks the lifting
+    machinery from below.
     """
     field = problem.ring.field
     if field.p is None:
@@ -493,22 +510,13 @@ def oracle_enumerate(problem: Problem, m: int, chunk: int = 1 << 16) -> JetSet:
         raise StructureError(
             f"window x^{m} is shorter than the congruence window x^{need}"
         )
-    width = m - need
-    slots = problem.n * width
-    total = p**slots
-    if total > _ENUM_BUDGET:
+    slots = problem.n * (m - need)
+    # p >= 2, so more than 24 slots is over budget without computing p^slots
+    if slots > _ENUM_BUDGET_BITS or p**slots > 1 << _ENUM_BUDGET_BITS:
         raise BudgetExceededError(
-            f"enumerating {total} candidates exceeds the budget of {_ENUM_BUDGET}"
+            f"enumerating {p}^{slots} candidates exceeds the budget of 2^{_ENUM_BUDGET_BITS}"
         )
-    base = [[int(y.coeff_at(k)) for k in range(need)] for y in problem.jet]
-
-    if slots == 0:
-        point = problem.jet_point()
-        ok = all(g.eval(point).order_floor() >= m for g in problem.ideal_gens)
-        ordered = (tuple(tuple(b) for b in base),) if ok else ()
-        return JetSet(p=p, n=problem.n, m=m, keys=frozenset(ordered), ordered=ordered)
-
-    terms_per_gen = []
+    gens = []
     for j, gen in enumerate(problem.ideal_gens, start=1):
         terms = []
         for exps, coeff in gen.terms.items():
@@ -517,43 +525,32 @@ def oracle_enumerate(problem: Problem, m: int, chunk: int = 1 << 16) -> JetSet:
                     f"a coefficient of generator {j} is known only through "
                     f"x^{coeff.prec - 1}, short of the window x^{m}"
                 )
-            arr = np.array([int(coeff.coeff_at(k)) for k in range(m)], dtype=np.int64)
-            terms.append((exps, arr))
-        terms_per_gen.append(terms)
+            terms.append((exps, [int(coeff.coeff_at(k)) for k in range(m)]))
+        gens.append(terms)
 
-    found = []
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        cnt = idx.shape[0]
-        comps = np.zeros((problem.n, cnt, m), dtype=np.int64)
-        for i in range(problem.n):
-            comps[i, :, :need] = np.array(base[i], dtype=np.int64)
-        for s in range(slots):
-            i = s // width
-            k = need + (s % width)
-            comps[i, :, k] = (idx // (p**s)) % p
-        powers = {}
-
-        def power(i, e):
-            key = (i, e)
-            if key not in powers:
-                powers[key] = comps[i] if e == 1 else _conv(power(i, e - 1), comps[i], p)
-            return powers[key]
-
-        keep = np.ones(cnt, dtype=bool)
-        for terms in terms_per_gen:
-            acc = np.zeros((cnt, m), dtype=np.int64)
-            for exps, arr in terms:
-                term = np.broadcast_to(arr, (cnt, m))
-                for i, e in enumerate(exps):
-                    if e:
-                        term = _conv(term, power(i, e), p)
-                acc = acc + term
-            acc %= p
-            keep &= ~acc.any(axis=1)
-        for row in np.nonzero(keep)[0]:
-            key = tuple(tuple(int(v) for v in comps[i, row]) for i in range(problem.n))
-            found.append(key)
-    ordered = tuple(sorted(found))
+    base = tuple(tuple(int(y.coeff_at(k)) for k in range(need)) for y in problem.jet)
+    members = [] if any(any(_evaluate(t, base, p)) for t in gens) else [base]
+    j0 = [[0] * problem.n for _ in gens]
+    for row, terms in zip(j0, gens):
+        for exps, coeff in terms:
+            for i, e in enumerate(exps):
+                if e:
+                    row[i] += e * coeff[0] * prod(
+                        y[0] ** (el - (l == i)) for l, (y, el) in enumerate(zip(base, exps))
+                    )
+    _, basis = linalg.solve_linear(field, j0, [0] * len(gens))
+    kernel = [
+        [sum(s * v[i] for s, v in zip(scales, basis)) for i in range(problem.n)]
+        for scales in product(range(p), repeat=len(basis))
+    ]
+    for k in range(need, m):
+        grown = []
+        for u in members:
+            top = [_evaluate(t, [y + (0,) for y in u], p)[k] for t in gens]
+            sol = linalg.solve_linear(field, j0, [field.neg(v) for v in top])
+            if sol is not None:
+                for v in kernel:
+                    grown.append(tuple(y + ((d + w) % p,) for y, d, w in zip(u, sol[0], v)))
+        members = grown
+    ordered = tuple(sorted(members))
     return JetSet(p=p, n=problem.n, m=m, keys=frozenset(ordered), ordered=ordered)

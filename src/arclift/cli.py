@@ -50,17 +50,8 @@ from .desing import (
     verify_model,
 )
 from .errors import (
-    BudgetExceededError,
-    FieldMismatchError,
-    IdentityFailedError,
-    MissingVariableError,
-    NoProgressError,
-    NotAUnitError,
-    NotDivisibleError,
+    ArcliftError,
     NotStrictError,
-    OrderTooHighError,
-    OrderViolationError,
-    OutOfFamilyError,
     ParseError,
     PrecisionExhaustedError,
     StructureError,
@@ -282,7 +273,7 @@ def _lift_json(result: arcs.LiftResult) -> dict:
 
 def _resolve_reference(args, model: SmoothModel):
     """Reference lift from --reference free components, or by search."""
-    if getattr(args, "reference", None) is not None:
+    if args.reference is not None:
         rf = _series_list(args.reference, model.ring, model.param_count, "reference")
         ref = arcs.make_lift(model, rf)
         if not ref.strict:
@@ -363,6 +354,11 @@ def cmd_desingularize(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    if args.reference is not None and args.params is None:
+        raise ParseError("--reference applies only with --params")
+    reference_mode = args.t_free is None and args.params is None and args.random is None
+    if reference_mode and args.prec is not None:
+        raise ParseError("--prec does not apply when searching for a reference lift")
     problem = load_problem(args.problem)
     model = build_model(problem)
     ring = model.ring
@@ -546,6 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="path to a problem JSON file")
         p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
 
+    def searching(p):
+        p.add_argument("--search-depth", type=int, default=8,
+                       help="layers tried when searching for a strict reference")
+
     p = sub.add_parser("validate", help="run the admission checks on a problem")
     common(p)
     p.set_defaults(func=cmd_validate)
@@ -568,8 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="free components of the reference lift used by --params")
     p.add_argument("--prec", type=int, default=None,
                    help="target residual order for Newton iteration")
-    p.add_argument("--search-depth", type=int, default=8,
-                   help="layers tried when searching for a strict reference")
+    searching(p)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("extract", help="recover coordinates of a strict arc")
@@ -578,16 +577,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma separated arc components")
     p.add_argument("--reference", metavar="LIST",
                    help="free components of a reference lift; adds offset extraction")
-    p.add_argument("--search-depth", type=int, default=8,
-                   help="layers tried when searching for a strict reference")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("roundtrip", help="offset-lift random parameters and recover them")
     common(p)
     p.add_argument("--seed", type=int, default=0, help="seed for the offset draws")
     p.add_argument("--count", type=int, default=5, help="number of trials")
-    p.add_argument("--search-depth", type=int, default=8,
-                   help="layers tried when searching for a strict reference")
+    searching(p)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("oracle", help="enumerate all arcs mod x^M over a finite field")
@@ -597,8 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10,
                    help="random strict lifts checked for membership")
     p.add_argument("--seed", type=int, default=0, help="seed for the membership samples")
-    p.add_argument("--search-depth", type=int, default=8,
-                   help="layers tried when searching for a strict reference")
+    searching(p)
     p.set_defaults(func=cmd_oracle)
 
     return parser
@@ -609,26 +604,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ParseError as exc:
-        print(f"arclift: parse error: {exc}", file=sys.stderr)
-        return 4
-    except (ValidationError, OrderViolationError, OrderTooHighError, IdentityFailedError) as exc:
+    except ArcliftError as exc:
         if isinstance(exc, ValidationError) and exc.report is not None:
             for ch in exc.report.failures():
                 print(f"arclift: check {ch.name}: {ch.detail}", file=sys.stderr)
-        print(f"arclift: {exc}", file=sys.stderr)
-        return 2
-    except (
-        StructureError,
-        NotStrictError,
-        OutOfFamilyError,
-        FieldMismatchError,
-        MissingVariableError,
-        NotAUnitError,
-        NotDivisibleError,
-        PrecisionExhaustedError,
-        NoProgressError,
-        BudgetExceededError,
-    ) as exc:
-        print(f"arclift: {exc}", file=sys.stderr)
-        return 1
+        prefix = "parse error: " if isinstance(exc, ParseError) else ""
+        print(f"arclift: {prefix}{exc}", file=sys.stderr)
+        return exc.exit_code

@@ -3,11 +3,14 @@
 Every domain failure raises a subclass of ArcliftError so callers can
 separate mathematical outcomes (NotStrictError, OutOfFamilyError, ...)
 from programming mistakes, which surface as ordinary Python exceptions.
+Each class carries the exit code the command line reports for it.
 """
 
 
 class ArcliftError(Exception):
     """Base class for all arclift domain errors."""
+
+    exit_code = 1
 
 
 class FieldMismatchError(ArcliftError):
@@ -27,6 +30,8 @@ class PrecisionExhaustedError(ArcliftError):
 
 
 class ParseError(ArcliftError):
+    exit_code = 4
+
     def __init__(self, message, pos=None):
         if pos is not None:
             message = f"{message} (at position {pos})"
@@ -49,6 +54,8 @@ class StructureError(ArcliftError):
 class ValidationError(ArcliftError):
     """A mathematical validation check failed; carries the full report."""
 
+    exit_code = 2
+
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
@@ -57,13 +64,19 @@ class ValidationError(ArcliftError):
 class OrderTooHighError(ArcliftError):
     """Certificate normalization requested with order defect e >= c."""
 
+    exit_code = 2
+
 
 class OrderViolationError(ArcliftError):
     """A remainder term has visible order 0 where order >= 1 is required."""
 
+    exit_code = 2
+
 
 class IdentityFailedError(ArcliftError):
     """An internal construction identity failed to re-verify."""
+
+    exit_code = 2
 
 
 class NotStrictError(ArcliftError):
@@ -89,4 +102,4 @@ class NoProgressError(ArcliftError):
 
 
 class BudgetExceededError(ArcliftError):
-    """Brute-force enumeration would exceed the configured budget."""
+    """Jet enumeration would exceed its candidate budget."""

@@ -7,8 +7,9 @@ so cofactor expansion is the right tool: it is division-free, exact, and
 propagates effective precision through ordinary arithmetic.
 
 solve_linear is the one routine specialised to scalar fields; it performs
-plain Gaussian elimination with exact division and reports unsolvable
-systems by returning None.
+plain Gaussian elimination with exact division, returns a particular
+solution with a basis of the homogeneous solutions, and reports
+unsolvable systems by returning None.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ def adjugate(rows, zero, one):
 def solve_linear(field, rows, rhs):
     """Solve rows * x = rhs over a scalar field; None when inconsistent.
 
-    Underdetermined systems get free variables pinned to zero, so the
-    returned solution is deterministic.
+    Returns (x, basis).  Free variables are pinned to zero in x, so the
+    particular solution is deterministic; basis holds one vector per free
+    variable and spans the solutions of rows * x = 0.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -111,4 +113,11 @@ def solve_linear(field, rows, rhs):
     x = [field.zero] * n
     for r, col in enumerate(pivots):
         x[col] = a[r][n]
-    return x
+    basis = []
+    for free in (col for col in range(n) if col not in pivots):
+        v = [field.zero] * n
+        v[free] = field.one
+        for r, col in enumerate(pivots):
+            v[col] = field.neg(a[r][free])
+        basis.append(v)
+    return x, basis

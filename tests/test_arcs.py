@@ -1,8 +1,11 @@
 """Lifting, parameter extraction, reference search, and the enumeration oracle."""
 
 import dataclasses
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from arclift import (
@@ -18,6 +21,7 @@ from arclift import (
     SeriesRing,
     SplitMix64,
     StructureError,
+    VarSpace,
     default_target,
     draw_series,
     extract_params,
@@ -25,6 +29,7 @@ from arclift import (
     find_strict_reference,
     hensel_solve,
     make_lift,
+    make_problem,
     offset_lift,
     oracle_enumerate,
 )
@@ -317,6 +322,55 @@ def test_oracle_covers_every_strict_lift(cusp_f5):
         lift = make_lift(cusp_f5, tf)
         assert lift.strict
         assert jets.contains(lift.y2)
+
+
+@st.composite
+def _jet_windows(draw):
+    """A random system over F2/F3/F5 with n <= 3, c = 1, a window of <= 2000
+    candidates, a jet with a nonzero constant term and a nonzero Jacobian there."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 4).filter(lambda w: p ** (n * w) <= 2000))
+    m = 3 + width
+    ring = SeriesRing(PrimeField(p), m)
+    space = VarSpace.ys(n)
+    scalars = st.integers(0, p - 1)
+    jet = tuple(ring.series(draw(st.lists(scalars, min_size=3, max_size=3))) for _ in range(n))
+    assume(any(y.coeff_at(0) for y in jet))
+    point = dict(zip(space.names, jet))
+    gens = []
+    for _ in range(draw(st.integers(1, min(n, 2)))):
+        g = Poly.zero(ring, space)
+        for _ in range(draw(st.integers(1, 4))):
+            coeff = ring.series(draw(st.lists(scalars, min_size=1, max_size=3)))
+            term = Poly.constant(ring, space, coeff)
+            for nm in space.names:
+                term = term * Poly.variable(ring, space, nm) ** draw(st.integers(0, 2))
+            g = g + term
+        if draw(st.sampled_from([True, True, True, False])):
+            # make the jet itself a solution mod x^3, so the window is not empty
+            at_jet = g.eval(point)
+            g = g - Poly.constant(ring, space, ring.series([at_jet.coeff_at(k) for k in range(3)]))
+        gens.append(g)
+    assume(any(g.diff(nm).eval(point).coeff_at(0) for g in gens for nm in space.names))
+    idx = range(1, len(gens) + 1)
+    return make_problem(ring, n, gens, f_idx=idx, minor_cols=idx, jet=jet, c=1), m
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_jet_windows())
+def test_oracle_matches_brute_force_with_a_nonzero_jacobian(window):
+    problem, m = window
+    ring, names = problem.ring, problem.space.names
+    p, width = ring.field.p, m - 3
+    base = [tuple(y.coeff_at(k) for k in range(3)) for y in problem.jet]
+    found = []
+    for tail in product(range(p), repeat=problem.n * width):
+        key = tuple(b + tail[i * width : (i + 1) * width] for i, b in enumerate(base))
+        point = {nm: ring.series(list(c)) for nm, c in zip(names, key)}
+        if all(g.eval(point).order_floor() >= m for g in problem.ideal_gens):
+            found.append(key)
+    assert oracle_enumerate(problem, m).ordered == tuple(sorted(found))
 
 
 # -- randomized confirmation ----------------------------------------------

@@ -1,11 +1,15 @@
 """Command line behavior: formats, exit codes, determinism, JSON mode."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
 import helpers
-from arclift import SeriesRing, parse_series
+from arclift import ArcliftError, SeriesRing, parse_series
 from arclift.cli import load_problem, main
 
 CUSP = str(helpers.PROBLEMS / "cusp.json")
@@ -22,6 +26,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python(*argv):
+    """Run a fresh interpreter with this checkout's package first on the path."""
+    path = [str(helpers.REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 # -- problem files -------------------------------------------------------
@@ -300,6 +313,14 @@ def test_oracle_budget_exit(capsys):
     assert "budget" in err.lower()
 
 
+@pytest.mark.parametrize("prec", ["5000", "10000000"])
+def test_oracle_refuses_a_huge_window_without_a_traceback(prec):
+    proc = python("-m", "arclift", "oracle", CUSP5, "--prec", prec)
+    assert proc.returncode == 1
+    assert "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # -- exit codes and parse errors -------------------------------------------
 
 
@@ -316,6 +337,40 @@ def test_bad_series_text_is_a_parse_error(capsys):
 def test_usage_error_is_a_parse_error(capsys):
     code, out, err = run(capsys, "lift", CUSP, "--no-such-flag")
     assert code == 4
+
+
+def test_lift_rejects_a_reference_without_params(capsys):
+    code, out, err = run(capsys, "lift", CUSP, "--t-free", "x^9", "--reference", "0")
+    assert code == 4
+    assert err == "arclift: parse error: --reference applies only with --params\n"
+
+
+def test_lift_rejects_prec_when_searching_for_a_reference(capsys):
+    code, out, err = run(capsys, "lift", SHIFTED, "--prec", "20")
+    assert code == 4
+    assert "--prec" in err
+
+
+def test_every_error_class_exits_as_the_readme_table_says():
+    table = {}
+    for line in (helpers.REPO / "README.md").read_text(encoding="utf-8").splitlines():
+        row = re.match(r"\| (\d) \|", line)
+        if row:
+            table.update((name, int(row.group(1))) for name in re.findall(r"`(\w+Error)`", line))
+    classes, todo = [], [ArcliftError]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    assert sorted(cls.__name__ for cls in classes) == sorted(table)
+    for cls in classes:
+        assert cls.exit_code == table[cls.__name__], cls.__name__
+
+
+def test_importing_arclift_leaves_numpy_unloaded():
+    proc = python("-c", "import sys, arclift, arclift.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_lift_names_a_bad_target(capsys):

@@ -1,5 +1,7 @@
 """Multivariate polynomials over the series ring: parsing, calculus, matrices."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from arclift import (
     jacobian,
     parse_poly,
 )
+from arclift import linalg
 
 R = SeriesRing(QQ)
 R5 = SeriesRing(PrimeField(5))
@@ -186,3 +189,28 @@ def test_adjugate_identity_on_random_matrices(a, b, c, d):
     prod = m.mul(m.adjugate())
     ident = PolyMatrix.identity(R, YS, 2)
     assert prod == ident.scale(det)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(st.data())
+def test_solve_linear_returns_every_solution(data):
+    """Over F3, x + span(basis) is exactly the brute-force solution set."""
+    n = data.draw(st.integers(1, 3))
+    entry = st.integers(0, 2)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3))
+    rhs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    solutions = {
+        v for v in product(range(3), repeat=n)
+        if all(sum(a * b for a, b in zip(row, v)) % 3 == r for row, r in zip(rows, rhs))
+    }
+    got = linalg.solve_linear(PrimeField(3), rows, rhs)
+    if got is None:
+        assert not solutions
+        return
+    x, basis = got
+    span = {
+        tuple((xi + sum(s * v[i] for s, v in zip(scales, basis))) % 3 for i, xi in enumerate(x))
+        for scales in product(range(3), repeat=len(basis))
+    }
+    assert len(span) == 3 ** len(basis)
+    assert span == solutions
