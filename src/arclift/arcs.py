@@ -51,12 +51,17 @@ from .ring import Series
 
 @dataclass(frozen=True)
 class HenselResult:
-    """Outcome of Newton iteration on the bound block."""
+    """Outcome of Newton iteration on the bound block.
+
+    orders is the residual order before the first step and after each one,
+    k0 through k_final.
+    """
 
     t_bound: tuple
     iterations: int
     k0: int
     k_final: int
+    orders: tuple
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,7 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
             f"initial residual has order {k0}; Newton iteration needs positive order"
         )
     k = k0
+    orders = [k0]
     iterations = 0
     zero = ring.zero(ring.n_work)
     one = ring.one()
@@ -141,10 +147,11 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
         if k_new <= k:
             raise NoProgressError(f"residual order stalled at x^{k}")
         k = k_new
+        orders.append(k)
     # Newton certifies the solution only modulo x^k, so cap the precision
     # of the result there; usually k is the residual's full precision and
     # this is a no-op.
-    return HenselResult(tuple(s.truncate(k) for s in t_bound), iterations, k0, k)
+    return HenselResult(tuple(s.truncate(k) for s in t_bound), iterations, k0, k, tuple(orders))
 
 
 def _is_strict(model: SmoothModel, y2) -> bool:

@@ -61,6 +61,9 @@ from .polyring import VarSpace, parse_poly
 from .prng import SplitMix64, draw_series
 from .ring import DEFAULT_PRECISION, PrimeField, QQ, SeriesRing
 
+# layers tried by find_strict_reference unless --search-depth says otherwise
+SEARCH_DEPTH = 8
+
 
 class _Parser(argparse.ArgumentParser):
     """Routes usage errors through the parse-error exit code."""
@@ -359,6 +362,11 @@ def cmd_lift(args) -> int:
     reference_mode = args.t_free is None and args.params is None and args.random is None
     if reference_mode and args.prec is not None:
         raise ParseError("--prec does not apply when searching for a reference lift")
+    searches = reference_mode or (args.params is not None and args.reference is None)
+    if args.search_depth is None:
+        args.search_depth = SEARCH_DEPTH
+    elif not searches:
+        raise ParseError("--search-depth applies only when searching for a reference lift")
     problem = load_problem(args.problem)
     model = build_model(problem)
     ring = model.ring
@@ -542,8 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="path to a problem JSON file")
         p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
 
-    def searching(p):
-        p.add_argument("--search-depth", type=int, default=8,
+    def searching(p, default=SEARCH_DEPTH):
+        p.add_argument("--search-depth", type=int, default=default,
                        help="layers tried when searching for a strict reference")
 
     p = sub.add_parser("validate", help="run the admission checks on a problem")
@@ -568,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="free components of the reference lift used by --params")
     p.add_argument("--prec", type=int, default=None,
                    help="target residual order for Newton iteration")
-    searching(p)
+    searching(p, default=None)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("extract", help="recover coordinates of a strict arc")

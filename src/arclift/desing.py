@@ -158,7 +158,7 @@ class Problem:
         if self.mode == "variety":
             for j, g in enumerate(self.ideal_gens, start=1):
                 for coeff in g.terms.values():
-                    if len(coeff.coeffs) > 1:
+                    if len(coeff) > 1:
                         raise StructureError(
                             f"variety mode forbids x in the system: generator {j} "
                             "has an x-dependent coefficient"

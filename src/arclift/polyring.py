@@ -148,7 +148,7 @@ class _Parser:
                 exps[idx] += e
         if sign < 0:
             scalar = self.field.neg(scalar)
-        mono = self.ring.monomial(xpow, scalar) if xpow < self.ring.n_work else self.ring.zero()
+        mono = self.ring.monomial(xpow, scalar)
         key = tuple(exps)
         prev = terms.get(key)
         terms[key] = mono if prev is None else prev + mono
@@ -212,8 +212,7 @@ def parse_series(text: str, ring: SeriesRing) -> Series:
     body = terms.get((), ring.zero())
     if parser.o_prec is None:
         return body
-    prec = min(parser.o_prec, ring.n_work)
-    return Series._make(ring, list(body.coeffs[:prec]), prec)
+    return body.truncate(parser.o_prec)
 
 
 def parse_poly(text: str, ring: SeriesRing, space: VarSpace) -> Poly:

@@ -20,23 +20,39 @@ The working precision N_work caps every eff_prec and lives on the
 SeriesRing, the only shared context object.  Series are immutable after
 construction and safe to share.
 
-Products, inverses and quotients run on integer vectors, the same way for
-both fields: a coefficient vector becomes integer numerators over one common
-denominator (the lcm of the denominators over Q, 1 over F_p).  A product is
-one big-integer multiplication by Kronecker substitution (D. Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution", J. Symbolic
-Comput. 2009).  The inverse of a unit is Newton doubling g <- g*(2 - a*g) on
-top of that product, and an exact quotient is a/x^oa times the inverse of
-b/x^ob (R. P. Brent and H. T. Kung, "Fast algorithms for manipulating formal
-power series", J. ACM 1978).  The results are exact, so they agree
-coefficient for coefficient with the schoolbook recurrences.
+A Series stores integer numerators over one positive denominator: the
+coefficient of x^k is nums[k] / den.  Over Q the pair is reduced,
+gcd(den, *nums) = 1; over F_p the numerators are residues in [0, p) and den
+is 1.  Neither keeps trailing zeros.  Sums scale to the lcm of the
+denominators and products multiply them, so arithmetic never builds a field
+scalar; Fractions appear only when coefficients are read out or rendered.
+
+A product is one big-integer multiplication by Kronecker substitution (D.
+Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 2009): each vector becomes one integer
+with a slot per coefficient wide enough for any product coefficient.
+Packing and unpacking go through array buffers: a slot of 1, 2, 4 or 8
+bytes is one array cell, and a wider slot is filled from, and read into,
+64-bit cells by strided slice copies, a few per slot position rather than
+one Python call per coefficient.  Q numerators are signed, so they are packed as two's
+complement digits and corrected by one subtraction, and the product's slots
+carry an offset of half their range so that they unpack without borrows;
+F_p residues are non-negative and need neither.  The inverse of a unit is
+Newton doubling g <- g*(2 - a*g) on top of that product, and an exact
+quotient is a/x^oa times the inverse of b/x^ob (R. P. Brent and H. T. Kung,
+"Fast algorithms for manipulating formal power series", J. ACM 1978).  The
+results are exact, so they agree coefficient for coefficient with the
+schoolbook recurrences.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 from .errors import (
     FieldMismatchError,
@@ -210,12 +226,16 @@ class SeriesRing:
 
     def series(self, coeffs, prec: int | None = None) -> Series:
         """Build a series from an iterable of scalars indexed from x^0."""
-        if prec is None:
-            prec = self.n_work
-        return Series._make(self, [self.field.coerce(v) for v in coeffs], prec)
+        field = self.field
+        vals = [field.coerce(v) for v in coeffs]
+        den = 1
+        if field.p is None:
+            den = lcm(*[v.denominator for v in vals])
+            vals = [v.numerator * (den // v.denominator) for v in vals]
+        return Series._make(self, vals, self.n_work if prec is None else prec, den)
 
     def zero(self, prec: int | None = None) -> Series:
-        return Series._make(self, [], self.n_work if prec is None else prec)
+        return Series._make(self, (), self.n_work if prec is None else prec)
 
     def one(self) -> Series:
         return self.scalar(1)
@@ -224,10 +244,13 @@ class SeriesRing:
         return self.series([v])
 
     def monomial(self, k: int, coeff=1) -> Series:
-        """The series coeff * x^k at full working precision."""
+        """The series coeff * x^k at full working precision (zero when k >= n_work)."""
         if k < 0:
             raise StructureError("negative exponent")
-        return self.series([0] * k + [coeff])
+        if k >= self.n_work:
+            return self.zero()
+        c = self.scalar(coeff)
+        return Series._make(self, (0,) * k + c.nums, self.n_work, c.den)
 
     def x(self, k: int = 1) -> Series:
         return self.monomial(k)
@@ -239,26 +262,32 @@ class SeriesRing:
 
 
 class Series:
-    """A truncated power series: coefficients below x^prec, nothing beyond."""
+    """A truncated power series: coefficients below x^prec, nothing beyond.
 
-    __slots__ = ("ring", "coeffs", "prec")
+    The stored form is nums / den (see the module docstring); `coeffs` and
+    `coeff_at` read it out as field scalars.
+    """
+
+    __slots__ = ("ring", "nums", "den", "prec")
 
     def __init__(self, *args):
         raise TypeError("use SeriesRing.series/zero/monomial or Series arithmetic")
 
     @classmethod
-    def _make(cls, ring: SeriesRing, coeffs, prec: int) -> Series:
+    def _make(cls, ring: SeriesRing, nums, prec: int, den: int = 1) -> Series:
+        """The canonical form of nums / den mod x^prec; den > 0, residues reduced over F_p."""
         prec = min(prec, ring.n_work)
         if prec < 1:
             raise PrecisionExhaustedError("series would carry no certified coefficients")
-        if len(coeffs) > prec:
-            coeffs = coeffs[:prec]
-        n = len(coeffs)
-        while n and ring.field.is_zero(coeffs[n - 1]):
-            n -= 1
+        nums = _trimmed(tuple(nums)[:prec])
+        if den != 1:
+            c = gcd(den, *nums)
+            if c != 1:
+                nums, den = tuple([v // c for v in nums]), den // c
         obj = object.__new__(cls)
         object.__setattr__(obj, "ring", ring)
-        object.__setattr__(obj, "coeffs", tuple(coeffs[:n]))
+        object.__setattr__(obj, "nums", nums)
+        object.__setattr__(obj, "den", den)
         object.__setattr__(obj, "prec", prec)
         return obj
 
@@ -267,10 +296,18 @@ class Series:
 
     # -- inspection ---------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The stored coefficients as field scalars: Fractions over Q, residues over F_p."""
+        if self.ring.field.p is not None:
+            return self.nums
+        den = self.den
+        return tuple([Fraction(v, den) for v in self.nums])
+
     def order(self) -> int | None:
         """Valuation, or None when the series is zero at its precision."""
-        for k, v in enumerate(self.coeffs):
-            if not self.ring.field.is_zero(v):
+        for k, v in enumerate(self.nums):
+            if v:
                 return k
         return None
 
@@ -280,11 +317,12 @@ class Series:
         return self.prec if o is None else o
 
     def is_zero(self) -> bool:
-        return self.order() is None
+        return not self.nums
 
     def coeff_at(self, k: int):
         """Raw coefficient of x^k, zero beyond the stored support (k may exceed prec)."""
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.ring.field.zero
+        v = self.nums[k] if 0 <= k < len(self.nums) else 0
+        return v if self.ring.field.p is not None else Fraction(v, self.den)
 
     def coefficient(self, k: int):
         """Certified coefficient of x^k; raises beyond the effective precision."""
@@ -293,7 +331,7 @@ class Series:
         return self.coeff_at(k)
 
     def __len__(self):
-        return len(self.coeffs)
+        return len(self.nums)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -306,18 +344,24 @@ class Series:
             return NotImplemented
         self._compat(other)
         prec = min(self.prec, other.prec)
-        field = self.ring.field
-        a, b = self.coeffs[:prec], other.coeffs[:prec]
+        a, b = self.nums[:prec], other.nums[:prec]
+        den = da = self.den
+        db = other.den
+        if da != db:
+            den = lcm(da, db)
+            a = [v * (den // da) for v in a]
+            b = [v * (den // db) for v in b]
         if len(a) < len(b):
             a, b = b, a
-        # products leave many zero slots; adding a zero only copies
-        out = [field.add(x, y) if y else x for x, y in zip(a, b)]
-        out.extend(a[len(b):])
-        return Series._make(self.ring, out, prec)
+        p = self.ring.field.p
+        out = list(map(add, a, b)) if p is None else [v % p for v in map(add, a, b)]
+        out += a[len(b):]
+        return Series._make(self.ring, out, prec, den)
 
     def __neg__(self):
-        field = self.ring.field
-        return Series._make(self.ring, [field.neg(v) for v in self.coeffs], self.prec)
+        p = self.ring.field.p
+        nums = [-v for v in self.nums] if p is None else [v and p - v for v in self.nums]
+        return Series._make(self.ring, nums, self.prec, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Series):
@@ -334,25 +378,25 @@ class Series:
         fb = other.prec if ob is None else ob
         prec = min(self.prec + fb, other.prec + fa, ring.n_work)
         if oa is None or ob is None:
-            return Series._make(ring, [], prec)
-        field = ring.field
+            return Series._make(ring, (), prec)
         shift = oa + ob
-        m = min(prec, len(self.coeffs) + len(other.coeffs) - 1) - shift
+        m = min(prec, len(self.nums) + len(other.nums) - 1) - shift
         if m < 1:
-            return Series._make(ring, [], prec)
-        a, da = _ints(field, self.coeffs[oa:oa + m])
-        b, db = _ints(field, other.coeffs[ob:ob + m])
-        out = _scalars(field, _kmul(a, b, m), da * db)
-        return Series._make(ring, [field.zero] * shift + out, prec)
+            return Series._make(ring, (), prec)
+        a = self.nums[oa:oa + m]
+        b = a if other is self else other.nums[ob:ob + m]
+        out = _kmul(a, b, m, ring.field.p)
+        return Series._make(ring, [0] * shift + out, prec, self.den * other.den)
 
     def inv_unit(self) -> Series:
         """Inverse of a unit (order exactly 0); precision is preserved."""
         if self.order() != 0:
             raise NotAUnitError("series has positive order, cannot invert")
-        field = self.ring.field
-        a, da = _ints(field, self.coeffs)
-        g, dg = _inverse(a, self.prec, field.p)
-        return Series._make(self.ring, _scalars(field, [v * da for v in g], dg), self.prec)
+        # 1 / (a/da) = da * g/dg with g/dg = 1/a
+        g, dg = _inverse(self.nums, self.prec, self.ring.field.p)
+        if self.den != 1:
+            g = [v * self.den for v in g]
+        return Series._make(self.ring, g, self.prec, dg)
 
     def div_exact(self, other: Series) -> Series:
         """Exact quotient self / other; dividing by x^k costs k digits of precision."""
@@ -360,7 +404,6 @@ class Series:
             raise TypeError("div_exact expects a Series")
         self._compat(other)
         ring = self.ring
-        field = ring.field
         ob = other.order()
         if ob is None:
             raise NotDivisibleError("divisor vanishes at its precision")
@@ -369,7 +412,7 @@ class Series:
             qprec = min(self.prec - ob, ring.n_work)
             if qprec < 1:
                 raise PrecisionExhaustedError("quotient would carry no certified coefficients")
-            return Series._make(ring, [], qprec)
+            return Series._make(ring, (), qprec)
         if oa < ob:
             raise NotDivisibleError(f"dividend order {oa} below divisor order {ob}")
         qprec = min(self.prec - ob, other.prec - 2 * ob + oa, ring.n_work)
@@ -377,17 +420,19 @@ class Series:
             raise PrecisionExhaustedError("quotient would carry no certified coefficients")
         shift = oa - ob
         m = qprec - shift
-        a, da = _ints(field, self.coeffs[oa:oa + m])
-        b, db = _ints(field, other.coeffs[ob:ob + m])
-        g, dg = _inverse(b, m, field.p)
-        q = _scalars(field, [v * db for v in _kmul(a, g, m)], da * dg)
-        return Series._make(ring, [field.zero] * shift + q, qprec)
+        p = ring.field.p
+        # (a/da) / (b/db) = a * g * db / (da * dg) with g/dg = 1/b
+        g, dg = _inverse(other.nums[ob:ob + m], m, p)
+        q = _kmul(self.nums[oa:oa + m], g, m, p)
+        if other.den != 1:
+            q = [v * other.den for v in q]
+        return Series._make(ring, [0] * shift + q, qprec, self.den * dg)
 
     def truncate(self, prec: int) -> Series:
         """View of the series at lower precision (display / congruence checks)."""
         if prec >= self.prec:
             return self
-        return Series._make(self.ring, list(self.coeffs[:prec]), prec)
+        return Series._make(self.ring, self.nums[:prec], prec, self.den)
 
     # -- comparison and display ----------------------------------------
 
@@ -397,13 +442,13 @@ class Series:
         if self.ring.field != other.ring.field:
             return False
         m = min(self.prec, other.prec)
-        f = self.ring.field
-        for k in range(min(m, max(len(self.coeffs), len(other.coeffs)))):
-            if self.coeff_at(k) != other.coeff_at(k) and not (
-                f.is_zero(self.coeff_at(k)) and f.is_zero(other.coeff_at(k))
-            ):
-                return False
-        return True
+        a, b = _trimmed(self.nums[:m]), _trimmed(other.nums[:m])
+        if len(a) != len(b):
+            return False
+        da, db = self.den, other.den
+        if da == db:
+            return a == b
+        return all(x * db == y * da for x, y in zip(a, b))
 
     __hash__ = None
 
@@ -437,70 +482,141 @@ class Series:
         return f"Series({self.render(show_prec=True)!r})"
 
 
+def _trimmed(nums: tuple) -> tuple:
+    """nums without its trailing zeros."""
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    return nums[:n]
+
+
 # -- the integer-vector kernel -------------------------------------------
 
-
-def _ints(field, coeffs) -> tuple[list, int]:
-    """Integer numerators and one positive common denominator of field scalars."""
-    if field.p is not None:
-        return list(coeffs), 1
-    den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+_M64 = (1 << 64) - 1
+# array type codes by item size; upper case is the unsigned twin
+_CODES = {array(c).itemsize: c for c in "bhilq"}
 
 
-def _scalars(field, ints, den: int) -> list:
-    """The field scalars v/den for the integers v; den must be a unit of the field."""
-    if field.p is None:
-        zero = field.zero
-        return [Fraction(v, den) if v else zero for v in ints]
-    p = field.p
-    inv = field.inv(den)
-    return [v * inv % p for v in ints]
+def _little(cells: array) -> array:
+    """The cells in little-endian byte order, which the slot layout assumes."""
+    if sys.byteorder == "big":
+        cells.byteswap()
+    return cells
 
 
-def _kmul(a, b, m: int) -> list:
+def _pack(v, w: int, t: int, signed: bool, ones: int) -> int:
+    """sum(v[i] << 8*w*i) for integers that fit a w-byte slot of t-byte cells.
+
+    A one-cell slot is an array of v.  Otherwise the low bytes of each value
+    are copied from the 64-bit cells of its limbs, one t-byte cell position
+    at a time, by strided slice assignment.  Signed values go in as two's
+    complement, so a negative one leaves 2^(8*cut) in its slot (cut bytes
+    written); its sign bit, gathered by ones (1 at the bottom of every
+    slot), takes that back in one subtraction.
+    """
+    unsigned = _CODES[t].upper()
+    if w == t:
+        cut = w
+        buf = _little(array(_CODES[t] if signed else unsigned, v)).tobytes()
+    else:
+        cut = t * max(1, -(-(max(map(abs, v)).bit_length() + signed) // (8 * t)))
+        limbs = (cut + 7) // 8
+        buf = bytearray(w * len(v))
+        slots = memoryview(buf).cast(unsigned)
+        for j in range(limbs):
+            top = j == limbs - 1
+            part = v if limbs == 1 else [x >> 64 * j if top else x >> 64 * j & _M64 for x in v]
+            cells = memoryview(_little(array("q" if signed and top else "Q", part)).tobytes()).cast(unsigned)
+            for c in range(min(8, cut - 8 * j) // t):
+                slots[8 * j // t + c::w // t] = cells[c::8 // t]
+    total = int.from_bytes(buf, "little")
+    if signed:
+        total -= (total >> (8 * cut - 1) & ones) << 8 * cut
+    return total
+
+
+def _unpack(raw: bytes, w: int, t: int, code: str) -> list:
+    """The integers in the w-byte slots of raw.
+
+    The top t bytes of each slot are one cell, read with the type code (and
+    so carrying the sign for a signed code); the 64-bit limbs below it are
+    gathered t bytes at a time by strided copies and joined by shifts.
+    """
+    if w == t:
+        return _little(array(code, raw)).tolist()
+    m, k, unsigned = len(raw) // w, w // t, code.upper()
+    slots = memoryview(raw).cast(unsigned)
+    cell = bytearray(t * m)
+    memoryview(cell).cast(unsigned)[:] = slots[k - 1::k]
+    out = _little(array(code, cell)).tolist()
+    for j in reversed(range((w - t) // 8)):
+        cell = bytearray(8 * m)
+        cells = memoryview(cell).cast(unsigned)
+        for c in range(8 // t):
+            cells[c::8 // t] = slots[8 * j // t + c::k]
+        out = [h << 64 | v for h, v in zip(out, _little(array("Q", cell)).tolist())]
+    return out
+
+
+def _kmul(a, b, m: int, p) -> list:
     """The first m coefficients of the product of two integer vectors.
 
-    Kronecker substitution: each vector becomes one integer, with a slot wide
-    enough for any product coefficient plus a sign bit, and one big-integer
-    product does all the work.  Every slot carries an offset of half its
-    range, so signed digits pack and unpack through bytes without borrows.
+    Kronecker substitution: each vector becomes one integer, with a slot
+    wide enough for any product coefficient (plus a sign bit over Q, when p
+    is None), and one big-integer product does all the work.  A slot is
+    8q + t bytes: q 64-bit limbs under a top cell of t = 1, 2, 4 or 8 bytes,
+    the leftover bytes rounded up to a power of two, and at least the
+    largest power of two <= q (up to 8) so that a wide slot moves in wide
+    cells rather than byte by byte.  Over Q each product slot
+    is offset by half its range, so the slots separate without borrows, and
+    the offset is then flipped away, leaving two's complement.  Over F_p the
+    vectors hold residues and so does the result.
     """
-    a, b = a[:m], b[:m]
+    same = a is b
+    a = a[:m]
+    b = a if same else b[:m]
+    signed = p is None
     bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + min(len(a), len(b)).bit_length() + 1)
-    width = (bits + 7) // 8
-    half = 1 << (8 * width - 1)
-    slot = bytes(width - 1) + b"\x80"
-
-    def pack(v):
-        raw = b"".join((c + half).to_bytes(width, "little") for c in v)
-        return int.from_bytes(raw, "little") - int.from_bytes(slot * len(v), "little")
-
-    low = pack(a) * pack(b) + int.from_bytes(slot * m, "little")
-    raw = (low & ((1 << (8 * width * m)) - 1)).to_bytes(width * m, "little")
-    return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * m, width)]
+            + min(len(a), len(b)).bit_length() + signed)
+    q, r = divmod((bits + 7) // 8 - 1, 8)
+    t = max(1 << r.bit_length(), min(8, (1 << q.bit_length()) >> 1))
+    w = 8 * q + t
+    ones = int.from_bytes((b"\x01" + bytes(w - 1)) * m, "little") if signed else 0
+    packed = _pack(a, w, t, signed, ones)
+    low = packed * (packed if same else _pack(b, w, t, signed, ones))
+    mask = (1 << 8 * w * m) - 1
+    if signed:
+        half = ones << 8 * w - 1
+        low = (low + half) & mask ^ half
+        return _unpack(low.to_bytes(w * m, "little"), w, t, _CODES[t])
+    low &= mask
+    return [v % p for v in _unpack(low.to_bytes(w * m, "little"), w, t, _CODES[t].upper())]
 
 
 def _inverse(b, n: int, p) -> tuple[list, int]:
     """(g, den) with g/den = 1/b mod x^n for an integer vector b with b[0] a unit.
 
     Newton doubling: from b*g = den + x^h*r (mod x^2h), the next iterate
-    g*(2 - b*g/den) is (den*g - x^h*g*r) / den^2.  Over Q the content is
-    divided out at every step, or den would square the denominators of all
-    of b's coefficients at each doubling; over F_p (p not None) every vector
-    is reduced mod p, so den stays a residue.
+    g*(2 - b*g/den) is (den*g - x^h*g*r) / den^2.  Over Q (p None) den > 0
+    and the content is divided out at every step, or den would square the
+    denominators of all of b's coefficients at each doubling.  Over F_p den
+    is 1 from the start and every vector holds residues.
     """
-    g, den, h = [1], b[0], 1
+    if p is not None:
+        g, den = [pow(b[0], -1, p)], 1
+    else:
+        g, den = ([1], b[0]) if b[0] > 0 else ([-1], -b[0])
+    h = 1
     while h < n:
         k = min(2 * h, n)
-        r = _kmul(b, g, k)[h:]
-        g = [v * den for v in g] + [-v for v in _kmul(g, r, k - h)]
-        den *= den
+        r = _kmul(b, g, k, p)[h:]
+        t = _kmul(g, r, k - h, p)
         if p is None:
+            g = [v * den for v in g] + [-v for v in t]
+            den *= den
             c = gcd(den, *g)
             g, den = [v // c for v in g], den // c
         else:
-            g, den = [v % p for v in g], den % p
+            g += [v and p - v for v in t]
         h = k
     return g, den

@@ -22,6 +22,7 @@ from arclift import (
     SplitMix64,
     StructureError,
     VarSpace,
+    build_model,
     default_target,
     draw_series,
     extract_params,
@@ -34,6 +35,7 @@ from arclift import (
     oracle_enumerate,
 )
 from arclift import arcs
+from arclift.cli import load_problem
 from arclift.polyring import Poly
 
 
@@ -65,6 +67,39 @@ def test_default_target(cusp_q, node, tcurve):
     assert default_target(cusp_q) == 32
     assert default_target(node) == 30
     assert default_target(tcurve) == 50
+
+
+def test_newton_at_least_doubles_the_residual_order_on_every_shipped_problem(monkeypatch):
+    """k_(i+1) >= min(2*k_i, target) for every Newton run behind every lift.
+
+    Each shipped problem is lifted at its own n_work with zero and with two
+    seeded random free coordinates, through the reference search and, when
+    that finds a strict lift, through an offset lift around it.
+    """
+    runs = []
+
+    def recording(model, t_free, target, seed=None):
+        res = hensel_solve(model, t_free, target, seed)
+        runs.append((target, res))
+        return res
+
+    monkeypatch.setattr(arcs, "hensel_solve", recording)
+    for path in sorted(helpers.PROBLEMS.glob("*.json")):
+        model = build_model(load_problem(str(path)))
+        ring = model.ring
+        make_lift(model)
+        rng = SplitMix64(7)
+        for _ in range(2):
+            make_lift(model, tuple(draw_series(rng, ring, 1, 6) for _ in range(model.param_count)))
+        ref = find_strict_reference(model)
+        if ref is not None:
+            offset_lift(model, ref, tuple(ring.one() for _ in range(model.param_count)))
+    assert len(runs) > 30
+    for target, res in runs:
+        orders = res.orders
+        assert (orders[0], orders[-1], len(orders)) == (res.k0, res.k_final, res.iterations + 1)
+        for k, k_next in zip(orders, orders[1:]):
+            assert k_next >= min(2 * k, target), orders
 
 
 # -- lifting -------------------------------------------------------------

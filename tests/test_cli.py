@@ -351,6 +351,32 @@ def test_lift_rejects_prec_when_searching_for_a_reference(capsys):
     assert "--prec" in err
 
 
+SEARCH_DEPTH_ERR = "arclift: parse error: --search-depth applies only when searching for a reference lift\n"
+
+
+def test_lift_rejects_search_depth_with_t_free(capsys):
+    code, out, err = run(capsys, "lift", CUSP, "--t-free", "x^9", "--search-depth", "99")
+    assert (code, out, err) == (4, "", SEARCH_DEPTH_ERR)
+
+
+def test_lift_rejects_search_depth_with_random_draws(capsys):
+    code, out, err = run(capsys, "lift", CUSP, "--random", "1", "1", "--search-depth", "3")
+    assert (code, out, err) == (4, "", SEARCH_DEPTH_ERR)
+
+
+def test_lift_rejects_search_depth_with_a_given_reference(capsys):
+    code, out, err = run(
+        capsys, "lift", CUSP, "--params", "1", "--reference", "0", "--search-depth", "3"
+    )
+    assert (code, out, err) == (4, "", SEARCH_DEPTH_ERR)
+
+
+def test_lift_searches_to_the_given_depth_when_params_need_a_reference(capsys):
+    code, out, err = run(capsys, "lift", OFFJET, "--params", "1", "--search-depth", "2")
+    assert code == 3
+    assert err == "arclift: no strict lift found within search depth 2\n"
+
+
 def test_every_error_class_exits_as_the_readme_table_says():
     table = {}
     for line in (helpers.REPO / "README.md").read_text(encoding="utf-8").splitlines():

@@ -1,6 +1,9 @@
 """Series arithmetic: precision rules, exact division, parsing, rendering."""
 
+import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from arclift import (
     StructureError,
     UnknownVariableError,
 )
+from arclift.ring import _kmul
 
 R = SeriesRing(QQ)
 R5 = SeriesRing(PrimeField(5))
@@ -384,3 +388,167 @@ def test_div_exact_matches_schoolbook(data):
     b = data.draw(_wide_series(ring, exact_order=True))
     a = data.draw(_wide_series(ring, min_order=b.order(), exact_order=True))
     _assert_same(a.div_exact(b), _school_div(a, b))
+
+
+# -- the stored form and its packing --------------------------------------
+
+SMALL_RINGS = (SeriesRing(PrimeField(2), 24), SeriesRing(PrimeField(3), 24))
+
+
+def _reference_str(field, coeffs, prec):
+    """str() of a series as the Fraction form renders it."""
+    out = ""
+    for k, v in enumerate(coeffs):
+        if not v:
+            continue
+        neg = field.p is None and v < 0
+        mag = -v if neg else v
+        xs = "" if k == 0 else "x" if k == 1 else f"x^{k}"
+        body = str(mag) if not xs else xs if mag == 1 else f"{mag}*{xs}"
+        out += ("-" if neg else "") + body if not out else (" - " if neg else " + ") + body
+    return f"{out} + O(x^{prec})" if out else f"O(x^{prec})"
+
+
+def _check_stored(s, want):
+    """s is in canonical stored form and reads out as the Fraction form `want` would."""
+    coeffs, prec = want
+    field = s.ring.field
+    nums, den = s.nums, s.den
+    assert s.prec == prec
+    assert type(nums) is tuple and all(type(v) is int for v in nums) and type(den) is int
+    assert not nums or nums[-1] != 0
+    if field.p is None:
+        assert den > 0 and gcd(den, *nums) == 1
+    else:
+        assert den == 1 and all(0 <= v < field.p for v in nums)
+    assert s.coeffs == coeffs
+    assert all(type(v) is type(field.zero) for v in s.coeffs)
+    for k in range(prec + 2):
+        got = s.coeff_at(k)
+        assert got == (coeffs[k] if k < len(coeffs) else 0) and type(got) is type(field.zero)
+    assert str(s) == _reference_str(field, coeffs, prec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stored_form_is_canonical_after_every_operation(data):
+    ring = data.draw(st.sampled_from(RINGS + SMALL_RINGS))
+    field = ring.field
+
+    def drawn(unit=False):
+        head = [data.draw(_scalar(field).filter(bool))] if unit else []
+        coeffs = head + data.draw(st.lists(_scalar(field), max_size=ring.n_work))
+        prec = data.draw(st.integers(min_value=1, max_value=ring.n_work))
+        s = ring.series(coeffs, prec)
+        want = (_stripped(coeffs[:prec]), prec)
+        _check_stored(s, want)
+        return s, want
+
+    def padded(want, n):
+        return list(want[0][:n]) + [0] * (n - len(want[0][:n]))
+
+    (a, wa), (b, wb), (u, wu) = drawn(), drawn(), drawn(unit=True)
+    prec = min(a.prec, b.prec)
+    pa, pb = padded(wa, prec), padded(wb, prec)
+    _check_stored(a + b, (_stripped(_canonical(field, x + y) for x, y in zip(pa, pb)), prec))
+    _check_stored(a - b, (_stripped(_canonical(field, x - y) for x, y in zip(pa, pb)), prec))
+    _check_stored(-a, (_stripped(_canonical(field, -x) for x in wa[0]), a.prec))
+    _check_stored(a * b, _school_mul(a, b))
+    _check_stored(u.inv_unit(), _school_div(ring.series([1], u.prec), u))
+    if not a.is_zero():
+        _check_stored(a.div_exact(u), _school_div(a, u))
+    k = data.draw(st.integers(min_value=1, max_value=ring.n_work))
+    _check_stored(a.truncate(k), (_stripped(wa[0][:k]), min(k, a.prec)))
+    _check_stored(ring.parse(str(a)), wa)
+
+
+def test_a_monomial_beyond_the_working_precision_allocates_nothing():
+    ring = SeriesRing(QQ, 40)
+    start = time.perf_counter()
+    s = ring.parse("x^999999999 + x")
+    big = ring.monomial(10**18, Fraction(1, 3))
+    assert time.perf_counter() - start < 0.5
+    assert str(s) == "x + O(x^40)"
+    assert big.is_zero() and big.prec == 40
+
+
+# Slot widths in the Kronecker product: residues of F2 and F3 and short
+# vectors give 1-byte slots; F_(2^31-1) gives exactly 8 bytes up to length 3
+# and 9 bytes beyond; Q integers near 2^27 fill 8 bytes at length 80, and near
+# 2^63 or 2^128 need two or three 64-bit limbs per value and 17 to 33 bytes per slot.
+BOUNDARY_RINGS = (
+    SeriesRing(PrimeField(2), 80),
+    SeriesRing(PrimeField(3), 80),
+    SeriesRing(PrimeField(2**31 - 1), 80),
+    SeriesRing(QQ, 80),
+)
+
+
+@st.composite
+def _boundary_series(draw, ring, unit=False):
+    field = ring.field
+    if field.p is None:
+        bits = draw(st.sampled_from((7, 8, 27, 28, 31, 32, 62, 63, 64, 65, 127, 128, 129)))
+        top = 2**bits - 1
+        scalar = st.one_of(st.integers(-top, top), st.sampled_from((top, -top, 2 ** (bits - 1), -(2 ** (bits - 1)))))
+    else:
+        scalar = st.one_of(st.integers(0, field.p - 1), st.just(field.p - 1))
+    n = draw(st.sampled_from((1, 2, 3, 4, 8, 9, 63, 64, 65, 80)))
+    coeffs = draw(st.lists(scalar, min_size=n, max_size=n))
+    if unit:
+        coeffs[0] = draw(scalar.filter(bool))
+    prec = draw(st.integers(min_value=n if unit else 1, max_value=ring.n_work))
+    return ring.series(coeffs, prec)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_mul_matches_schoolbook_at_slot_boundaries(data):
+    ring = data.draw(st.sampled_from(BOUNDARY_RINGS))
+    a = data.draw(_boundary_series(ring))
+    b = data.draw(_boundary_series(ring))
+    _assert_same(a * b, _school_mul(a, b))
+    _assert_same(a * a, _school_mul(a, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inv_unit_matches_schoolbook_at_slot_boundaries(data):
+    ring = data.draw(st.sampled_from(BOUNDARY_RINGS))
+    u = data.draw(_boundary_series(ring, unit=True))
+    _assert_same(u.inv_unit(), _school_div(ring.series([1], u.prec), u))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_div_exact_matches_schoolbook_at_slot_boundaries(data):
+    ring = data.draw(st.sampled_from(BOUNDARY_RINGS))
+    b = data.draw(_boundary_series(ring, unit=True))
+    a = data.draw(_boundary_series(ring, unit=True))
+    _assert_same(a.div_exact(b), _school_div(a, b))
+
+
+def _school_ints(a, b, m):
+    out = [0] * m
+    for i, x in enumerate(a[:m]):
+        for j, y in enumerate(b[: m - i]):
+            out[i + j] += x * y
+    return out
+
+
+def test_kmul_matches_schoolbook_at_every_slot_width():
+    """Product slots of 1 to about 80 bytes, signed (Q) and residues (F_p)."""
+    rng = random.Random(2024)
+    p = 2**31 - 1
+    for n in (1, 2, 3, 5, 16, 33):
+        for bits in (*range(0, 150, 3), *range(150, 320, 13)):
+            top = 2**bits
+            a = [rng.randrange(-top, top + 1) for _ in range(n)]
+            b = [rng.randrange(-top, top + 1) for _ in range(n)]
+            a[rng.randrange(n)] = rng.choice((top, -top))
+            for m in (n, 2 * n - 1):
+                assert _kmul(a, b, m, None) == _school_ints(a, b, m)
+                assert _kmul(a, a, m, None) == _school_ints(a, a, m)
+            r = [v % min(top, p) for v in a]
+            s = [v % min(top, p) for v in b]
+            assert _kmul(r, s, n, p) == [v % p for v in _school_ints(r, s, n)]
