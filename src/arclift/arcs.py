@@ -6,7 +6,10 @@ with the free coordinates T(r+1)..Tn chosen at will inside (x), produces
 arcs y'' that solve the system and agree with the jet y' through x^(2c).
 This module provides that machinery in both directions:
 
-    hensel_solve     Newton iteration on the bound block
+    hensel_solve     Newton iteration on the bound block: each step works
+                     the Jacobian only to the precision the step needs and
+                     reads the next residual off the Taylor tail of Q,
+                     with the iterates of full-precision Newton
     make_lift        free choices in, certified arc out
     extract_t        strict arc in, its T coordinates out
     offset_lift      reparametrize around a strict reference: free
@@ -20,9 +23,11 @@ This module provides that machinery in both directions:
                      coefficient vector mod x^m over a finite field that
                      extends the jet and kills the ideal
 
-A lift is strict when every component matches the jet through x^(2c).
-Strict lifts are exactly the arcs the family parametrizes, which is what
-makes extraction well posed.  All order claims are made against effective
+A lift is strict when every component matches the jet through x^(2c), that
+is inside the congruence window x^(2c+1); strictness, extraction and the
+offset family all check the window through one scan.  Strict lifts are
+exactly the arcs the family parametrizes, which is what makes extraction
+well posed.  All order claims are made against effective
 precision: an invisible series is a certified zero at its precision, never
 an exact one, and the code refuses to decide questions the precision
 cannot settle.
@@ -90,12 +95,29 @@ class LiftResult:
 def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselResult:
     """Solve the bound block of g = 0 to residual order at least target.
 
-    The free coordinates are fixed to t_free.  Each step applies a full
-    Newton update t -> t - J(t)^-1 g(t) with J the bound block Jacobian; the
-    residual order must strictly increase every round (it doubles in
-    practice).  Raises NoProgressError when iteration cannot start or
-    stalls, PrecisionExhaustedError when the residual is certified zero at
-    a precision short of the target.
+    The free coordinates are fixed to t_free.  Each step is the Newton update
+    u -> u - delta with delta = adj(J)*g(u)/det(J), J the bound block
+    Jacobian at u; the residual order must strictly increase every round (it
+    doubles in practice).  A step computes each piece only to the precision
+    that reaches its result, so the iterates, residuals and orders are those
+    of full-precision Newton, digit for digit:
+
+    - g(u) vanishes mod x^k and is known mod x^R, R the largest precision
+      among its components.  No component of delta is known beyond x^R
+      (det(J) is a unit, so every row of adj(J) holds one), hence delta
+      needs J only mod x^(R-k): J, det(J), adj(J) and 1/det(J) are computed
+      at u truncated to R - k.
+    - g(u - delta) = g(u) - J(u)*delta + tail(u, -delta), with tail the
+      Taylor tail of Q (model.newton_tail), and g(u) - J(u)*delta vanishes
+      through the least precision of the residuals and of delta.  So the
+      next residual is the tail, kept to the precision P that evaluating g
+      at u - delta would certify (Poly.eval_prec).  Where P exceeds that
+      least precision or the tail's own, the identity certifies fewer than
+      P digits, and g is evaluated at u - delta instead.
+
+    Raises NoProgressError when iteration cannot start or stalls,
+    PrecisionExhaustedError when the residual is certified zero at a
+    precision short of the target.
     """
     ring = model.ring
     r = model.r
@@ -105,17 +127,15 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
             f"expected {model.param_count} free components, got {len(t_free)}"
         )
     if seed is None:
-        t_bound = [ring.zero(ring.n_work) for _ in range(r)]
+        t_bound = tuple(ring.zero(ring.n_work) for _ in range(r))
     else:
-        t_bound = list(seed)
+        t_bound = tuple(seed)
         if len(t_bound) != r:
             raise StructureError(f"seed must have {r} components")
 
-    def residuals():
-        point = dict(zip(model.tspace.names, tuple(t_bound) + t_free))
-        return point, [gi.eval(point) for gi in model.g]
-
-    point, res = residuals()
+    names = model.tspace.names
+    point = dict(zip(names, t_bound + t_free))
+    res = [gi.eval(point) for gi in model.g]
     k0 = min(v.order_floor() for v in res)
     if k0 < 1:
         raise NoProgressError(
@@ -134,15 +154,19 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
             )
         if iterations >= 64:
             raise NoProgressError("Newton did not reach the target within 64 iterations")
-        jac = model.t_jac.eval(point)
-        det_j = linalg.det(jac, zero, one)
-        adj_j = linalg.adjugate(jac, zero, one)
-        inv_det = det_j.inv_unit()
-        correction = linalg.mat_vec(adj_j, res, zero)
-        for i in range(r):
-            t_bound[i] = t_bound[i] - correction[i] * inv_det
+        w = max(v.prec for v in res) - k
+        jac = model.t_jac.eval({nm: s.truncate(w) for nm, s in point.items()})
+        inv_det = linalg.det(jac, zero, one).inv_unit()
+        correction = linalg.mat_vec(linalg.adjugate(jac, zero, one), res, zero)
+        delta = [c * inv_det for c in correction]
+        tails = model.newton_tail
+        tail_point = dict(zip(tails[0].space.names, t_bound + t_free + tuple(-d for d in delta)))
+        t_bound = tuple(u - d for u, d in zip(t_bound, delta))
+        point = dict(zip(names, t_bound + t_free))
+        certified = min(s.prec for s in res + delta)
+        res = [_next_residual(gi, tail, point, tail_point, certified)
+               for gi, tail in zip(model.g, tails)]
         iterations += 1
-        point, res = residuals()
         k_new = min(v.order_floor() for v in res)
         if k_new <= k:
             raise NoProgressError(f"residual order stalled at x^{k}")
@@ -154,20 +178,43 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
     return HenselResult(tuple(s.truncate(k) for s in t_bound), iterations, k0, k, tuple(orders))
 
 
+def _next_residual(gi, tail, point, tail_point, certified: int) -> Series:
+    """gi at point, read off its Newton tail when that certifies eval's precision."""
+    prec = gi.eval_prec(point)
+    if prec <= certified:
+        val = tail.eval(tail_point)
+        if prec <= val.prec:
+            return val.truncate(prec)
+    return gi.eval(point)
+
+
+def _window(model) -> int:
+    """The congruence window: a strict arc agrees with the jet mod x^(2c+1)."""
+    return 2 * model.c + 1
+
+
+def _window_miss(model, diffs):
+    """The first (index, diff) with diff not certified zero mod x^(2c+1), or None.
+
+    Such a diff either has a visible order inside the window or is zero at a
+    precision inside it, where the question is undecidable.
+    """
+    need = _window(model)
+    for i, diff in enumerate(diffs):
+        if diff.order_floor() < need:
+            return i, diff
+    return None
+
+
 def _is_strict(model: SmoothModel, y2) -> bool:
-    need = 2 * model.c + 1
-    for i in range(model.n):
-        diff = y2[i] - model.jet[i]
-        o = diff.order()
-        if o is not None:
-            if o < need:
-                return False
-        elif diff.prec < need:
-            raise PrecisionExhaustedError(
-                f"component {i + 1} matches the jet only through x^{diff.prec - 1}; "
-                f"strictness needs agreement through x^{need - 1}"
-            )
-    return True
+    miss = _window_miss(model, [y - j for y, j in zip(y2, model.jet)])
+    if miss is not None and miss[1].order() is None:
+        i, diff = miss
+        raise PrecisionExhaustedError(
+            f"component {i + 1} matches the jet only through x^{diff.prec - 1}; "
+            f"strictness needs agreement through x^{_window(model) - 1}"
+        )
+    return miss is None
 
 
 def _finish(model: SmoothModel, t, hensel: HenselResult) -> LiftResult:
@@ -249,7 +296,7 @@ def offset_lift(model: SmoothModel, reference: LiftResult, z, target: int | None
     for u, s in enumerate(z, start=1):
         if not isinstance(s, Series) or s.ring != ring:
             raise FieldMismatchError(f"offset component {u} is not a series over the model ring")
-    need = 2 * model.c + 1
+    need = _window(model)
     shift = ring.monomial(need)
     r = model.r
     t_free = tuple(reference.t[r + u] + shift * z[u] for u in range(model.param_count))
@@ -280,27 +327,25 @@ def extract_t(model: SmoothModel, arc) -> tuple:
     arc = tuple(arc)
     if len(arc) != model.n:
         raise StructureError(f"expected {model.n} components, got {len(arc)}")
-    need = 2 * model.c + 1
-    diffs = []
-    for i in range(model.n):
-        s = arc[i]
+    for i, s in enumerate(arc, start=1):
         if not isinstance(s, Series) or s.ring != ring:
-            raise FieldMismatchError(f"arc component {i + 1} is not a series over the model ring")
-        diff = s - model.jet[i]
-        o = diff.order()
-        if o is not None and o < need:
-            raise NotStrictError(
-                f"arc component {i + 1} deviates from the jet at order {o}, "
-                f"inside the congruence window x^{need}",
-                index=i + 1,
-                order=o,
-            )
-        if o is None and diff.prec < need:
+            raise FieldMismatchError(f"arc component {i} is not a series over the model ring")
+    diffs = [s - j for s, j in zip(arc, model.jet)]
+    miss = _window_miss(model, diffs)
+    if miss is not None:
+        i, diff = miss
+        need, o = _window(model), diff.order()
+        if o is None:
             raise PrecisionExhaustedError(
                 f"arc component {i + 1} is known only through x^{diff.prec - 1}; "
                 f"extraction needs agreement decided through x^{need - 1}"
             )
-        diffs.append(diff)
+        raise NotStrictError(
+            f"arc component {i + 1} deviates from the jet at order {o}, "
+            f"inside the congruence window x^{need}",
+            index=i + 1,
+            order=o,
+        )
     eps = [diffs[model.perm[j]].div_exact(model.d2) for j in range(model.n)]
     t = linalg.mat_vec(model.hy, eps, ring.zero(ring.n_work))
     tpoint = dict(zip(model.tspace.names, t))
@@ -330,28 +375,25 @@ def extract_params(model: SmoothModel, arc, reference: LiftResult) -> tuple:
     if not reference.strict:
         raise NotStrictError("the reference lift is not strict")
     t = extract_t(model, arc)
-    ring = model.ring
-    need = 2 * model.c + 1
-    shift = ring.monomial(need)
-    z = []
-    for u in range(model.param_count):
-        j = model.r + u
-        diff = t[j] - reference.t[j]
+    diffs = [a - b for a, b in zip(t[model.r:], reference.t[model.r:])]
+    miss = _window_miss(model, diffs)
+    need = _window(model)
+    if miss is not None:
+        u, diff = miss
         o = diff.order()
-        if o is not None and o < need:
-            raise OutOfFamilyError(
-                f"free coordinate {u + 1} differs from the reference at order {o}, "
-                f"inside the congruence window x^{need}",
-                index=u + 1,
-                order=o,
-            )
-        if o is None and diff.prec < need:
+        if o is None:
             raise PrecisionExhaustedError(
                 f"free coordinate {u + 1} is known only through x^{diff.prec - 1}; "
                 f"offset extraction needs x^{need - 1}"
             )
-        z.append(diff.div_exact(shift))
-    z = tuple(z)
+        raise OutOfFamilyError(
+            f"free coordinate {u + 1} differs from the reference at order {o}, "
+            f"inside the congruence window x^{need}",
+            index=u + 1,
+            order=o,
+        )
+    shift = model.ring.monomial(need)
+    z = tuple(diff.div_exact(shift) for diff in diffs)
     relift = offset_lift(model, reference, z)
     eff = min(s.prec for s in arc)
     floor = max(1, eff - (4 * model.c + 1))
@@ -367,17 +409,16 @@ def extract_params(model: SmoothModel, arc, reference: LiftResult) -> tuple:
 
 def _violation(model: SmoothModel, lift: LiftResult) -> list:
     """Coefficients inside the congruence window where the arc leaves the jet."""
-    need = 2 * model.c + 1
     vec = []
     for i in range(model.n):
         diff = lift.y2[i] - model.jet[i]
-        for k in range(need):
+        for k in range(_window(model)):
             vec.append(diff.coefficient(k))
     return vec
 
 
 def _lowest_violated(model: SmoothModel, vec) -> int | None:
-    need = 2 * model.c + 1
+    need = _window(model)
     field = model.ring.field
     lowest = None
     for idx, val in enumerate(vec):
@@ -512,7 +553,7 @@ def oracle_enumerate(problem: Problem, m: int) -> JetSet:
     if field.p is None:
         raise StructureError("brute force enumeration needs a finite coefficient field")
     p = field.p
-    need = 2 * problem.c + 1
+    need = _window(problem)
     if m < need:
         raise StructureError(
             f"window x^{m} is shorter than the congruence window x^{need}"

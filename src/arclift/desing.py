@@ -33,6 +33,7 @@ was actually checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .errors import (
@@ -438,6 +439,27 @@ class SmoothModel:
     def free_idx(self) -> tuple:
         """1-based indices of the free T coordinates."""
         return tuple(range(self.r + 1, self.n + 1))
+
+    @cached_property
+    def newton_tail(self) -> tuple:
+        """Per bound equation, the part of Q_i(T + D) of degree >= 2 in D.
+
+        The polynomials live in T1..Tn, D1..Dr, with D the displacement of
+        the bound block, so g(u + D) = g(u) + J(u)*D + tail(u, D) for the
+        bound Jacobian J.  Built on first use, outside build_model.
+        """
+        ring, r, names = self.ring, self.r, self.tspace.names
+        space = VarSpace(names + tuple(f"D{i + 1}" for i in range(r)))
+        images = {nm: Poly.variable(ring, space, nm) for nm in names}
+        for i in range(r):
+            images[names[i]] = images[names[i]] + Poly.variable(ring, space, f"D{i + 1}")
+        tails = []
+        for qi in self.q:
+            shifted = qi.subst(images, space)
+            tails.append(Poly._make(
+                ring, space, {e: c for e, c in shifted.terms.items() if sum(e[self.n:]) >= 2}
+            ))
+        return tuple(tails)
 
 
 def _unit_constant(poly: Poly) -> bool:

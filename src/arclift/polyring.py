@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     FieldMismatchError,
@@ -40,7 +41,7 @@ from .errors import (
     StructureError,
     UnknownVariableError,
 )
-from .ring import Series, SeriesRing
+from .ring import Series, SeriesRing, product_precision
 from . import linalg
 
 _TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*/^()])")
@@ -388,8 +389,8 @@ class Poly:
 
     # -- evaluation and substitution -------------------------------------
 
-    def eval(self, values: dict) -> Series:
-        """Evaluate at a point given as {name: Series}; extra keys are ignored."""
+    def _values(self, values: dict) -> list:
+        """The point's series in variable order, checked against this ring."""
         vals = []
         for nm in self.space.names:
             if nm not in values:
@@ -398,23 +399,43 @@ class Poly:
             if not isinstance(v, Series) or v.ring != self.ring:
                 raise FieldMismatchError(f"value for {nm!r} is not a series of this ring")
             vals.append(v)
+        return vals
+
+    def eval(self, values: dict) -> Series:
+        """Evaluate at a point given as {name: Series}; extra keys are ignored."""
+        vals = self._values(values)
         acc = self.ring.zero()
         cache = {}
         for exps, coeff in self.terms.items():
             prod = coeff
             for j, e in enumerate(exps):
                 if e:
-                    prod = prod * self._power(cache, vals, j, e)
+                    prod = prod * _power(cache, j, e, vals[j], mul)
             acc = acc + prod
         return acc
 
-    def _power(self, cache, vals, j, e):
-        key = (j, e)
-        got = cache.get(key)
-        if got is None:
-            got = vals[j] if e == 1 else self._power(cache, vals, j, e - 1) * vals[j]
-            cache[key] = got
-        return got
+    def eval_prec(self, values: dict) -> int:
+        """The eff_prec of eval(values), from the point's precisions and orders alone.
+
+        Replays eval's products on (eff_prec, order floor) pairs with the same
+        rule Series multiplication uses; the sum's precision is the least of
+        its terms'.
+        """
+        n_work = self.ring.n_work
+
+        def times(a, b):
+            return product_precision(*a, *b, n_work)
+
+        marks = [(v.prec, v.order_floor()) for v in self._values(values)]
+        prec = n_work
+        cache = {}
+        for exps, coeff in self.terms.items():
+            mark = (coeff.prec, coeff.order_floor())
+            for j, e in enumerate(exps):
+                if e:
+                    mark = times(mark, _power(cache, j, e, marks[j], times))
+            prec = min(prec, mark[0])
+        return prec
 
     def subst(self, images: dict, space_out: VarSpace) -> Poly:
         """Substitute every variable by a polynomial over space_out."""
@@ -432,17 +453,9 @@ class Poly:
             prod = Poly.constant(self.ring, space_out, coeff)
             for j, e in enumerate(exps):
                 if e:
-                    prod = prod * self._poly_power(cache, imgs, j, e)
+                    prod = prod * _power(cache, j, e, imgs[j], mul)
             acc = acc + prod
         return acc
-
-    def _poly_power(self, cache, imgs, j, e):
-        key = (j, e)
-        got = cache.get(key)
-        if got is None:
-            got = imgs[j] if e == 1 else self._poly_power(cache, imgs, j, e - 1) * imgs[j]
-            cache[key] = got
-        return got
 
     # -- comparison and display ------------------------------------------
 
@@ -505,6 +518,22 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.render()!r})"
+
+
+def _power(cache: dict, j: int, e: int, base, times):
+    """base^e for variable j, built as base^(e-1) times base.
+
+    cache holds the powers of each variable already built, keyed (j, e); the
+    loop climbs from the highest one below e, storing each step.
+    """
+    top = e
+    while top > 1 and (j, top) not in cache:
+        top -= 1
+    got = cache[j, top] if top > 1 else base
+    for i in range(top + 1, e + 1):
+        got = times(got, base)
+        cache[j, i] = got
+    return got
 
 
 def jacobian(polys, names=None) -> PolyMatrix:

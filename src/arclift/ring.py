@@ -376,15 +376,12 @@ class Series:
         oa, ob = self.order(), other.order()
         fa = self.prec if oa is None else oa
         fb = other.prec if ob is None else ob
-        prec = min(self.prec + fb, other.prec + fa, ring.n_work)
-        if oa is None or ob is None:
+        prec, shift = product_precision(self.prec, fa, other.prec, fb, ring.n_work)
+        if shift >= prec:
             return Series._make(ring, (), prec)
-        shift = oa + ob
         m = min(prec, len(self.nums) + len(other.nums) - 1) - shift
-        if m < 1:
-            return Series._make(ring, (), prec)
-        a = self.nums[oa:oa + m]
-        b = a if other is self else other.nums[ob:ob + m]
+        a = self.nums[fa:fa + m]
+        b = a if other is self else other.nums[fb:fb + m]
         out = _kmul(a, b, m, ring.field.p)
         return Series._make(ring, [0] * shift + out, prec, self.den * other.den)
 
@@ -480,6 +477,17 @@ class Series:
 
     def __repr__(self):
         return f"Series({self.render(show_prec=True)!r})"
+
+
+def product_precision(pa: int, fa: int, pb: int, fb: int, n_work: int) -> tuple[int, int]:
+    """(eff_prec, order floor) of a product, from each factor's eff_prec and order floor.
+
+    The mul rule of the module docstring.  The product of two series visible
+    at their precisions has order fa + fb, since the field has no zero
+    divisors; it is zero at its precision when fa + fb reaches that precision.
+    """
+    prec = min(pa + fb, pb + fa, n_work)
+    return prec, min(fa + fb, prec)
 
 
 def _trimmed(nums: tuple) -> tuple:

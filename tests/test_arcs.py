@@ -1,6 +1,7 @@
 """Lifting, parameter extraction, reference search, and the enumeration oracle."""
 
 import dataclasses
+import json
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 from arclift import (
+    ArcliftError,
     BudgetExceededError,
     FieldMismatchError,
     IdentityFailedError,
@@ -34,7 +36,7 @@ from arclift import (
     offset_lift,
     oracle_enumerate,
 )
-from arclift import arcs
+from arclift import arcs, linalg
 from arclift.cli import load_problem
 from arclift.polyring import Poly
 
@@ -100,6 +102,185 @@ def test_newton_at_least_doubles_the_residual_order_on_every_shipped_problem(mon
         assert (orders[0], orders[-1], len(orders)) == (res.k0, res.k_final, res.iterations + 1)
         for k, k_next in zip(orders, orders[1:]):
             assert k_next >= min(2 * k, target), orders
+
+
+def _reference_newton(model, t_free, target, seed=None):
+    """Newton on the bound block with every piece at full precision.
+
+    Each step evaluates the bound Jacobian at the whole iterate, inverts its
+    determinant at that precision, and evaluates g at the new iterate.
+    """
+    ring = model.ring
+    t_free = tuple(t_free)
+    t_bound = [ring.zero(ring.n_work)] * model.r if seed is None else list(seed)
+
+    def residuals():
+        point = dict(zip(model.tspace.names, tuple(t_bound) + t_free))
+        return point, [gi.eval(point) for gi in model.g]
+
+    point, res = residuals()
+    k0 = min(v.order_floor() for v in res)
+    if k0 < 1:
+        raise NoProgressError(
+            f"initial residual has order {k0}; Newton iteration needs positive order"
+        )
+    k, orders, iterations = k0, [k0], 0
+    zero, one = ring.zero(ring.n_work), ring.one()
+    while k < target:
+        if all(v.is_zero() for v in res):
+            raise PrecisionExhaustedError(
+                f"residual is certified zero only through x^{k - 1}, "
+                f"short of the target x^{target}"
+            )
+        if iterations >= 64:
+            raise NoProgressError("Newton did not reach the target within 64 iterations")
+        jac = model.t_jac.eval(point)
+        inv_det = linalg.det(jac, zero, one).inv_unit()
+        correction = linalg.mat_vec(linalg.adjugate(jac, zero, one), res, zero)
+        for i in range(model.r):
+            t_bound[i] = t_bound[i] - correction[i] * inv_det
+        iterations += 1
+        point, res = residuals()
+        k_new = min(v.order_floor() for v in res)
+        if k_new <= k:
+            raise NoProgressError(f"residual order stalled at x^{k}")
+        k = k_new
+        orders.append(k)
+    return arcs.HenselResult(
+        tuple(s.truncate(k) for s in t_bound), iterations, k0, k, tuple(orders)
+    )
+
+
+def _outcome(solve, *args):
+    """A Newton run as plain data: every HenselResult field, or the error raised."""
+    try:
+        res = solve(*args)
+    except ArcliftError as exc:
+        return type(exc), str(exc)
+    stored = tuple((s.nums, s.den, s.prec) for s in res.t_bound)
+    return stored, res.iterations, res.k0, res.k_final, res.orders
+
+
+@pytest.fixture(scope="module")
+def shipped_models(tmp_path_factory):
+    """(model, reference) for every shipped problem over its own field and over Q or F5.
+
+    The reference is the strict one find_strict_reference finds, or the zero
+    lift where there is none.
+    """
+    out, seen = [], set()
+    folder = tmp_path_factory.mktemp("fields")
+    for path in sorted(helpers.PROBLEMS.glob("*.json")):
+        raw = json.loads(path.read_text())
+        for field in (raw["field"], "F5" if raw["field"] == "Q" else "Q"):
+            text = json.dumps(dict(raw, field=field), sort_keys=True)
+            if text in seen:
+                continue
+            seen.add(text)
+            copy = folder / f"{path.stem}-{field}.json"
+            copy.write_text(text)
+            model = build_model(load_problem(str(copy)))
+            out.append((model, find_strict_reference(model) or make_lift(model)))
+    return out
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(st.data())
+def test_hensel_solve_matches_full_precision_newton(shipped_models, data):
+    """Same iterates, residual orders and errors as Newton with every piece at full precision.
+
+    Free coordinates are zero, random, or offsets x^(2c+1)*z from the
+    reference; offset runs start from the reference's bound block, itself
+    perturbed from x^j on in some runs.  Some runs cut every free and seed
+    component to its own lower precision, so residuals and steps differ in
+    precision from one component to the next.
+    """
+    model, ref = data.draw(st.sampled_from(shipped_models))
+    ring, r = model.ring, model.r
+    rng = SplitMix64(data.draw(st.integers(0, 2**32)))
+    mode = data.draw(st.sampled_from(("zero", "random", "offset", "perturbed")))
+    seed = None
+    if mode == "zero":
+        t_free = tuple(ring.zero() for _ in range(model.param_count))
+    elif mode == "random":
+        t_free = tuple(draw_series(rng, ring, 1, 6) for _ in range(model.param_count))
+    else:
+        shift = ring.monomial(2 * model.c + 1)
+        t_free = tuple(s + shift * draw_series(rng, ring, 0, 6) for s in ref.t[r:])
+        seed = ref.t[:r]
+        if mode == "perturbed":
+            j = data.draw(st.integers(1, 2 * model.c + 1))
+            seed = tuple(s + draw_series(rng, ring, j, j + 3) for s in seed)
+    if data.draw(st.booleans()):
+        precs = st.integers(2, ring.n_work)
+        t_free = tuple(s.truncate(data.draw(precs)) for s in t_free)
+        seed = seed and tuple(s.truncate(data.draw(precs)) for s in seed)
+    top = default_target(model)
+    target = data.draw(st.one_of(st.just(top), st.integers(1, top)))
+    assert _outcome(hensel_solve, model, t_free, target, seed) == _outcome(
+        _reference_newton, model, t_free, target, seed
+    )
+
+
+def _g_evaluations(monkeypatch):
+    """Record every Poly.eval call; returns the list of polynomials evaluated."""
+    evaluated = []
+    plain = Poly.eval
+
+    def recording(self, values):
+        evaluated.append(self)
+        return plain(self, values)
+
+    monkeypatch.setattr(Poly, "eval", recording)
+    return evaluated
+
+
+def test_newton_evaluates_g_only_at_its_start_on_every_shipped_problem(monkeypatch):
+    """Every later residual comes from the Taylor tail, on the lifts of the doubling test."""
+    evaluated = _g_evaluations(monkeypatch)
+    runs = []
+
+    def recording(model, t_free, target, seed=None):
+        evaluated.clear()
+        res = hensel_solve(model, t_free, target, seed)
+        g_calls = sum(any(p is gi for gi in model.g) for p in evaluated)
+        runs.append((res.iterations, g_calls, model.r))
+        return res
+
+    monkeypatch.setattr(arcs, "hensel_solve", recording)
+    for path in sorted(helpers.PROBLEMS.glob("*.json")):
+        model = build_model(load_problem(str(path)))
+        ring = model.ring
+        make_lift(model)
+        rng = SplitMix64(7)
+        for _ in range(2):
+            make_lift(model, tuple(draw_series(rng, ring, 1, 6) for _ in range(model.param_count)))
+        ref = find_strict_reference(model)
+        if ref is not None:
+            offset_lift(model, ref, tuple(ring.one() for _ in range(model.param_count)))
+    assert sum(iterations for iterations, _, _ in runs) > 30
+    for iterations, g_calls, r in runs:
+        assert g_calls == r
+
+
+def test_a_residual_the_tail_cannot_certify_is_evaluated(tcurve, monkeypatch):
+    """The guard's branch: g_1 is evaluated where the tail identity is too short.
+
+    The seed's second component is known only through x^4, so the residuals
+    and the step are certified only through x^4, while g_1 at the next
+    iterate is certified far beyond: its terms in T2 all carry coefficients
+    of order at least 18.
+    """
+    ring = tcurve.ring
+    t_free = (ring.zero(),)
+    seed = (ring.parse("x + O(x^60)"), ring.parse("O(x^5)"))
+    want = _outcome(_reference_newton, tcurve, t_free, 5, seed)
+    evaluated = _g_evaluations(monkeypatch)
+    got = _outcome(hensel_solve, tcurve, t_free, 5, seed)
+    assert got == want
+    assert got[1] == 1
+    assert sum(p is tcurve.g[0] for p in evaluated) == 2
+    assert sum(p is tcurve.g[1] for p in evaluated) == 1
 
 
 # -- lifting -------------------------------------------------------------

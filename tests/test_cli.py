@@ -127,6 +127,17 @@ def test_desingularize_rejects_a_bad_depth(capsys, tmp_path):
     assert "minor-order" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "desingularize"])
+def test_a_large_variable_exponent_is_no_recursion_error(command, tmp_path):
+    payload = json.loads((helpers.PROBLEMS / "cusp.json").read_text())
+    payload["ideal"] = ["Y1^2 - Y2^3 + Y1^5000"]
+    path = tmp_path / "cusp_y5000.json"
+    path.write_text(json.dumps(payload))
+    proc = python("-m", "arclift", command, str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_desingularize_out_file(capsys, tmp_path):
     target = tmp_path / "model.json"
     code, out, err = run(capsys, "desingularize", CUSP, "--out", str(target))

@@ -191,6 +191,26 @@ def test_adjugate_identity_on_random_matrices(a, b, c, d):
     assert prod == ident.scale(det)
 
 
+@st.composite
+def _marked_series(draw, ring):
+    """Zero, unit or positive-order series at any precision up to n_work."""
+    prec = draw(st.integers(1, ring.n_work))
+    order = draw(st.integers(0, prec))
+    coeffs = [0] * order + draw(st.lists(st.integers(-3, 3), max_size=4))
+    return ring.series(coeffs, prec)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.data())
+def test_eval_prec_is_the_precision_eval_certifies(data):
+    ring = data.draw(st.sampled_from((SeriesRing(QQ, 12), SeriesRing(PrimeField(5), 12))))
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    terms = data.draw(st.dictionaries(exps, _marked_series(ring), max_size=4))
+    poly = Poly._make(ring, YS, terms)
+    point = {"Y1": data.draw(_marked_series(ring)), "Y2": data.draw(_marked_series(ring))}
+    assert poly.eval_prec(point) == poly.eval(point).prec
+
+
 @settings(derandomize=True, max_examples=60)
 @given(st.data())
 def test_solve_linear_returns_every_solution(data):
