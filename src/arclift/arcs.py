@@ -117,7 +117,8 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
 
     Raises NoProgressError when iteration cannot start or stalls,
     PrecisionExhaustedError when the residual is certified zero at a
-    precision short of the target.
+    precision short of the target, also when that precision is what keeps
+    a step's residual order from rising.
     """
     ring = model.ring
     r = model.r
@@ -169,6 +170,11 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
         iterations += 1
         k_new = min(v.order_floor() for v in res)
         if k_new <= k:
+            if all(v.is_zero() for v in res if v.order_floor() == k_new):
+                raise PrecisionExhaustedError(
+                    f"residual is certified zero only through x^{k_new - 1}, "
+                    f"short of the target x^{target}"
+                )
             raise NoProgressError(f"residual order stalled at x^{k}")
         k = k_new
         orders.append(k)
@@ -222,8 +228,9 @@ def _finish(model: SmoothModel, t, hensel: HenselResult) -> LiftResult:
     names = model.problem.space.names
     y2 = tuple(model.images[nm].eval(tpoint) for nm in names)
     ypoint = dict(zip(names, y2))
-    residual_f = min(f.eval(ypoint).order_floor() for f in model.problem.f_polys)
-    residual_i = min(g.eval(ypoint).order_floor() for g in model.problem.ideal_gens)
+    floors = [g.eval(ypoint).order_floor() for g in model.problem.ideal_gens]
+    residual_f = min(floors[i - 1] for i in model.problem.f_idx)
+    residual_i = min(floors)
     eff = min(s.prec for s in y2)
     if residual_f < eff:
         raise IdentityFailedError("subsystem residual dipped below the arc's precision")

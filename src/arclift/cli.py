@@ -17,8 +17,10 @@ Problems live in JSON files:
     }
 
 When "n_work" is absent the environment variable ARCLIFT_NWORK applies,
-then the built-in default.  Series lists on the command line are comma
-separated (the series grammar itself has no commas).
+then the built-in default.  Either way the working precision must lie in
+1..10000 (MAX_NWORK); a larger one is refused as unparsable input.  Series
+lists on the command line are comma separated (the series grammar itself
+has no commas).
 
 Exit codes:
 
@@ -63,6 +65,9 @@ from .ring import DEFAULT_PRECISION, PrimeField, QQ, SeriesRing
 
 # layers tried by find_strict_reference unless --search-depth says otherwise
 SEARCH_DEPTH = 8
+
+# the largest working precision a problem file or ARCLIFT_NWORK may ask for
+MAX_NWORK = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,6 +159,7 @@ def load_problem(path: str) -> Problem:
     if n_work is None:
         n_work = DEFAULT_PRECISION
     _expect(n_work >= 1, "working precision must be positive")
+    _expect(n_work <= MAX_NWORK, f"working precision {n_work} exceeds the cap {MAX_NWORK}")
     ring = SeriesRing(field, n_work)
     space = VarSpace.ys(n)
 

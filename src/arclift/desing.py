@@ -350,10 +350,9 @@ def substitution_images(problem: Problem, dgy: tuple, perm: tuple, tspace: VarSp
     return images
 
 
-def taylor_decompose(problem: Problem, d: Series, dgy: tuple, perm: tuple, tspace: VarSpace):
+def taylor_decompose(problem: Problem, d2: Series, dgy: tuple, perm: tuple, tspace: VarSpace):
     """Split f(y' + d*G(y')*T) into f(y') + d^2 * (a + T + Q) with Q of T-degree >= 2."""
     ring = problem.ring
-    d2 = d * d
     point = problem.jet_point()
     images = substitution_images(problem, dgy, perm, tspace)
     a = []
@@ -486,7 +485,7 @@ def build_model(problem: Problem) -> SmoothModel:
     dgy = tuple(tuple(d * entry for entry in row) for row in gy)
 
     tspace = VarSpace.ts(problem.n)
-    a, q, images = taylor_decompose(problem, d, dgy, border.perm, tspace)
+    a, q, images = taylor_decompose(problem, d2, dgy, border.perm, tspace)
 
     g = []
     for i in range(problem.r):
@@ -618,8 +617,9 @@ def verify_model(model: SmoothModel) -> ValidationReport:
             detail = f"g component {i + 1} is not a_{i + 1} + T_{i + 1} + Q_{i + 1}"
             break
         lhs = f.subst(images, model.tspace)
+        fy = f.eval(point)
         rhs = model.g[i].scale(model.d2) + Poly.constant(
-            ring, model.tspace, f.eval(point) - model.a[i] * model.d2
+            ring, model.tspace, fy - model.a[i] * model.d2
         )
         if lhs != rhs:
             ok = False
@@ -627,7 +627,7 @@ def verify_model(model: SmoothModel) -> ValidationReport:
             break
         for pt in sample_points:
             left = lhs.eval(pt)
-            right = f.eval(point) + (model.g[i].eval(pt) - model.a[i]) * model.d2
+            right = fy + (model.g[i].eval(pt) - model.a[i]) * model.d2
             if left != right:
                 ok = False
                 detail = f"Taylor identity fails at a sample point for f component {i + 1}"

@@ -324,9 +324,9 @@ class Poly:
     # -- arithmetic -----------------------------------------------------
 
     def _compat(self, other: Poly):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise FieldMismatchError("mixed series rings in Poly arithmetic")
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise StructureError("mixed variable spaces in Poly arithmetic")
 
     def __add__(self, other):
@@ -450,11 +450,12 @@ class Poly:
         acc = Poly.zero(self.ring, space_out)
         cache = {}
         for exps, coeff in self.terms.items():
-            prod = Poly.constant(self.ring, space_out, coeff)
+            prod = None
             for j, e in enumerate(exps):
                 if e:
-                    prod = prod * _power(cache, j, e, imgs[j], mul)
-            acc = acc + prod
+                    power = _power(cache, j, e, imgs[j], mul)
+                    prod = power.scale(coeff) if prod is None else prod * power
+            acc = acc + (Poly.constant(self.ring, space_out, coeff) if prod is None else prod)
         return acc
 
     # -- comparison and display ------------------------------------------

@@ -37,12 +37,16 @@ bytes is one array cell, and a wider slot is filled from, and read into,
 one Python call per coefficient.  Q numerators are signed, so they are packed as two's
 complement digits and corrected by one subtraction, and the product's slots
 carry an offset of half their range so that they unpack without borrows;
-F_p residues are non-negative and need neither.  The inverse of a unit is
-Newton doubling g <- g*(2 - a*g) on top of that product, and an exact
-quotient is a/x^oa times the inverse of b/x^ob (R. P. Brent and H. T. Kung,
-"Fast algorithms for manipulating formal power series", J. ACM 1978).  The
-results are exact, so they agree coefficient for coefficient with the
-schoolbook recurrences.
+F_p residues are non-negative and need neither.  A product with a
+one-coefficient factor is a scaling of the other vector and is not packed.
+The inverse of a unit is Newton doubling g <- g*(2 - a*g) on top of that
+product, and an exact quotient is a/x^oa times the inverse of b/x^ob (R. P.
+Brent and H. T. Kung, "Fast algorithms for manipulating formal power
+series", J. ACM 1978).  A divisor's inverse is computed once, to
+eff_prec(b) - ord(b), the most any quotient by b can use, and kept on b for
+every later division by it; a quotient mod x^m is unique and the stored form
+is canonical, so the reuse changes no result.  The results are exact, so
+they agree coefficient for coefficient with the schoolbook recurrences.
 """
 
 from __future__ import annotations
@@ -268,7 +272,7 @@ class Series:
     `coeff_at` read it out as field scalars.
     """
 
-    __slots__ = ("ring", "nums", "den", "prec")
+    __slots__ = ("ring", "nums", "den", "prec", "_inv")
 
     def __init__(self, *args):
         raise TypeError("use SeriesRing.series/zero/monomial or Series arithmetic")
@@ -336,7 +340,7 @@ class Series:
     # -- arithmetic ---------------------------------------------------
 
     def _compat(self, other: Series):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise FieldMismatchError(f"mixed series rings {self.ring} and {other.ring}")
 
     def __add__(self, other):
@@ -418,8 +422,14 @@ class Series:
         shift = oa - ob
         m = qprec - shift
         p = ring.field.p
-        # (a/da) / (b/db) = a * g * db / (da * dg) with g/dg = 1/b
-        g, dg = _inverse(other.nums[ob:ob + m], m, p)
+        # (a/da) / (b/db) = a * g * db / (da * dg) with g/dg = 1/b.  No
+        # dividend uses more than prec(b) - ord(b) digits of g, so g is
+        # computed to that once and kept for every later division by b.
+        inv = getattr(other, "_inv", None)
+        if inv is None:
+            inv = _inverse(other.nums[ob:], other.prec - ob, p)
+            object.__setattr__(other, "_inv", inv)
+        g, dg = inv
         q = _kmul(self.nums[oa:oa + m], g, m, p)
         if other.den != 1:
             q = [v * other.den for v in q]
@@ -578,11 +588,18 @@ def _kmul(a, b, m: int, p) -> list:
     cells rather than byte by byte.  Over Q each product slot
     is offset by half its range, so the slots separate without borrows, and
     the offset is then flipped away, leaving two's complement.  Over F_p the
-    vectors hold residues and so does the result.
+    vectors hold residues and so does the result.  A factor with one
+    coefficient just scales the other, with no packing.
     """
     same = a is b
     a = a[:m]
     b = a if same else b[:m]
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        out = [c * v for v in b] if p is None else [c * v % p for v in b]
+        return out + [0] * (m - len(out))
     signed = p is None
     bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
             + min(len(a), len(b)).bit_length() + signed)

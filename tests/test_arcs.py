@@ -143,6 +143,12 @@ def _reference_newton(model, t_free, target, seed=None):
         point, res = residuals()
         k_new = min(v.order_floor() for v in res)
         if k_new <= k:
+            # the order is capped by a residual's precision, not by the step
+            if all(v.is_zero() for v in res if v.order_floor() == k_new):
+                raise PrecisionExhaustedError(
+                    f"residual is certified zero only through x^{k_new - 1}, "
+                    f"short of the target x^{target}"
+                )
             raise NoProgressError(f"residual order stalled at x^{k}")
         k = k_new
         orders.append(k)
@@ -281,6 +287,31 @@ def test_a_residual_the_tail_cannot_certify_is_evaluated(tcurve, monkeypatch):
     assert got[1] == 1
     assert sum(p is tcurve.g[0] for p in evaluated) == 2
     assert sum(p is tcurve.g[1] for p in evaluated) == 1
+
+
+def test_a_stall_at_a_residual_precision_is_precision_exhaustion(tcurve):
+    """The seed of the test above with target 8: the step's residual is zero at x^5.
+
+    Its order is capped by what the seed certifies, not by Newton, so the
+    run is out of precision rather than stalled.
+    """
+    ring = tcurve.ring
+    seed = (ring.parse("x + O(x^60)"), ring.parse("O(x^5)"))
+    with pytest.raises(PrecisionExhaustedError, match=r"certified zero only through x\^4"):
+        hensel_solve(tcurve, (ring.zero(),), 8, seed)
+
+
+def test_make_lift_evaluates_each_ideal_generator_once_on_every_shipped_problem(monkeypatch):
+    """The subsystem residual is read off the ideal's evaluations at y2."""
+    evaluated = _g_evaluations(monkeypatch)
+    paths = sorted(helpers.PROBLEMS.glob("*.json"))
+    assert len(paths) >= 8
+    for path in paths:
+        model = build_model(load_problem(str(path)))
+        evaluated.clear()
+        make_lift(model)
+        gens = model.problem.ideal_gens
+        assert [sum(p is gen for p in evaluated) for gen in gens] == [1] * len(gens), path.name
 
 
 # -- lifting -------------------------------------------------------------

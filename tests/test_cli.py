@@ -10,7 +10,7 @@ import pytest
 
 import helpers
 from arclift import ArcliftError, SeriesRing, parse_series
-from arclift.cli import load_problem, main
+from arclift.cli import MAX_NWORK, load_problem, main
 
 CUSP = str(helpers.PROBLEMS / "cusp.json")
 CUSP5 = str(helpers.PROBLEMS / "cusp_f5.json")
@@ -238,6 +238,33 @@ def test_bad_env_value_is_a_parse_error(capsys, monkeypatch):
     monkeypatch.setenv("ARCLIFT_NWORK", "soon")
     code, out, err = run(capsys, "validate", CUSP)
     assert code == 4
+
+
+def _cusp_with(tmp_path, **changes):
+    payload = dict(json.loads((helpers.PROBLEMS / "cusp.json").read_text()), **changes)
+    path = tmp_path / "cusp_changed.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_the_working_precision_cap_is_admitted(tmp_path):
+    assert load_problem(_cusp_with(tmp_path, n_work=MAX_NWORK)).ring.n_work == MAX_NWORK
+
+
+def test_a_working_precision_above_the_cap_in_the_file_exits_4(tmp_path):
+    path = _cusp_with(tmp_path, n_work=MAX_NWORK + 1, jet=["x^3 + x^999999999", "x^2"])
+    proc = python("-m", "arclift", "validate", path)
+    assert proc.returncode == 4
+    assert f"exceeds the cap {MAX_NWORK}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_working_precision_above_the_cap_in_the_environment_exits_4(monkeypatch):
+    monkeypatch.setenv("ARCLIFT_NWORK", str(MAX_NWORK + 1))
+    proc = python("-m", "arclift", "validate", CUSP)
+    assert proc.returncode == 4
+    assert f"exceeds the cap {MAX_NWORK}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # -- extract and roundtrip ------------------------------------------------

@@ -25,6 +25,8 @@ from arclift import (
     validate_problem,
     verify_model,
 )
+from arclift import ring as ring_module
+from arclift.cli import load_problem
 from arclift.desing import normalize_certificate
 
 
@@ -325,3 +327,22 @@ def test_certificate_scaling_equivalence(cusp_q):
     t_scaled = {"T1": ring.parse("x^4"), "T2": ring.zero()}
     for nm in ("Y1", "Y2"):
         assert m2.images[nm].eval(t_point) == cusp_q.images[nm].eval(t_scaled)
+
+
+def test_build_model_inverts_only_d2_and_d_on_every_shipped_problem(monkeypatch):
+    """Every Taylor coefficient is divided by one d^2 and every term of P by one d."""
+    lengths = []
+    plain = ring_module._inverse
+
+    def counting(b, n, p):
+        lengths.append(n)
+        return plain(b, n, p)
+
+    monkeypatch.setattr(ring_module, "_inverse", counting)
+    paths = sorted(helpers.PROBLEMS.glob("*.json"))
+    assert len(paths) >= 8
+    for path in paths:
+        problem = load_problem(str(path))
+        lengths.clear()
+        build_model(problem)
+        assert len(lengths) == 2, (path.name, lengths)

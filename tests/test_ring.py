@@ -390,6 +390,28 @@ def test_div_exact_matches_schoolbook(data):
     _assert_same(a.div_exact(b), _school_div(a, b))
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=("Q", "F5", "Fbig"))
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_one_divisor_serves_every_dividend(ring, data):
+    """Dividing many series by one divisor object gives what a fresh divisor gives each time.
+
+    The divisor keeps its inverse after the first division, and the first
+    dividend is cut short, so an inverse kept at that call's length would be
+    too short for the dividends after it.
+    """
+    b = data.draw(_wide_series(ring, exact_order=True))
+    ob = b.order()
+    first = data.draw(_wide_series(ring, min_order=ob, exact_order=True))
+    first = first.truncate(data.draw(st.integers(first.order() + 1, first.order() + 2)))
+    rest = data.draw(st.lists(_wide_series(ring, min_order=ob, exact_order=True), min_size=1, max_size=5))
+    for a in [first] + rest:
+        got = a.div_exact(b)
+        fresh = a.div_exact(ring.series(b.coeffs, b.prec))
+        assert (got.nums, got.den, got.prec) == (fresh.nums, fresh.den, fresh.prec)
+        _assert_same(got, _school_div(a, b))
+
+
 # -- the stored form and its packing --------------------------------------
 
 SMALL_RINGS = (SeriesRing(PrimeField(2), 24), SeriesRing(PrimeField(3), 24))
@@ -552,3 +574,21 @@ def test_kmul_matches_schoolbook_at_every_slot_width():
             r = [v % min(top, p) for v in a]
             s = [v % min(top, p) for v in b]
             assert _kmul(r, s, n, p) == [v % p for v in _school_ints(r, s, n)]
+
+
+def test_kmul_scales_by_a_one_term_factor():
+    """A one-coefficient operand on either side, with m beyond the longer operand."""
+    rng = random.Random(2025)
+    p = 2**31 - 1
+    for n in (1, 2, 5, 33):
+        for bits in (0, 3, 63, 64, 200):
+            top = 2**bits
+            a = [rng.randrange(-top, top + 1) for _ in range(n)]
+            c = [rng.randrange(-top, top + 1)]
+            for m in (1, n, n + 1, 2 * n + 5):
+                assert _kmul(c, a, m, None) == _school_ints(c, a, m)
+                assert _kmul(a, c, m, None) == _school_ints(a, c, m)
+                assert _kmul(c, c, m, None) == _school_ints(c, c, m)
+                r, s = [v % p for v in a], [c[0] % p]
+                assert _kmul(s, r, m, p) == [v % p for v in _school_ints(s, r, m)]
+                assert _kmul(r, s, m, p) == [v % p for v in _school_ints(r, s, m)]
