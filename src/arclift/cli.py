@@ -18,7 +18,8 @@ Problems live in JSON files:
 
 When "n_work" is absent the environment variable ARCLIFT_NWORK applies,
 then the built-in default.  Either way the working precision must lie in
-1..10000 (MAX_NWORK); a larger one is refused as unparsable input.  Series
+1..10000 (MAX_NWORK); a larger one is refused as unparsable input, and so
+is an exponent above 10000 (MAX_EXPONENT) on a variable Yi.  Series
 lists on the command line are comma separated (the series grammar itself
 has no commas).
 
@@ -40,6 +41,7 @@ import json
 import os
 import re
 import sys
+from itertools import chain
 
 from . import arcs
 from .desing import (
@@ -68,6 +70,9 @@ SEARCH_DEPTH = 8
 
 # the largest working precision a problem file or ARCLIFT_NWORK may ask for
 MAX_NWORK = 10_000
+
+# the largest exponent of a variable Yi in a problem file's polynomials
+MAX_EXPONENT = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,6 +199,9 @@ def load_problem(path: str) -> Problem:
             [[parse_poly(s, ring, space) for s in row] for row in cof],
         )
 
+    polys = gens + ([cert.n_poly, *chain(*cert.cofactors)] if cert else [])
+    top = max((max(exps) for p in polys for exps in p.terms), default=0)
+    _expect(top <= MAX_EXPONENT, f"variable exponent {top} exceeds the cap {MAX_EXPONENT}")
     return make_problem(
         ring,
         n=n,

@@ -19,7 +19,8 @@ the business of the arcs module.  The pieces are:
     d        P(y'), the localizing denominator
     H        Jacobian of f with minor columns permuted first, bordered
              below by (0 | Id) so that det(H) = M
-    G        N_norm * adjugate(H), satisfying GH = HG = P * Id
+    G        N_norm * adjugate(H) = [[N_norm * adj(A), -N_norm * adj(A) * B],
+             [0, P * Id]] for H = [[A, B], [0, Id]], satisfying GH = HG = P * Id
     a        f(y') / d^2, componentwise, each of positive order
     Q        the quadratic-and-higher remainder of f(y' + d*G(y')*T) / d^2
     loc_s    det(Id_r + dQ/dT over the bound block), constant term 1
@@ -323,11 +324,15 @@ def build_border(problem: Problem) -> Border:
     return Border(h_mat, perm)
 
 
-def compute_g(h_mat: PolyMatrix, n_norm: Poly, p_poly: Poly) -> PolyMatrix:
-    """G = N_norm * adjugate(H); checks GH = HG = P * Id exactly."""
+def compute_g(h_mat: PolyMatrix, r: int, n_norm: Poly, p_poly: Poly) -> PolyMatrix:
+    """G = N_norm * adjugate(H) from H's r x r minor block; checks GH = HG = P * Id exactly."""
     n = h_mat.shape[0]
-    g_mat = h_mat.adjugate().scale(n_norm)
+    zero, one = h_mat._zero_one()
+    top = h_mat.rows[:r]
+    lead = PolyMatrix(linalg.adjugate([row[:r] for row in top], zero, one)).scale(n_norm)
+    right = linalg.mat_mul(lead.rows, [row[r:] for row in top], zero)
     p_id = PolyMatrix.identity(h_mat.ring, h_mat.space, n).scale(p_poly)
+    g_mat = PolyMatrix([a + [-p for p in b] for a, b in zip(lead.rows, right)] + p_id.rows[r:])
     if g_mat.mul(h_mat) != p_id or h_mat.mul(g_mat) != p_id:
         raise IdentityFailedError("GH = HG = P * Id failed")
     return g_mat
@@ -475,7 +480,7 @@ def build_model(problem: Problem) -> SmoothModel:
     e = report.e
     norm = normalize_certificate(problem, e)
     border = build_border(problem)
-    g_mat = compute_g(border.h_mat, norm.n_norm, norm.p_poly)
+    g_mat = compute_g(border.h_mat, problem.r, norm.n_norm, norm.p_poly)
 
     point = problem.jet_point()
     hy = _eval_matrix(border.h_mat, point)

@@ -2,9 +2,9 @@
 
 The matrix routines are generic over any commutative coefficient type that
 supports +, *, and unary -, so the same code serves matrices of Series and
-of Poly entries.  Sizes here are tiny (the number of equations in a model),
-so cofactor expansion is the right tool: it is division-free, exact, and
-propagates effective precision through ordinary arithmetic.
+of Poly entries.  det is Berkowitz's division-free loop; adjugate takes
+signed minors, which keeps Series precisions those of cofactor expansion (an
+adjugate by Cayley-Hamilton certifies fewer digits on Series entries).
 
 solve_linear is the one routine specialised to scalar fields; it performs
 plain Gaussian elimination with exact division, returns a particular
@@ -43,35 +43,46 @@ def mat_vec(a, v, zero):
     return out
 
 
-def _minor(rows, i, j):
-    return [[e for c, e in enumerate(r) if c != j] for k, r in enumerate(rows) if k != i]
+def _dot(u, v):
+    """u . v over the length of v, with no zero to start the sum."""
+    return sum((x * y for x, y in zip(u[1:], v[1:])), u[0] * v[0])
 
 
 def det(rows, zero, one):
-    """Determinant by cofactor expansion along the first row."""
-    n = len(rows)
-    if n == 0:
-        return one
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] + (-(rows[0][1] * rows[1][0]))
-    acc = zero
-    for j in range(n):
-        term = rows[0][j] * det(_minor(rows, 0, j), zero, one)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    """Determinant by Berkowitz's division-free loop (S. J. Berkowitz, IPL 18, 1984).
+
+    poly is det(lambda * Id + M) = [1, c_1, ..., c_k] for the leading k x k
+    block M, so c_n is the determinant.  On Series it is the cofactor value
+    bit for bit up to 2 x 2; from 3 x 3 on it agrees through the shared
+    precision, which may differ (mostly fewer digits); no shipped path takes
+    one (Newton's J is r x r, r <= 2).
+    """
+    poly = [one]
+    for k, row in enumerate(rows):
+        col = [r[k] for r in rows[:k]]
+        toeplitz = [row[k]]  # a, -RC, RMC, -RM^2C, ... for row R, column C, corner a
+        for i in range(k):
+            if i:
+                col = [_dot(r, col) for r in rows[:k]]
+            rc = _dot(row, col)
+            toeplitz.append(rc if i % 2 else -rc)
+        nxt = [one]
+        for i, t in enumerate(toeplitz, start=1):
+            for j in range(1, i):
+                t = t + toeplitz[i - j - 1] * poly[j]
+            nxt.append(poly[i] + t if i <= k else t)
+        poly = nxt
+    return poly[-1]
 
 
 def adjugate(rows, zero, one):
-    """Transposed cofactor matrix; rows * adjugate = det * identity."""
+    """Transposed signed-minor matrix; rows * adjugate = det * identity."""
     n = len(rows)
-    if n == 1:
-        return [[one]]
     out = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            cof = det(_minor(rows, i, j), zero, one)
+            minor = [[e for c, e in enumerate(r) if c != j] for k, r in enumerate(rows) if k != i]
+            cof = det(minor, zero, one)
             out[j][i] = cof if (i + j) % 2 == 0 else -cof
     return out
 

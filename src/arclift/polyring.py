@@ -604,13 +604,6 @@ class PolyMatrix:
         zero, one = self._zero_one()
         return linalg.det(self.rows, zero, one)
 
-    def adjugate(self) -> PolyMatrix:
-        m, n = self.shape
-        if m != n:
-            raise StructureError("adjugate of a non-square matrix")
-        zero, one = self._zero_one()
-        return PolyMatrix(linalg.adjugate(self.rows, zero, one))
-
     def eval(self, values: dict):
         """Entrywise evaluation, returning a list of lists of Series."""
         return [[p.eval(values) for p in r] for r in self.rows]

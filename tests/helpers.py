@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from arclift import (
     Certificate,
     PrimeField,
@@ -9,6 +11,7 @@ from arclift import (
     SeriesRing,
     VarSpace,
     build_model,
+    identity_certificate,
     make_problem,
     parse_poly,
 )
@@ -17,6 +20,14 @@ REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
 
 F5 = PrimeField(5)
+
+
+def shipped_problems():
+    """Every problems/*.json, sorted; fails when fewer than the eight shipped files are found."""
+    paths = sorted(PROBLEMS.glob("*.json"))
+    if len(paths) < 8:
+        pytest.fail(f"found {len(paths)} problem files in {PROBLEMS}, expected at least 8")
+    return paths
 
 
 def cusp_problem(field=QQ, n_work=40, jet=("x^3", "x^2"), c=4):
@@ -104,6 +115,30 @@ def monomial_curve_problem(ring, q, p, arc):
         minor_cols=[1],
         jet=(yp, yq),
         c=p * (q - 1) + 1,
+    )
+
+
+def cusp_product_problem(k, untouched=0, field=QQ):
+    """k cusps Y(2i-1)^2 - Y(2i)^3 with jets (x^3, x^2), plus untouched variables.
+
+    The minor is the product of the Y(2i-1) partials, of order e = 3k at the
+    jet, so c = 4k; n_work = 4c + 8 covers the window 2c+1 and leaves a lift
+    the target 2c + 8.
+    """
+    n, c = 2 * k + untouched, 4 * k
+    ring = SeriesRing(field, 4 * c + 8)
+    space = VarSpace.ys(n)
+    return make_problem(
+        ring,
+        n=n,
+        ideal_gens=[
+            parse_poly(f"Y{2 * i - 1}^2 - Y{2 * i}^3", ring, space) for i in range(1, k + 1)
+        ],
+        f_idx=range(1, k + 1),
+        minor_cols=range(1, 2 * k, 2),
+        jet=[ring.parse(s) for s in ("x^3", "x^2") * k] + [ring.parse("x")] * untouched,
+        certificate=identity_certificate(ring, space, k),
+        c=c,
     )
 
 

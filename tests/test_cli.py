@@ -10,7 +10,7 @@ import pytest
 
 import helpers
 from arclift import ArcliftError, SeriesRing, parse_series
-from arclift.cli import MAX_NWORK, load_problem, main
+from arclift.cli import MAX_EXPONENT, MAX_NWORK, load_problem, main
 
 CUSP = str(helpers.PROBLEMS / "cusp.json")
 CUSP5 = str(helpers.PROBLEMS / "cusp_f5.json")
@@ -41,7 +41,7 @@ def python(*argv):
 
 
 def test_every_shipped_problem_loads():
-    for path in sorted(helpers.PROBLEMS.glob("*.json")):
+    for path in helpers.shipped_problems():
         prob = load_problem(str(path))
         assert prob.n == len(prob.jet)
 
@@ -135,6 +135,19 @@ def test_a_large_variable_exponent_is_no_recursion_error(command, tmp_path):
     path.write_text(json.dumps(payload))
     proc = python("-m", "arclift", command, str(path))
     assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key", ["ideal", "certificate"])
+def test_a_variable_exponent_above_the_cap_exits_4(key, tmp_path):
+    big = f"Y1^{MAX_EXPONENT + 1}"
+    if key == "ideal":
+        path = _cusp_with(tmp_path, ideal=[f"Y1^2 - Y2^3 + {big}"])
+    else:
+        path = _cusp_with(tmp_path, certificate={"N": big, "cofactors": [["1"]]})
+    proc = python("-m", "arclift", "validate", path)
+    assert proc.returncode == 4
+    assert f"variable exponent {MAX_EXPONENT + 1} exceeds the cap {MAX_EXPONENT}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -1,6 +1,7 @@
 """Certificate validation, model construction, and the verification battery."""
 
 import dataclasses
+import time
 
 import pytest
 
@@ -19,6 +20,8 @@ from arclift import (
     build_model,
     draw_series,
     identity_certificate,
+    linalg,
+    make_lift,
     make_problem,
     minor_poly,
     parse_poly,
@@ -339,10 +342,40 @@ def test_build_model_inverts_only_d2_and_d_on_every_shipped_problem(monkeypatch)
         return plain(b, n, p)
 
     monkeypatch.setattr(ring_module, "_inverse", counting)
-    paths = sorted(helpers.PROBLEMS.glob("*.json"))
-    assert len(paths) >= 8
-    for path in paths:
+    for path in helpers.shipped_problems():
         problem = load_problem(str(path))
         lengths.clear()
         build_model(problem)
         assert len(lengths) == 2, (path.name, lengths)
+
+
+# -- scaling in n and r ---------------------------------------------------
+
+
+@pytest.mark.parametrize("k, untouched", [(1, 14), (4, 0)], ids=["cusp-n16-r1", "cusps4-n8-r4"])
+def test_wide_systems_build_verify_and_lift_in_under_a_second(k, untouched):
+    problem = helpers.cusp_product_problem(k, untouched)
+    start = time.perf_counter()
+    model = build_model(problem)
+    report = verify_model(model)
+    lift = make_lift(model)
+    elapsed = time.perf_counter() - start
+    assert (problem.n, problem.r) == (2 * k + untouched, k)
+    assert report.ok and lift.strict
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+def test_build_and_verify_take_adjugates_of_the_minor_block_only(monkeypatch):
+    """G comes from adj(A) for the r x r block A, never from an n x n adjugate."""
+    sizes = []
+    plain = linalg.adjugate
+
+    def recording(rows, zero, one):
+        sizes.append(len(rows))
+        return plain(rows, zero, one)
+
+    monkeypatch.setattr(linalg, "adjugate", recording)
+    for problem in (helpers.cusp_product_problem(2, 3), helpers.tcurve_problem()):
+        sizes.clear()
+        verify_model(build_model(problem))
+        assert sizes == [problem.r]

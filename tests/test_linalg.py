@@ -1,0 +1,100 @@
+"""Berkowitz determinants and signed-minor adjugates against the cofactor reference."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cofactor_reference as reference
+import helpers
+from arclift import Poly, PrimeField, QQ, SeriesRing, VarSpace, build_model, linalg
+from arclift.cli import load_problem
+
+YS = VarSpace.ys(2)
+RINGS = (SeriesRing(QQ, 30), SeriesRing(PrimeField(5), 30))
+
+
+def _exact(value):
+    """A Series, Poly or matrix of them as exact (nums, den, prec) data."""
+    if isinstance(value, Poly):
+        return sorted((e, _exact(c)) for e, c in value.terms.items())
+    if isinstance(value, (list, tuple)):
+        return [_exact(v) for v in value]
+    return (value.nums, value.den, value.prec)
+
+
+@st.composite
+def _poly_matrix(draw, ring, n):
+    """An n x n matrix of sparse polynomials in Y1, Y2 with small coefficients."""
+    exps = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    scalar = st.integers(-3, 3).map(lambda c: ring.scalar(ring.field.coerce(c)))
+    entry = st.dictionaries(exps, scalar, max_size=2).map(lambda t: Poly._make(ring, YS, t))
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def _series_matrix(draw, ring, n):
+    """An n x n matrix of series at mixed precisions, zero, unit or of positive order."""
+    def entry():
+        prec = draw(st.integers(1, ring.n_work))
+        order = draw(st.integers(0, min(prec, 5)))
+        return ring.series([0] * order + draw(st.lists(st.integers(-3, 3), max_size=4)), prec)
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def _poly_units(ring, space=YS):
+    return Poly.zero(ring, space), Poly.constant(ring, space, 1)
+
+
+def _series_units(ring):
+    return ring.zero(ring.n_work), ring.one()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_poly_det_and_adjugate_equal_the_cofactor_reference(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    n = data.draw(st.integers(0, 5))
+    rows = data.draw(_poly_matrix(ring, n))
+    zero, one = _poly_units(ring)
+    assert linalg.det(rows, zero, one) == reference.det(rows, zero, one)
+    if n:
+        assert linalg.adjugate(rows, zero, one) == reference.adjugate(rows, zero, one)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_series_det_up_to_2x2_and_adjugate_up_to_3x3_are_bit_identical(data):
+    """Newton's J is r x r with r <= 2, so its determinant and adjugate must not move."""
+    ring = data.draw(st.sampled_from(RINGS))
+    n = data.draw(st.integers(1, 3))
+    rows = data.draw(_series_matrix(ring, n))
+    zero, one = _series_units(ring)
+    if n <= 2:
+        assert _exact(linalg.det(rows, zero, one)) == _exact(reference.det(rows, zero, one))
+    got = linalg.adjugate(rows, zero, one)
+    assert _exact(got) == _exact(reference.adjugate(rows, zero, one))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_larger_series_determinants_agree_through_the_shared_precision(data):
+    """From 3 x 3 on the certified precision may differ, the digits never do."""
+    ring = data.draw(st.sampled_from(RINGS))
+    rows = data.draw(_series_matrix(ring, data.draw(st.integers(3, 4))))
+    zero, one = _series_units(ring)
+    assert linalg.det(rows, zero, one) == reference.det(rows, zero, one)
+
+
+def test_the_empty_determinant_is_one():
+    zero, one = _series_units(RINGS[0])
+    assert linalg.det([], zero, one) is one
+    assert linalg.adjugate([[zero]], zero, one) == [[one]]
+
+
+def test_block_g_is_n_times_the_reference_adjugate_of_h_on_every_shipped_problem():
+    for path in helpers.shipped_problems():
+        model = build_model(load_problem(str(path)))
+        zero, one = _poly_units(model.ring, model.h_mat.space)
+        adj = reference.adjugate(model.h_mat.rows, zero, one)
+        expected = [[model.n_norm * p for p in row] for row in adj]
+        assert _exact(model.g_mat.rows) == _exact(expected), path.name
