@@ -97,10 +97,12 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
 
     The free coordinates are fixed to t_free.  Each step is the Newton update
     u -> u - delta with delta = adj(J)*g(u)/det(J), J the bound block
-    Jacobian at u; the residual order must strictly increase every round (it
-    doubles in practice).  A step computes each piece only to the precision
-    that reaches its result, so the iterates, residuals and orders are those
-    of full-precision Newton, digit for digit:
+    Jacobian at u; det(J) is expanded along J's first row from adj(J), so it
+    certifies the digits of cofactor expansion up to r = 3.  The residual
+    order must strictly increase every round (it doubles in practice).  A
+    step computes each piece only to the precision that reaches its result,
+    so the iterates, residuals and orders are those of full-precision
+    Newton, digit for digit:
 
     - g(u) vanishes mod x^k and is known mod x^R, R the largest precision
       among its components.  No component of delta is known beyond x^R
@@ -157,8 +159,9 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
             raise NoProgressError("Newton did not reach the target within 64 iterations")
         w = max(v.prec for v in res) - k
         jac = model.t_jac.eval({nm: s.truncate(w) for nm, s in point.items()})
-        inv_det = linalg.det(jac, zero, one).inv_unit()
-        correction = linalg.mat_vec(linalg.adjugate(jac, zero, one), res, zero)
+        adj = linalg.adjugate(jac, zero, one)
+        inv_det = linalg.expand_first_row(jac, adj).inv_unit()
+        correction = linalg.mat_vec(adj, res, zero)
         delta = [c * inv_det for c in correction]
         tails = model.newton_tail
         tail_point = dict(zip(tails[0].space.names, t_bound + t_free + tuple(-d for d in delta)))
@@ -313,11 +316,10 @@ def offset_lift(model: SmoothModel, reference: LiftResult, z, target: int | None
     out = _finish(model, hr.t_bound + t_free, hr)
     if not out.strict:
         raise IdentityFailedError("offset lift lost strictness")
-    for i in range(model.n):
-        if (out.y2[i] - reference.y2[i]).order_floor() < need:
-            raise IdentityFailedError(
-                "offset lift drifted from the reference inside the congruence window"
-            )
+    if _window_miss(model, [y - ref for y, ref in zip(out.y2, reference.y2)]) is not None:
+        raise IdentityFailedError(
+            "offset lift drifted from the reference inside the congruence window"
+        )
     return out
 
 

@@ -181,6 +181,15 @@ class Problem:
     def jet_point(self) -> dict:
         return {nm: y for nm, y in zip(self.space.names, self.jet)}
 
+    @cached_property
+    def minor(self) -> Poly:
+        """Determinant of the selected r x r Jacobian block, columns in the listed order.
+
+        Computed on first use and kept; every stage that needs M reads it here.
+        """
+        names = tuple(self.space.names[j - 1] for j in self.minor_cols)
+        return jacobian(self.f_polys, names).det()
+
 
 def make_problem(
     ring: SeriesRing,
@@ -205,7 +214,7 @@ def make_problem(
         certificate = identity_certificate(ring, VarSpace.ys(n), len(ideal_gens))
     if c is None:
         probe = Problem(ring, n, ideal_gens, f_idx, tuple(minor_cols), certificate, 1, tuple(jet), mode)
-        v = (certificate.n_poly * minor_poly(probe)).eval(probe.jet_point())
+        v = (certificate.n_poly * probe.minor).eval(probe.jet_point())
         e = v.order()
         if e is None:
             raise StructureError(
@@ -217,9 +226,8 @@ def make_problem(
 
 
 def minor_poly(problem: Problem) -> Poly:
-    """Determinant of the selected r x r Jacobian block, columns in the listed order."""
-    names = tuple(problem.space.names[j - 1] for j in problem.minor_cols)
-    return jacobian(problem.f_polys, names).det()
+    """The problem's minor M, computed once per Problem (Problem.minor)."""
+    return problem.minor
 
 
 def validate_problem(problem: Problem) -> ValidationReport:
@@ -252,7 +260,7 @@ def validate_problem(problem: Problem) -> ValidationReport:
             break
     checks.append(CheckResult("jet-kills-ideal", ok, detail))
 
-    p_val = (problem.certificate.n_poly * minor_poly(problem)).eval(point)
+    p_val = (problem.certificate.n_poly * problem.minor).eval(point)
     window = p_val.truncate(min(need, p_val.prec))
     e = window.order()
     if e is None:
@@ -290,7 +298,7 @@ def normalize_certificate(problem: Problem, e: int | None) -> NormalizedCertific
     shift = problem.ring.monomial(problem.c - e)
     scaled = problem.certificate.scale(shift)
     n_norm = scaled.n_poly
-    p_poly = n_norm * minor_poly(problem)
+    p_poly = n_norm * problem.minor
     d = p_poly.eval(problem.jet_point())
     if d.order() != problem.c:
         raise IdentityFailedError(
@@ -319,7 +327,7 @@ def build_border(problem: Problem) -> Border:
     for i in range(r, n):
         rows.append([one if j == i else zero for j in range(n)])
     h_mat = PolyMatrix(rows)
-    if h_mat.det() != minor_poly(problem):
+    if h_mat.det() != problem.minor:
         raise IdentityFailedError("border determinant does not equal the selected minor")
     return Border(h_mat, perm)
 
@@ -395,7 +403,6 @@ class SmoothModel:
     problem: Problem
     e: int
     perm: tuple
-    m_poly: Poly
     n_norm: Poly
     p_poly: Poly
     cofactors: tuple
@@ -522,7 +529,6 @@ def build_model(problem: Problem) -> SmoothModel:
         problem=problem,
         e=e,
         perm=border.perm,
-        m_poly=minor_poly(problem),
         n_norm=norm.n_norm,
         p_poly=norm.p_poly,
         cofactors=norm.cofactors,
@@ -573,7 +579,7 @@ def verify_model(model: SmoothModel) -> ValidationReport:
         CheckResult("matrix-identity", ok, "GH = HG = P * Id" if ok else "GH = HG = P * Id failed")
     )
 
-    ok = model.h_mat.det() == model.m_poly
+    ok = model.h_mat.det() == problem.minor
     checks.append(
         CheckResult(
             "border-determinant", ok, "det(H) equals the minor" if ok else "det(H) != minor"
@@ -594,18 +600,18 @@ def verify_model(model: SmoothModel) -> ValidationReport:
     hy = _eval_matrix(model.h_mat, point)
     gy = _eval_matrix(model.g_mat, point)
     dgy = tuple(tuple(model.d * entry for entry in row) for row in gy)
-    ok = hy == model.hy and gy == model.gy and dgy == model.dgy
+    images = substitution_images(problem, dgy, model.perm, model.tspace)
+    ok = hy == model.hy and gy == model.gy and dgy == model.dgy and images == model.images
     checks.append(
         CheckResult(
             "evaluation-consistency",
             ok,
             "H(y'), G(y'), d*G(y') match the stored evaluations"
             if ok
-            else "a stored matrix evaluation does not match recomputation",
+            else "a stored evaluation or substitution image does not match recomputation",
         )
     )
 
-    images = substitution_images(problem, dgy, model.perm, model.tspace)
     ok = True
     detail = "f(y' + d*G(y')*T) = f(y') + d^2 * g, by polynomial identity and at random points"
     rng = SplitMix64(_VERIFY_SEED)
@@ -662,15 +668,15 @@ def verify_model(model: SmoothModel) -> ValidationReport:
             break
     checks.append(CheckResult("a-order", ok, detail))
 
-    ok = _unit_constant(model.loc_s) and _unit_constant(model.loc_s_prime)
-    checks.append(
-        CheckResult(
-            "localization-units",
-            ok,
-            "both localizing elements have constant term 1"
-            if ok
-            else "a localizing element lacks constant term 1",
-        )
-    )
+    bound = model.tspace.names[:problem.r]
+    if model.t_jac != PolyMatrix([[gi.diff(nm) for nm in bound] for gi in model.g]):
+        ok, detail = False, "t_jac is not dg/dT over the bound block"
+    elif model.loc_s != model.t_jac.det():
+        ok, detail = False, "loc_s is not det(t_jac)"
+    elif not (_unit_constant(model.loc_s) and _unit_constant(model.loc_s_prime)):
+        ok, detail = False, "a localizing element lacks constant term 1"
+    else:
+        ok, detail = True, "both localizing elements have constant term 1"
+    checks.append(CheckResult("localization-units", ok, detail))
 
     return ValidationReport(tuple(checks), model.e)

@@ -4,7 +4,8 @@ The matrix routines are generic over any commutative coefficient type that
 supports +, *, and unary -, so the same code serves matrices of Series and
 of Poly entries.  det is Berkowitz's division-free loop; adjugate takes
 signed minors, which keeps Series precisions those of cofactor expansion (an
-adjugate by Cayley-Hamilton certifies fewer digits on Series entries).
+adjugate by Cayley-Hamilton certifies fewer digits on Series entries), and
+expand_first_row reads the determinant off such an adjugate.
 
 solve_linear is the one routine specialised to scalar fields; it performs
 plain Gaussian elimination with exact division, returns a particular
@@ -54,8 +55,8 @@ def det(rows, zero, one):
     poly is det(lambda * Id + M) = [1, c_1, ..., c_k] for the leading k x k
     block M, so c_n is the determinant.  On Series it is the cofactor value
     bit for bit up to 2 x 2; from 3 x 3 on it agrees through the shared
-    precision, which may differ (mostly fewer digits); no shipped path takes
-    one (Newton's J is r x r, r <= 2).
+    precision, which may differ (mostly fewer digits), so Newton takes det(J)
+    from its adjugate by expand_first_row instead.
     """
     poly = [one]
     for k, row in enumerate(rows):
@@ -85,6 +86,15 @@ def adjugate(rows, zero, one):
             cof = det(minor, zero, one)
             out[j][i] = cof if (i + j) % 2 == 0 else -cof
     return out
+
+
+def expand_first_row(rows, adj):
+    """det(rows) as sum_j rows[0][j] * adj[j][0], for adj the adjugate of rows.
+
+    Cofactor expansion along the first row; adj holds the signed minors, so
+    on Series this is the cofactor determinant bit for bit up to 3 x 3.
+    """
+    return _dot(rows[0], [r[0] for r in adj])
 
 
 def solve_linear(field, rows, rhs):

@@ -30,15 +30,16 @@ scalar; Fractions appear only when coefficients are read out or rendered.
 A product is one big-integer multiplication by Kronecker substitution (D.
 Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 2009): each vector becomes one integer
-with a slot per coefficient wide enough for any product coefficient.
-Packing and unpacking go through array buffers: a slot of 1, 2, 4 or 8
-bytes is one array cell, and a wider slot is filled from, and read into,
-64-bit cells by strided slice copies, a few per slot position rather than
-one Python call per coefficient.  Q numerators are signed, so they are packed as two's
-complement digits and corrected by one subtraction, and the product's slots
-carry an offset of half their range so that they unpack without borrows;
-F_p residues are non-negative and need neither.  A product with a
-one-coefficient factor is a scaling of the other vector and is not packed.
+with a slot per coefficient wide enough for any product coefficient.  A
+slot is one of two kinds: one of at most 8 bytes is rounded up to 1, 2, 4
+or 8 bytes and is one cell of an array buffer, and a wider one is exactly as
+many bytes as it needs, written by int.to_bytes and read back by
+int.from_bytes, over F_p reduced mod p in that same read.  Q numerators are
+signed, so they are packed as two's complement digits and corrected by one
+subtraction, and the product's slots carry an offset of half their range so
+that they unpack without borrows; F_p residues are non-negative and need
+neither.  A product with a one-coefficient factor is a scaling of the other
+vector and is not packed.
 The inverse of a unit is Newton doubling g <- g*(2 - a*g) on top of that
 product, and an exact quotient is a/x^oa times the inverse of b/x^ob (R. P.
 Brent and H. T. Kung, "Fast algorithms for manipulating formal power
@@ -510,7 +511,6 @@ def _trimmed(nums: tuple) -> tuple:
 
 # -- the integer-vector kernel -------------------------------------------
 
-_M64 = (1 << 64) - 1
 # array type codes by item size; upper case is the unsigned twin
 _CODES = {array(c).itemsize: c for c in "bhilq"}
 
@@ -522,58 +522,22 @@ def _little(cells: array) -> array:
     return cells
 
 
-def _pack(v, w: int, t: int, signed: bool, ones: int) -> int:
-    """sum(v[i] << 8*w*i) for integers that fit a w-byte slot of t-byte cells.
+def _pack(v, w: int, signed: bool, ones: int) -> int:
+    """sum(v[i] << 8*w*i) for integers that fit a w-byte slot.
 
-    A one-cell slot is an array of v.  Otherwise the low bytes of each value
-    are copied from the 64-bit cells of its limbs, one t-byte cell position
-    at a time, by strided slice assignment.  Signed values go in as two's
-    complement, so a negative one leaves 2^(8*cut) in its slot (cut bytes
-    written); its sign bit, gathered by ones (1 at the bottom of every
-    slot), takes that back in one subtraction.
+    A slot of 1, 2, 4 or 8 bytes is one array cell; a wider slot is the w
+    bytes of int.to_bytes.  Signed values go in as two's complement, so a
+    negative one leaves 2^(8*w) in its slot; its sign bit, gathered by ones
+    (1 at the bottom of every slot), takes that back in one subtraction.
     """
-    unsigned = _CODES[t].upper()
-    if w == t:
-        cut = w
-        buf = _little(array(_CODES[t] if signed else unsigned, v)).tobytes()
+    if w <= 8:
+        buf = _little(array(_CODES[w] if signed else _CODES[w].upper(), v)).tobytes()
     else:
-        cut = t * max(1, -(-(max(map(abs, v)).bit_length() + signed) // (8 * t)))
-        limbs = (cut + 7) // 8
-        buf = bytearray(w * len(v))
-        slots = memoryview(buf).cast(unsigned)
-        for j in range(limbs):
-            top = j == limbs - 1
-            part = v if limbs == 1 else [x >> 64 * j if top else x >> 64 * j & _M64 for x in v]
-            cells = memoryview(_little(array("q" if signed and top else "Q", part)).tobytes()).cast(unsigned)
-            for c in range(min(8, cut - 8 * j) // t):
-                slots[8 * j // t + c::w // t] = cells[c::8 // t]
+        buf = b"".join([x.to_bytes(w, "little", signed=signed) for x in v])
     total = int.from_bytes(buf, "little")
     if signed:
-        total -= (total >> (8 * cut - 1) & ones) << 8 * cut
+        total -= (total >> (8 * w - 1) & ones) << 8 * w
     return total
-
-
-def _unpack(raw: bytes, w: int, t: int, code: str) -> list:
-    """The integers in the w-byte slots of raw.
-
-    The top t bytes of each slot are one cell, read with the type code (and
-    so carrying the sign for a signed code); the 64-bit limbs below it are
-    gathered t bytes at a time by strided copies and joined by shifts.
-    """
-    if w == t:
-        return _little(array(code, raw)).tolist()
-    m, k, unsigned = len(raw) // w, w // t, code.upper()
-    slots = memoryview(raw).cast(unsigned)
-    cell = bytearray(t * m)
-    memoryview(cell).cast(unsigned)[:] = slots[k - 1::k]
-    out = _little(array(code, cell)).tolist()
-    for j in reversed(range((w - t) // 8)):
-        cell = bytearray(8 * m)
-        cells = memoryview(cell).cast(unsigned)
-        for c in range(8 // t):
-            cells[c::8 // t] = slots[8 * j // t + c::k]
-        out = [h << 64 | v for h, v in zip(out, _little(array("Q", cell)).tolist())]
-    return out
 
 
 def _kmul(a, b, m: int, p) -> list:
@@ -581,15 +545,14 @@ def _kmul(a, b, m: int, p) -> list:
 
     Kronecker substitution: each vector becomes one integer, with a slot
     wide enough for any product coefficient (plus a sign bit over Q, when p
-    is None), and one big-integer product does all the work.  A slot is
-    8q + t bytes: q 64-bit limbs under a top cell of t = 1, 2, 4 or 8 bytes,
-    the leftover bytes rounded up to a power of two, and at least the
-    largest power of two <= q (up to 8) so that a wide slot moves in wide
-    cells rather than byte by byte.  Over Q each product slot
-    is offset by half its range, so the slots separate without borrows, and
-    the offset is then flipped away, leaving two's complement.  Over F_p the
-    vectors hold residues and so does the result.  A factor with one
-    coefficient just scales the other, with no packing.
+    is None), and one big-integer product does all the work.  A slot of at
+    most 8 bytes is rounded up to 1, 2, 4 or 8 bytes and is one array cell;
+    a wider slot is exactly as many bytes as it needs, read by
+    int.from_bytes.  Over Q each product slot is offset by half its range,
+    so the slots separate without borrows, and the offset is then flipped
+    away, leaving two's complement.  Over F_p the vectors hold residues and
+    so does the result.  A factor with one coefficient just scales the
+    other, with no packing.
     """
     same = a is b
     a = a[:m]
@@ -603,19 +566,26 @@ def _kmul(a, b, m: int, p) -> list:
     signed = p is None
     bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
             + min(len(a), len(b)).bit_length() + signed)
-    q, r = divmod((bits + 7) // 8 - 1, 8)
-    t = max(1 << r.bit_length(), min(8, (1 << q.bit_length()) >> 1))
-    w = 8 * q + t
+    w = (bits + 7) // 8
+    if w <= 8:
+        w = 1 << (w - 1).bit_length()
     ones = int.from_bytes((b"\x01" + bytes(w - 1)) * m, "little") if signed else 0
-    packed = _pack(a, w, t, signed, ones)
-    low = packed * (packed if same else _pack(b, w, t, signed, ones))
+    packed = _pack(a, w, signed, ones)
+    low = packed * (packed if same else _pack(b, w, signed, ones))
     mask = (1 << 8 * w * m) - 1
     if signed:
         half = ones << 8 * w - 1
         low = (low + half) & mask ^ half
-        return _unpack(low.to_bytes(w * m, "little"), w, t, _CODES[t])
-    low &= mask
-    return [v % p for v in _unpack(low.to_bytes(w * m, "little"), w, t, _CODES[t].upper())]
+    else:
+        low &= mask
+    raw = low.to_bytes(w * m, "little")
+    if w <= 8:
+        out = _little(array(_CODES[w] if signed else _CODES[w].upper(), raw)).tolist()
+        return out if signed else [v % p for v in out]
+    read, cuts = int.from_bytes, range(0, w * m, w)
+    if signed:
+        return [read(raw[i:i + w], "little", signed=True) for i in cuts]
+    return [read(raw[i:i + w], "little") % p for i in cuts]
 
 
 def _inverse(b, n: int, p) -> tuple[list, int]:

@@ -1,5 +1,8 @@
 """Shared problem builders for the test suite."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,15 @@ REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
 
 F5 = PrimeField(5)
+
+
+def python(*argv):
+    """Run a fresh interpreter with this checkout's package first on the path."""
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def shipped_problems():

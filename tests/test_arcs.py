@@ -3,6 +3,7 @@
 import dataclasses
 import json
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -239,6 +240,20 @@ def _g_evaluations(monkeypatch):
 
     monkeypatch.setattr(Poly, "eval", recording)
     return evaluated
+
+
+def test_make_lift_takes_no_determinant(monkeypatch):
+    """Newton reads det(J) off the adjugate it already has; arcs never calls linalg.det."""
+    calls = []
+
+    def det(*args):
+        calls.append(args)
+        return linalg.det(*args)
+
+    monkeypatch.setattr(arcs, "linalg", SimpleNamespace(**{**vars(linalg), "det": det}))
+    for path in helpers.shipped_problems():
+        make_lift(build_model(load_problem(str(path))))
+    assert calls == []
 
 
 def test_newton_evaluates_g_only_at_its_start_on_every_shipped_problem(monkeypatch):

@@ -1,10 +1,7 @@
 """Command line behavior: formats, exit codes, determinism, JSON mode."""
 
 import json
-import os
 import re
-import subprocess
-import sys
 
 import pytest
 
@@ -26,15 +23,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def python(*argv):
-    """Run a fresh interpreter with this checkout's package first on the path."""
-    path = [str(helpers.REPO / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
-    )
 
 
 # -- problem files -------------------------------------------------------
@@ -133,7 +121,7 @@ def test_a_large_variable_exponent_is_no_recursion_error(command, tmp_path):
     payload["ideal"] = ["Y1^2 - Y2^3 + Y1^5000"]
     path = tmp_path / "cusp_y5000.json"
     path.write_text(json.dumps(payload))
-    proc = python("-m", "arclift", command, str(path))
+    proc = helpers.python("-m", "arclift", command, str(path))
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -145,7 +133,7 @@ def test_a_variable_exponent_above_the_cap_exits_4(key, tmp_path):
         path = _cusp_with(tmp_path, ideal=[f"Y1^2 - Y2^3 + {big}"])
     else:
         path = _cusp_with(tmp_path, certificate={"N": big, "cofactors": [["1"]]})
-    proc = python("-m", "arclift", "validate", path)
+    proc = helpers.python("-m", "arclift", "validate", path)
     assert proc.returncode == 4
     assert f"variable exponent {MAX_EXPONENT + 1} exceeds the cap {MAX_EXPONENT}" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -266,7 +254,7 @@ def test_the_working_precision_cap_is_admitted(tmp_path):
 
 def test_a_working_precision_above_the_cap_in_the_file_exits_4(tmp_path):
     path = _cusp_with(tmp_path, n_work=MAX_NWORK + 1, jet=["x^3 + x^999999999", "x^2"])
-    proc = python("-m", "arclift", "validate", path)
+    proc = helpers.python("-m", "arclift", "validate", path)
     assert proc.returncode == 4
     assert f"exceeds the cap {MAX_NWORK}" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -274,7 +262,7 @@ def test_a_working_precision_above_the_cap_in_the_file_exits_4(tmp_path):
 
 def test_a_working_precision_above_the_cap_in_the_environment_exits_4(monkeypatch):
     monkeypatch.setenv("ARCLIFT_NWORK", str(MAX_NWORK + 1))
-    proc = python("-m", "arclift", "validate", CUSP)
+    proc = helpers.python("-m", "arclift", "validate", CUSP)
     assert proc.returncode == 4
     assert f"exceeds the cap {MAX_NWORK}" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -366,7 +354,7 @@ def test_oracle_budget_exit(capsys):
 
 @pytest.mark.parametrize("prec", ["5000", "10000000"])
 def test_oracle_refuses_a_huge_window_without_a_traceback(prec):
-    proc = python("-m", "arclift", "oracle", CUSP5, "--prec", prec)
+    proc = helpers.python("-m", "arclift", "oracle", CUSP5, "--prec", prec)
     assert proc.returncode == 1
     assert "budget" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -445,7 +433,7 @@ def test_every_error_class_exits_as_the_readme_table_says():
 
 
 def test_importing_arclift_leaves_numpy_unloaded():
-    proc = python("-c", "import sys, arclift, arclift.cli; print('numpy' in sys.modules)")
+    proc = helpers.python("-c", "import sys, arclift, arclift.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 

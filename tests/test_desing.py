@@ -11,6 +11,7 @@ from arclift import (
     OrderTooHighError,
     OrderViolationError,
     Poly,
+    PolyMatrix,
     QQ,
     SeriesRing,
     SplitMix64,
@@ -28,6 +29,7 @@ from arclift import (
     validate_problem,
     verify_model,
 )
+from arclift import desing
 from arclift import ring as ring_module
 from arclift.cli import load_problem
 from arclift.desing import normalize_certificate
@@ -297,6 +299,29 @@ def test_verify_catches_inconsistent_evaluations(cusp_q):
     assert "evaluation-consistency" in {c.name for c in report.checks if not c.ok}
 
 
+def _failed_checks(model):
+    return {c.name for c in verify_model(model).checks if not c.ok}
+
+
+def test_verify_catches_tampered_images(cusp_q):
+    y1 = cusp_q.images["Y1"]
+    moved = y1 + Poly.constant(cusp_q.ring, y1.space, cusp_q.ring.parse("x^12"))
+    tampered = dataclasses.replace(cusp_q, images={**cusp_q.images, "Y1": moved})
+    assert _failed_checks(tampered) == {"evaluation-consistency"}
+
+
+def test_verify_catches_a_tampered_bound_jacobian(cusp_q):
+    bump = parse_poly("x^20*T1", cusp_q.ring, cusp_q.tspace)
+    tampered = dataclasses.replace(cusp_q, t_jac=PolyMatrix([[cusp_q.t_jac.rows[0][0] + bump]]))
+    assert _failed_checks(tampered) == {"localization-units"}
+
+
+def test_verify_catches_a_tampered_localization_unit(cusp_q):
+    bump = parse_poly("x^20*T2", cusp_q.ring, cusp_q.tspace)
+    tampered = dataclasses.replace(cusp_q, loc_s=cusp_q.loc_s + bump)
+    assert _failed_checks(tampered) == {"localization-units"}
+
+
 # -- randomized families -------------------------------------------------
 
 
@@ -347,6 +372,28 @@ def test_build_model_inverts_only_d2_and_d_on_every_shipped_problem(monkeypatch)
         lengths.clear()
         build_model(problem)
         assert len(lengths) == 2, (path.name, lengths)
+
+
+def test_build_and_verify_compute_the_minor_once_on_every_shipped_problem(monkeypatch):
+    """Problem.minor is the one copy of M; only build_border builds another Jacobian.
+
+    The border's Jacobian takes the minor columns first and then the rest,
+    so when n = r it is the minor's block again.
+    """
+    plain = desing.jacobian
+    for path in helpers.shipped_problems():
+        problem = load_problem(str(path))
+        cols = tuple(problem.space.names[j - 1] for j in problem.minor_cols)
+        calls = []
+
+        def counting(polys, names=None):
+            calls.append(tuple(names))
+            return plain(polys, names)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(desing, "jacobian", counting)
+            assert verify_model(build_model(problem)).ok
+        assert calls.count(cols) == 1 + (problem.n == problem.r), path.name
 
 
 # -- scaling in n and r ---------------------------------------------------

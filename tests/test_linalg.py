@@ -85,6 +85,17 @@ def test_larger_series_determinants_agree_through_the_shared_precision(data):
     assert linalg.det(rows, zero, one) == reference.det(rows, zero, one)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_first_row_expansion_over_the_adjugate_is_the_cofactor_determinant_at_3x3(data):
+    """Newton's det(J), bit for bit, where Berkowitz's loop is not."""
+    ring = data.draw(st.sampled_from(RINGS))
+    rows = data.draw(_series_matrix(ring, 3))
+    zero, one = _series_units(ring)
+    got = linalg.expand_first_row(rows, linalg.adjugate(rows, zero, one))
+    assert _exact(got) == _exact(reference.det(rows, zero, one))
+
+
 def test_the_empty_determinant_is_one():
     zero, one = _series_units(RINGS[0])
     assert linalg.det([], zero, one) is one

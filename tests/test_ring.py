@@ -497,7 +497,7 @@ def test_a_monomial_beyond_the_working_precision_allocates_nothing():
 # Slot widths in the Kronecker product: residues of F2 and F3 and short
 # vectors give 1-byte slots; F_(2^31-1) gives exactly 8 bytes up to length 3
 # and 9 bytes beyond; Q integers near 2^27 fill 8 bytes at length 80, and near
-# 2^63 or 2^128 need two or three 64-bit limbs per value and 17 to 33 bytes per slot.
+# 2^63 or 2^128 need slots of 17 to 33 plain bytes.
 BOUNDARY_RINGS = (
     SeriesRing(PrimeField(2), 80),
     SeriesRing(PrimeField(3), 80),
