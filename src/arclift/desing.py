@@ -212,6 +212,7 @@ def make_problem(
                 "every ideal generator"
             )
         certificate = identity_certificate(ring, VarSpace.ys(n), len(ideal_gens))
+    probe = None
     if c is None:
         probe = Problem(ring, n, ideal_gens, f_idx, tuple(minor_cols), certificate, 1, tuple(jet), mode)
         v = (certificate.n_poly * probe.minor).eval(probe.jet_point())
@@ -222,7 +223,11 @@ def make_problem(
                 f"to the checked precision x^{v.prec}"
             )
         c = e + 1
-    return Problem(ring, n, ideal_gens, f_idx, tuple(minor_cols), certificate, c, tuple(jet), mode)
+    problem = Problem(ring, n, ideal_gens, f_idx, tuple(minor_cols), certificate, c, tuple(jet), mode)
+    if probe is not None:
+        # M does not depend on c: the returned Problem keeps the probe's copy
+        vars(problem)["minor"] = probe.minor
+    return problem
 
 
 def minor_poly(problem: Problem) -> Poly:

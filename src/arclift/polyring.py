@@ -333,6 +333,11 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._compat(other)
+        # Poly is immutable, so a side with no terms gives back the other
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             prev = out.get(exps)
@@ -351,6 +356,10 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._compat(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

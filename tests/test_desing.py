@@ -396,6 +396,22 @@ def test_build_and_verify_compute_the_minor_once_on_every_shipped_problem(monkey
         assert calls.count(cols) == 1 + (problem.n == problem.r), path.name
 
 
+def test_an_inferred_c_reuses_the_probe_minor(monkeypatch):
+    """make_problem computes M on its c = 1 probe; the returned Problem keeps that copy."""
+    plain = desing.jacobian
+    calls = []
+
+    def counting(polys, names=None):
+        calls.append(tuple(names))
+        return plain(polys, names)
+
+    monkeypatch.setattr(desing, "jacobian", counting)
+    problem = helpers.cusp_problem(c=None)
+    assert problem.c == 4
+    assert verify_model(build_model(problem)).ok
+    assert calls.count(("Y1",)) == 1
+
+
 # -- scaling in n and r ---------------------------------------------------
 
 

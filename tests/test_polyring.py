@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arclift import (
+    FieldMismatchError,
     MissingVariableError,
     ParseError,
     Poly,
@@ -123,6 +124,34 @@ def test_subst_composes_with_eval():
     q = p.subst(images, TS)
     direct = p.eval({nm: images[nm].eval(point) for nm in ("Y1", "Y2")})
     assert q.eval(point) == direct
+
+
+def test_a_zero_side_gives_the_other_side_or_zero():
+    p = P("Y1^2 - x*Y2 + 3")
+    low_zero = Poly.constant(R, YS, R.zero(7))
+    zero = Poly.zero(R, YS)
+    for q in (p, low_zero, zero):
+        assert q + zero is q
+        assert zero + q is q
+        assert (q * zero).terms == {} and (zero * q).terms == {}
+    # a zero coefficient at reduced precision is a term and is kept
+    assert (p + low_zero).terms[(0, 0)].prec == 7
+    assert (p * low_zero).terms != {}
+
+
+def test_a_zero_side_still_refuses_mixed_rings_and_spaces():
+    p = P("Y1 + 1")
+    for zero in (Poly.zero(R5, YS), Poly.zero(SeriesRing(QQ, 41), YS)):
+        for op in ("__add__", "__mul__"):
+            with pytest.raises(FieldMismatchError):
+                getattr(p, op)(zero)
+            with pytest.raises(FieldMismatchError):
+                getattr(zero, op)(p)
+    for op in ("__add__", "__mul__"):
+        with pytest.raises(StructureError):
+            getattr(p, op)(Poly.zero(R, TS))
+        with pytest.raises(StructureError):
+            getattr(Poly.zero(R, TS), op)(p)
 
 
 # -- matrices -----------------------------------------------------------

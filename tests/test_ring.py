@@ -22,6 +22,7 @@ from arclift import (
     StructureError,
     UnknownVariableError,
 )
+from arclift import ring as ring_module
 from arclift.ring import _kmul
 
 R = SeriesRing(QQ)
@@ -592,3 +593,65 @@ def test_kmul_scales_by_a_one_term_factor():
                 r, s = [v % p for v in a], [c[0] % p]
                 assert _kmul(s, r, m, p) == [v % p for v in _school_ints(s, r, m)]
                 assert _kmul(r, s, m, p) == [v % p for v in _school_ints(r, s, m)]
+
+
+def test_kmul_matches_schoolbook_in_ten_byte_residue_slots(monkeypatch):
+    """F_(2^31-1) product slots are 9 bytes below length 1024 and 10 bytes from it on."""
+    rng = random.Random(2026)
+    p = 2**31 - 1
+    widths = []
+    plain = ring_module._pack
+
+    def recording(v, w, signed, ones):
+        widths.append(w)
+        return plain(v, w, signed, ones)
+
+    monkeypatch.setattr(ring_module, "_pack", recording)
+    for n, w in ((1023, 9), (1024, 10)):
+        a = [rng.randrange(p) for _ in range(2 * n)]
+        b = [rng.randrange(p) for _ in range(n)]
+        a[0] = b[-1] = p - 1
+        for x, y, m in ((a[:n], b, n), (b, b, n), (a, b, 2 * n), (b, a, 2 * n - 1)):
+            widths.clear()
+            assert _kmul(x, y, m, p) == [v % p for v in _school_ints(x, y, m)]
+            assert set(widths) == {w}, (n, m, widths)
+    # 1100 products of (p-1)^2 pass 2^72, so the top slot byte is used
+    top = [p - 1] * 1100
+    assert _kmul(top, top[:], 1100, p) == [v % p for v in _school_ints(top, top, 1100)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**31 - 1)], ids=str)
+def test_div_exact_by_a_monomial_or_a_constant_packs_nothing(field, monkeypatch):
+    """A one-term divisor has a one-term inverse, so the quotient is a scaling."""
+    ring = SeriesRing(field, 160)
+    rng = random.Random(2027)
+    packs = []
+    plain = ring_module._pack
+
+    def counting(*args):
+        packs.append(args[1])
+        return plain(*args)
+
+    monkeypatch.setattr(ring_module, "_pack", counting)
+    for k in (0, 1, 9):
+        a = ring.series([0] * k + [rng.randrange(1, 10**12) for _ in range(150)])
+        for coeff in (1, 3, -7) if field.p is None else (1, 3, field.p - 1):
+            for divisor in (ring.monomial(k, coeff), ring.monomial(k, coeff) + ring.zero(120)):
+                packs.clear()
+                q = a.div_exact(divisor)
+                assert packs == [], (k, coeff)
+                _assert_same(q, _school_div(a, divisor))
+
+
+def test_kmul_matches_schoolbook_across_the_strided_threshold():
+    """Wide residue slots: operands and products on either side of ring._STRIDED."""
+    rng = random.Random(2028)
+    p = 2**31 - 1
+    t = ring_module._STRIDED
+    for la in (4, t - 1, t, t + 1, 3 * t):
+        for lb in (4, t - 1, t, 2 * t):
+            a = [rng.randrange(p) for _ in range(la)]
+            b = [rng.randrange(p) for _ in range(lb)]
+            a[-1] = b[0] = p - 1
+            for m in {min(la, lb), max(la, lb), t - 1, t, la + lb - 1}:
+                assert _kmul(a, b, m, p) == [v % p for v in _school_ints(a, b, m)]
