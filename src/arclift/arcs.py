@@ -161,7 +161,7 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
         jac = model.t_jac.eval({nm: s.truncate(w) for nm, s in point.items()})
         adj = linalg.adjugate(jac, zero, one)
         inv_det = linalg.expand_first_row(jac, adj).inv_unit()
-        correction = linalg.mat_vec(adj, res, zero)
+        correction = linalg.mat_vec(adj, res)
         delta = [c * inv_det for c in correction]
         tails = model.newton_tail
         tail_point = dict(zip(tails[0].space.names, t_bound + t_free + tuple(-d for d in delta)))
@@ -356,7 +356,7 @@ def extract_t(model: SmoothModel, arc) -> tuple:
             order=o,
         )
     eps = [diffs[model.perm[j]].div_exact(model.d2) for j in range(model.n)]
-    t = linalg.mat_vec(model.hy, eps, ring.zero(ring.n_work))
+    t = linalg.mat_vec(model.hy, eps)
     tpoint = dict(zip(model.tspace.names, t))
     for i, gi in enumerate(model.g, start=1):
         val = gi.eval(tpoint)

@@ -153,6 +153,10 @@ def load_problem(path: str) -> Problem:
 
     n = _int_field(raw, "n")
     _expect(n >= 1, "'n' must be positive")
+    # checked before anything n wide is built, so a small file cannot ask for n-wide memory
+    jet_text = raw["jet"]
+    if isinstance(jet_text, list) and len(jet_text) != n:
+        raise StructureError(f"jet must have {n} components, got {len(jet_text)}")
     n_work = _opt_int(raw, "n_work")
     if n_work is None:
         env = os.environ.get("ARCLIFT_NWORK")
@@ -260,32 +264,23 @@ def _emit(args, lines, payload) -> None:
         print("\n".join(lines))
 
 
-def _lift_lines(result: arcs.LiftResult) -> list:
-    lines = []
-    for i, s in enumerate(result.t, start=1):
-        lines.append(f"t_{i} = {s}")
-    for i, s in enumerate(result.y2, start=1):
-        lines.append(f"y2_{i} = {s}")
-    lines.append(f"strict: {'true' if result.strict else 'false'}")
-    lines.append(f"residual_f: {result.residual_f}")
-    lines.append(f"residual_i: {result.residual_i}")
-    lines.append(f"newton_iterations: {result.newton_iterations}")
-    lines.append(f"k0: {result.k0}")
-    lines.append(f"eff_prec: {result.eff_prec}")
-    return lines
+# a lift's certificate fields, printed in this order after its t and y2
+_LIFT_FIELDS = ("strict", "residual_f", "residual_i", "newton_iterations", "k0", "eff_prec")
 
 
 def _lift_json(result: arcs.LiftResult) -> dict:
-    return {
-        "t": [str(s) for s in result.t],
-        "y2": [str(s) for s in result.y2],
-        "strict": result.strict,
-        "residual_f": result.residual_f,
-        "residual_i": result.residual_i,
-        "newton_iterations": result.newton_iterations,
-        "k0": result.k0,
-        "eff_prec": result.eff_prec,
-    }
+    lift = {"t": [str(s) for s in result.t], "y2": [str(s) for s in result.y2]}
+    lift.update((key, getattr(result, key)) for key in _LIFT_FIELDS)
+    return lift
+
+
+def _lift_lines(result: arcs.LiftResult) -> list:
+    lift = _lift_json(result)
+    return (
+        [f"t_{i} = {s}" for i, s in enumerate(lift["t"], start=1)]
+        + [f"y2_{i} = {s}" for i, s in enumerate(lift["y2"], start=1)]
+        + [f"{key}: {json.dumps(lift[key])}" for key in _LIFT_FIELDS]
+    )
 
 
 def _resolve_reference(args, model: SmoothModel):

@@ -343,7 +343,7 @@ def compute_g(h_mat: PolyMatrix, r: int, n_norm: Poly, p_poly: Poly) -> PolyMatr
     zero, one = h_mat._zero_one()
     top = h_mat.rows[:r]
     lead = PolyMatrix(linalg.adjugate([row[:r] for row in top], zero, one)).scale(n_norm)
-    right = linalg.mat_mul(lead.rows, [row[r:] for row in top], zero)
+    right = linalg.mat_mul(lead.rows, [row[r:] for row in top])
     p_id = PolyMatrix.identity(h_mat.ring, h_mat.space, n).scale(p_poly)
     g_mat = PolyMatrix([a + [-p for p in b] for a, b in zip(lead.rows, right)] + p_id.rows[r:])
     if g_mat.mul(h_mat) != p_id or h_mat.mul(g_mat) != p_id:

@@ -16,37 +16,22 @@ unsolvable systems by returning None.
 from __future__ import annotations
 
 
-def mat_mul(a, b, zero):
-    """Product of two matrices given as lists of rows."""
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
-        raise ValueError("inner dimensions do not match")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = zero
-            for t in range(k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_vec(a, v, zero):
-    """Matrix times column vector."""
-    out = []
-    for row in a:
-        acc = zero
-        for t, x in zip(row, v):
-            acc = acc + t * x
-        out.append(acc)
-    return out
-
-
 def _dot(u, v):
     """u . v over the length of v, with no zero to start the sum."""
     return sum((x * y for x, y in zip(u[1:], v[1:])), u[0] * v[0])
+
+
+def mat_mul(a, b):
+    """Product of two matrices given as lists of rows."""
+    if len(a[0]) != len(b):
+        raise ValueError("inner dimensions do not match")
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
+
+
+def mat_vec(a, v):
+    """Matrix times column vector."""
+    return [_dot(row, v) for row in a]
 
 
 def det(rows, zero, one):

@@ -22,9 +22,9 @@ alone denotes the zero series at precision k.  Terms at or beyond a stated
 precision are truncated away.
 
 Rendering is canonical: terms are ordered by ascending lexicographic
-comparison of the reversed exponent vector, then by ascending x power, so
-printed polynomials are stable across runs and factor as valid input for
-the same grammar.
+comparison of the reversed exponent vector, then by ascending x power, and
+printed by `ring.render_terms`, so printed polynomials are stable across
+runs and read back as valid input for the same grammar.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import (
     StructureError,
     UnknownVariableError,
 )
-from .ring import Series, SeriesRing, product_precision
+from .ring import Series, SeriesRing, product_precision, render_terms, x_power
 from . import linalg
 
 _TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*/^()])")
@@ -488,40 +488,18 @@ class Poly:
     __hash__ = None
 
     def render(self) -> str:
-        field = self.ring.field
-        items = []
-        for exps, coeff in self.terms.items():
-            for k, v in enumerate(coeff.coeffs):
-                if field.is_zero(v):
-                    continue
-                items.append((tuple(reversed(exps)), k, exps, v))
-        if not items:
-            return "0"
-        items.sort(key=lambda it: (it[0], it[1]))
-        parts = []
-        for _, k, exps, v in items:
-            neg, mag = field.split_sign(v)
-            factors = []
-            if k == 1:
-                factors.append("x")
-            elif k > 1:
-                factors.append(f"x^{k}")
-            for nm, e in zip(self.space.names, exps):
-                if e == 1:
-                    factors.append(nm)
-                elif e > 1:
-                    factors.append(f"{nm}^{e}")
-            if not factors:
-                body = field.render(mag)
-            elif mag == field.one:
-                body = "*".join(factors)
-            else:
-                body = field.render(mag) + "*" + "*".join(factors)
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        items = sorted(
+            (exps[::-1], k, exps, v, coeff.den)
+            for exps, coeff in self.terms.items()
+            for k, v in enumerate(coeff.nums)
+            if v
+        )
+        names = self.space.names
+        return render_terms(
+            (v, den, ((x_power(k),) if k else ())
+             + tuple(x_power(e, nm) for nm, e in zip(names, exps) if e))
+            for _, k, exps, v, den in items
+        )
 
     def __str__(self):
         return self.render()
@@ -600,8 +578,7 @@ class PolyMatrix:
         return Poly.zero(self.ring, self.space), Poly.constant(self.ring, self.space, 1)
 
     def mul(self, other: PolyMatrix) -> PolyMatrix:
-        zero, _ = self._zero_one()
-        return PolyMatrix(linalg.mat_mul(self.rows, other.rows, zero))
+        return PolyMatrix(linalg.mat_mul(self.rows, other.rows))
 
     def scale(self, poly: Poly) -> PolyMatrix:
         return PolyMatrix([[poly * p for p in r] for r in self.rows])

@@ -25,7 +25,8 @@ coefficient of x^k is nums[k] / den.  Over Q the pair is reduced,
 gcd(den, *nums) = 1; over F_p the numerators are residues in [0, p) and den
 is 1.  Neither keeps trailing zeros.  Sums scale to the lcm of the
 denominators and products multiply them, so arithmetic never builds a field
-scalar; Fractions appear only when coefficients are read out or rendered.
+scalar; Fractions appear only when coefficients are read out, and
+`render_terms` prints Series and Poly text straight from nums / den.
 
 A product is one big-integer multiplication by Kronecker substitution (D.
 Harvey, "Faster polynomial multiplication via multipoint Kronecker
@@ -141,12 +142,6 @@ class RationalField:
     def is_zero(self, a) -> bool:
         return not a
 
-    def split_sign(self, a):
-        return (a < 0, -a if a < 0 else a)
-
-    def render(self, a) -> str:
-        return str(a)
-
     def __repr__(self):
         return "QQ"
 
@@ -201,13 +196,6 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
-
-    def split_sign(self, a):
-        # residues are printed canonically, never with a sign
-        return (False, a)
-
-    def render(self, a) -> str:
-        return str(a)
 
     def __repr__(self):
         return f"Fp({self.p})"
@@ -465,33 +453,46 @@ class Series:
     __hash__ = None
 
     def render(self, show_prec: bool = False) -> str:
-        field = self.ring.field
-        parts = []
-        for k, v in enumerate(self.coeffs):
-            if field.is_zero(v):
-                continue
-            neg, mag = field.split_sign(v)
-            if k == 0:
-                body = field.render(mag)
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                body = xs if mag == field.one else f"{field.render(mag)}*{xs}"
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        if not parts:
-            return f"O(x^{self.prec})" if show_prec else "0"
-        text = "".join(parts)
-        if show_prec:
-            text += f" + O(x^{self.prec})"
-        return text
+        den = self.den
+        text = render_terms(
+            (v, den, (x_power(k),) if k else ()) for k, v in enumerate(self.nums) if v
+        )
+        if not show_prec:
+            return text
+        return f"{text} + O(x^{self.prec})" if self.nums else f"O(x^{self.prec})"
 
     def __str__(self):
         return self.render(show_prec=True)
 
     def __repr__(self):
         return f"Series({self.render(show_prec=True)!r})"
+
+
+def x_power(k: int, name: str = "x") -> str:
+    """The factor name^k of a printed term, for k >= 1."""
+    return name if k == 1 else f"{name}^{k}"
+
+
+def render_terms(terms) -> str:
+    """The canonical text of a sum of (num, den, factors) terms, num != 0 < den.
+
+    Coefficients print as reduced fractions, with no "1*" before a factor;
+    the first term carries a bare "-", later ones join by " + " or " - ", and
+    no terms print as "0".  Residues (den 1) print as they are, never signed.
+    """
+    parts = []
+    for num, den, factors in terms:
+        if den != 1:
+            c = gcd(num, den)
+            num, den = num // c, den // c
+        mag = -num if num < 0 else num
+        coeff = str(mag) if den == 1 else f"{mag}/{den}"
+        body = "*".join(factors if factors and coeff == "1" else (coeff, *factors))
+        if parts:
+            parts.append((" - " if num < 0 else " + ") + body)
+        else:
+            parts.append("-" + body if num < 0 else body)
+    return "".join(parts) if parts else "0"
 
 
 def product_precision(pa: int, fa: int, pb: int, fb: int, n_work: int) -> tuple[int, int]:
@@ -583,8 +584,9 @@ def _kmul(a, b, m: int, p) -> list:
         out = [c * v for v in b] if p is None else [c * v % p for v in b]
         return out + [0] * (m - len(out))
     signed = p is None
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + min(len(a), len(b)).bit_length() + signed)
+    # residues are non-negative, so only Q's signed numerators need abs
+    ta, tb = (max(map(abs, a)), max(map(abs, b))) if signed else (max(a), max(b))
+    bits = ta.bit_length() + tb.bit_length() + min(len(a), len(b)).bit_length() + signed
     w = (bits + 7) // 8
     if w <= 8:
         w = 1 << (w - 1).bit_length()

@@ -137,7 +137,7 @@ def _reference_newton(model, t_free, target, seed=None):
             raise NoProgressError("Newton did not reach the target within 64 iterations")
         jac = model.t_jac.eval(point)
         inv_det = linalg.det(jac, zero, one).inv_unit()
-        correction = linalg.mat_vec(linalg.adjugate(jac, zero, one), res, zero)
+        correction = linalg.mat_vec(linalg.adjugate(jac, zero, one), res)
         for i in range(model.r):
             t_bound[i] = t_bound[i] - correction[i] * inv_det
         iterations += 1

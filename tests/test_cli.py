@@ -7,6 +7,7 @@ import pytest
 
 import helpers
 from arclift import ArcliftError, SeriesRing, parse_series
+from arclift import cli
 from arclift.cli import MAX_EXPONENT, MAX_NWORK, load_problem, main
 
 CUSP = str(helpers.PROBLEMS / "cusp.json")
@@ -258,6 +259,22 @@ def test_a_working_precision_above_the_cap_in_the_file_exits_4(tmp_path):
     assert proc.returncode == 4
     assert f"exceeds the cap {MAX_NWORK}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_n_is_checked_against_the_jet_before_anything_n_wide_is_built(capsys, tmp_path, monkeypatch):
+    path = _cusp_with(tmp_path, n=100_000, ideal=["Y1^2 - Y2^3 + Y3"])
+    ys = cli.VarSpace.ys
+
+    def no_wide_space(n):
+        if n > 2:
+            pytest.fail(f"a {n}-variable space was built for a 2-component jet")
+        return ys(n)
+
+    monkeypatch.setattr(cli.VarSpace, "ys", staticmethod(no_wide_space))
+    code, out, err = run(capsys, "validate", path)
+    assert code == 1
+    assert "jet must have 100000 components, got 2" in err
+    assert "Traceback" not in err
 
 
 def test_a_working_precision_above_the_cap_in_the_environment_exits_4(monkeypatch):

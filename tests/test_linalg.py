@@ -96,6 +96,27 @@ def test_first_row_expansion_over_the_adjugate_is_the_cofactor_determinant_at_3x
     assert _exact(got) == _exact(reference.det(rows, zero, one))
 
 
+def _zero_started(a, b, zero):
+    """a * b with every entry summed from zero, as mat_mul did before it used _dot."""
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)] for row in a]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_mat_mul_and_mat_vec_equal_zero_started_sums(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    n = data.draw(st.integers(1, 3))
+    a, b = data.draw(_series_matrix(ring, n)), data.draw(_series_matrix(ring, n))
+    zero = ring.zero(ring.n_work)
+    assert _exact(linalg.mat_mul(a, b)) == _exact(_zero_started(a, b, zero))
+    col = [[row[0]] for row in b]
+    assert _exact(linalg.mat_vec(a, [row[0] for row in b])) == _exact(
+        [e for (e,) in _zero_started(a, col, zero)]
+    )
+    p, q = data.draw(_poly_matrix(ring, n)), data.draw(_poly_matrix(ring, n))
+    assert linalg.mat_mul(p, q) == _zero_started(p, q, Poly.zero(ring, YS))
+
+
 def test_the_empty_determinant_is_one():
     zero, one = _series_units(RINGS[0])
     assert linalg.det([], zero, one) is one
