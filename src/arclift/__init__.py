@@ -43,6 +43,7 @@ from .errors import (
     IdentityFailedError,
     MissingVariableError,
     NoProgressError,
+    NoReferenceError,
     NotAUnitError,
     NotDivisibleError,
     NotStrictError,
@@ -74,6 +75,7 @@ __all__ = [
     "LiftResult",
     "MissingVariableError",
     "NoProgressError",
+    "NoReferenceError",
     "NotAUnitError",
     "NotDivisibleError",
     "NotStrictError",

@@ -21,7 +21,10 @@ then the built-in default.  Either way the working precision must lie in
 1..10000 (MAX_NWORK); a larger one is refused as unparsable input, and so
 is an exponent above 10000 (MAX_EXPONENT) on a variable Yi.  Series
 lists on the command line are comma separated (the series grammar itself
-has no commas).
+has no commas).  `lift --random SEED COUNT`, `roundtrip --count` and
+`oracle --samples` are capped at 10000 (MAX_COUNT), and a negative
+`--search-depth` or `--samples` is refused, as usage errors before any
+file is read; a COUNT or --count below 1 still exits 1.
 
 Exit codes:
 
@@ -30,7 +33,7 @@ Exit codes:
        decide, arcs outside the strict window or the parametrized family,
        Newton stall, enumeration budget
     2  mathematical validation failure
-    3  no strict reference lift found within the search depth
+    3  no strict reference lift found within the search depth (NoReferenceError)
     4  unparsable input: problem file, series text, or command usage
 """
 
@@ -55,6 +58,7 @@ from .desing import (
 )
 from .errors import (
     ArcliftError,
+    NoReferenceError,
     NotStrictError,
     ParseError,
     PrecisionExhaustedError,
@@ -73,6 +77,9 @@ MAX_NWORK = 10_000
 
 # the largest exponent of a variable Yi in a problem file's polynomials
 MAX_EXPONENT = 10_000
+
+# the largest lift --random COUNT, roundtrip --count and oracle --samples
+MAX_COUNT = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -219,10 +226,6 @@ def load_problem(path: str) -> Problem:
     )
 
 
-def _fmt_field(field) -> str:
-    return "Q" if field.p is None else f"F{field.p}"
-
-
 def _series_list(text: str, ring: SeriesRing, expect: int, what: str) -> tuple:
     text = text.strip()
     parts = [] if not text else [p.strip() for p in text.split(",")]
@@ -233,35 +236,44 @@ def _series_list(text: str, ring: SeriesRing, expect: int, what: str) -> tuple:
     return tuple(ring.parse(p) for p in parts)
 
 
-def _header(path: str, problem: Problem) -> list:
-    return [
-        f"problem: {path}",
-        f"field: {_fmt_field(problem.ring.field)}",
-        f"n: {problem.n}  r: {problem.r}  c: {problem.c}  mode: {problem.mode}",
-    ]
+def _strs(items) -> list:
+    return [str(s) for s in items]
 
 
 def _summary(path: str, problem: Problem) -> dict:
-    return {
-        "path": path,
-        "field": _fmt_field(problem.ring.field),
-        "n": problem.n,
-        "r": problem.r,
-        "c": problem.c,
-        "mode": problem.mode,
-        "n_work": problem.ring.n_work,
-    }
+    p = problem.ring.field.p
+    return dict(
+        path=path, field="Q" if p is None else f"F{p}", n=problem.n, r=problem.r,
+        c=problem.c, mode=problem.mode, n_work=problem.ring.n_work,
+    )
+
+
+def _model(args):
+    """The problem file's smooth model, and a payload that holds its summary."""
+    problem = load_problem(args.problem)
+    return build_model(problem), {"problem": _summary(args.problem, problem)}
 
 
 def _check_rows(report) -> list:
     return [{"name": ch.name, "ok": ch.ok, "detail": ch.detail} for ch in report.checks]
 
 
-def _emit(args, lines, payload) -> None:
+def _emit(args, payload, view) -> None:
+    """Print the payload as JSON, or its problem header and the lines view reads off it."""
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+        return
+    p = payload["problem"]
+    header = [
+        f"problem: {p['path']}",
+        f"field: {p['field']}",
+        f"n: {p['n']}  r: {p['r']}  c: {p['c']}  mode: {p['mode']}",
+    ]
+    print("\n".join(header + list(view(payload))))
+
+
+def _numbered(prefix: str, texts) -> list:
+    return [f"{prefix}_{i} = {s}" for i, s in enumerate(texts, start=1)]
 
 
 # a lift's certificate fields, printed in this order after its t and y2
@@ -269,100 +281,109 @@ _LIFT_FIELDS = ("strict", "residual_f", "residual_i", "newton_iterations", "k0",
 
 
 def _lift_json(result: arcs.LiftResult) -> dict:
-    lift = {"t": [str(s) for s in result.t], "y2": [str(s) for s in result.y2]}
+    lift = {"t": _strs(result.t), "y2": _strs(result.y2)}
     lift.update((key, getattr(result, key)) for key in _LIFT_FIELDS)
     return lift
 
 
-def _lift_lines(result: arcs.LiftResult) -> list:
-    lift = _lift_json(result)
+def _lift_lines(lift: dict) -> list:
     return (
-        [f"t_{i} = {s}" for i, s in enumerate(lift["t"], start=1)]
-        + [f"y2_{i} = {s}" for i, s in enumerate(lift["y2"], start=1)]
+        _numbered("t", lift["t"])
+        + _numbered("y2", lift["y2"])
         + [f"{key}: {json.dumps(lift[key])}" for key in _LIFT_FIELDS]
     )
 
 
+def _check_count(value: int, what: str) -> None:
+    """A draw or trial count: positive (exit 1) and at most MAX_COUNT (exit 4)."""
+    if value < 1:
+        raise StructureError(f"{what} must be positive, got {value}")
+    _expect(value <= MAX_COUNT, f"{what} {value} exceeds the cap {MAX_COUNT}")
+
+
+def _check_depth(value: int) -> None:
+    _expect(value >= 0, f"--search-depth must not be negative, got {value}")
+
+
+def _find_reference(model: SmoothModel, depth: int) -> arcs.LiftResult:
+    ref = arcs.find_strict_reference(model, depth)
+    if ref is None:
+        raise NoReferenceError(f"no strict lift found within search depth {depth}")
+    return ref
+
+
 def _resolve_reference(args, model: SmoothModel):
     """Reference lift from --reference free components, or by search."""
-    if args.reference is not None:
-        rf = _series_list(args.reference, model.ring, model.param_count, "reference")
-        ref = arcs.make_lift(model, rf)
-        if not ref.strict:
-            raise NotStrictError(
-                "the supplied reference free components do not give a strict lift"
-            )
-        return ref
-    return arcs.find_strict_reference(model, args.search_depth)
+    if args.reference is None:
+        return _find_reference(model, args.search_depth)
+    rf = _series_list(args.reference, model.ring, model.param_count, "reference")
+    ref = arcs.make_lift(model, rf)
+    if not ref.strict:
+        raise NotStrictError("the supplied reference free components do not give a strict lift")
+    return ref
 
 
-def _no_reference(depth: int) -> int:
-    print(
-        f"arclift: no strict lift found within search depth {depth}",
-        file=sys.stderr,
-    )
-    return 3
+def _validate_view(p):
+    for ch in p["checks"]:
+        yield f"check {ch['name']}: {'ok' if ch['ok'] else 'FAIL'} - {ch['detail']}"
+    tail = f" (e = {p['e']})" if p["e"] is not None else ""
+    yield f"valid: {'yes' if p['valid'] else 'no'}{tail}"
 
 
 def cmd_validate(args) -> int:
     problem = load_problem(args.problem)
     report = validate_problem(problem)
-    lines = _header(args.problem, problem)
-    for ch in report.checks:
-        lines.append(f"check {ch.name}: {'ok' if ch.ok else 'FAIL'} - {ch.detail}")
-    tail = f" (e = {report.e})" if report.e is not None else ""
-    lines.append(f"valid: {'yes' if report.ok else 'no'}{tail}")
-    payload = {
-        "problem": _summary(args.problem, problem),
-        "checks": _check_rows(report),
-        "e": report.e,
-        "valid": report.ok,
-    }
-    _emit(args, lines, payload)
+    summary = _summary(args.problem, problem)
+    payload = dict(problem=summary, checks=_check_rows(report), e=report.e, valid=report.ok)
+    _emit(args, payload, _validate_view)
     return 0 if report.ok else 2
 
 
+def _desingularize_view(p):
+    yield f"e: {p['e']}"
+    yield f"d = {p['d']}"
+    yield f"perm: {' '.join(map(str, p['perm']))}"
+    yield f"param_count: {p['param_count']}"
+    yield f"free T: {' '.join(f'T{i}' for i in p['free_idx']) or '-'}"
+    yield from _numbered("a", p["a"])
+    yield from _numbered("g", p["g"])
+    yield f"loc_s = {p['loc_s']}"
+    yield f"loc_s_prime = {p['loc_s_prime']}"
+    for ch in p["verify"]:
+        yield f"verify {ch['name']}: {'ok' if ch['ok'] else 'FAIL'}"
+    yield f"verified: {'yes' if p['verified'] else 'no'}"
+
+
 def cmd_desingularize(args) -> int:
-    problem = load_problem(args.problem)
-    model = build_model(problem)
+    model, payload = _model(args)
     verify = verify_model(model)
-    lines = _header(args.problem, problem)
-    lines.append(f"e: {model.e}")
-    lines.append(f"d = {model.d}")
-    lines.append(f"perm: {' '.join(str(j + 1) for j in model.perm)}")
-    lines.append(f"param_count: {model.param_count}")
-    free_names = model.tspace.names[model.r :]
-    lines.append(f"free T: {' '.join(free_names) if free_names else '-'}")
-    for i, ai in enumerate(model.a, start=1):
-        lines.append(f"a_{i} = {ai}")
-    for i, gi in enumerate(model.g, start=1):
-        lines.append(f"g_{i} = {gi.render()}")
-    lines.append(f"loc_s = {model.loc_s.render()}")
-    lines.append(f"loc_s_prime = {model.loc_s_prime.render()}")
-    for ch in verify.checks:
-        lines.append(f"verify {ch.name}: {'ok' if ch.ok else 'FAIL'}")
-    lines.append(f"verified: {'yes' if verify.ok else 'no'}")
-    payload = {
-        "problem": _summary(args.problem, problem),
-        "e": model.e,
-        "d": str(model.d),
-        "n_norm": model.n_norm.render(),
-        "perm": [j + 1 for j in model.perm],
-        "param_count": model.param_count,
-        "free_idx": list(model.free_idx),
-        "a": [str(ai) for ai in model.a],
-        "g": [gi.render() for gi in model.g],
-        "loc_s": model.loc_s.render(),
-        "loc_s_prime": model.loc_s_prime.render(),
-        "verify": _check_rows(verify),
-        "verified": verify.ok,
-    }
+    payload.update(
+        e=model.e, d=str(model.d), n_norm=model.n_norm.render(),
+        perm=[j + 1 for j in model.perm], param_count=model.param_count,
+        free_idx=list(model.free_idx), a=_strs(model.a), g=[gi.render() for gi in model.g],
+        loc_s=model.loc_s.render(), loc_s_prime=model.loc_s_prime.render(),
+        verify=_check_rows(verify), verified=verify.ok,
+    )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    _emit(args, lines, payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write report file: {exc}")
+    _emit(args, payload, _desingularize_view)
     return 0 if verify.ok else 2
+
+
+def _lift_view(p):
+    yield f"mode: {p['mode']}"
+    if p["mode"] != "random":
+        yield from _lift_lines(p["lift"])
+        return
+    yield f"seed: {p['seed']}  count: {p['count']}"
+    for idx, draw in enumerate(p["draws"], start=1):
+        yield f"-- draw {idx} --"
+        yield from _lift_lines(draw)
 
 
 def cmd_lift(args) -> int:
@@ -376,178 +397,127 @@ def cmd_lift(args) -> int:
         args.search_depth = SEARCH_DEPTH
     elif not searches:
         raise ParseError("--search-depth applies only when searching for a reference lift")
-    problem = load_problem(args.problem)
-    model = build_model(problem)
+    _check_depth(args.search_depth)
+    if args.random is not None:
+        _check_count(args.random[1], "draw count")
+    model, payload = _model(args)
     ring = model.ring
-    lines = _header(args.problem, problem)
-    payload = {"problem": _summary(args.problem, problem)}
-
     if args.t_free is not None:
         tf = _series_list(args.t_free, ring, model.param_count, "t-free")
         result = arcs.make_lift(model, tf, target=args.prec)
-        lines.append("mode: t-free")
-        lines.extend(_lift_lines(result))
         payload.update(mode="t-free", lift=_lift_json(result))
     elif args.params is not None:
         z = _series_list(args.params, ring, model.param_count, "params")
         ref = _resolve_reference(args, model)
-        if ref is None:
-            return _no_reference(args.search_depth)
         result = arcs.offset_lift(model, ref, z, target=args.prec)
-        lines.append("mode: params")
-        lines.extend(_lift_lines(result))
         payload.update(mode="params", lift=_lift_json(result), reference=_lift_json(ref))
     elif args.random is not None:
         seed, count = args.random
-        if count < 1:
-            raise StructureError(f"draw count must be positive, got {count}")
         rng = SplitMix64(seed)
-        lines.append("mode: random")
-        lines.append(f"seed: {seed}  count: {count}")
         draws = []
-        for idx in range(1, count + 1):
+        for _ in range(count):
             tf = tuple(draw_series(rng, ring, 1, 6) for _ in range(model.param_count))
-            result = arcs.make_lift(model, tf, target=args.prec)
-            lines.append(f"-- draw {idx} --")
-            lines.extend(_lift_lines(result))
-            draws.append(_lift_json(result))
+            draws.append(_lift_json(arcs.make_lift(model, tf, target=args.prec)))
         payload.update(mode="random", seed=seed, count=count, draws=draws)
     else:
-        ref = arcs.find_strict_reference(model, args.search_depth)
-        if ref is None:
-            return _no_reference(args.search_depth)
-        lines.append("mode: reference")
-        lines.extend(_lift_lines(ref))
+        ref = _find_reference(model, args.search_depth)
         payload.update(mode="reference", lift=_lift_json(ref))
-
-    _emit(args, lines, payload)
+    _emit(args, payload, _lift_view)
     return 0
 
 
 def cmd_extract(args) -> int:
-    problem = load_problem(args.problem)
-    model = build_model(problem)
+    model, payload = _model(args)
     arc = _series_list(args.arc, model.ring, model.n, "arc")
-    t = arcs.extract_t(model, arc)
-    lines = _header(args.problem, problem)
-    for i, s in enumerate(t, start=1):
-        lines.append(f"t_{i} = {s}")
-    payload = {
-        "problem": _summary(args.problem, problem),
-        "t": [str(s) for s in t],
-    }
+    payload["t"] = _strs(arcs.extract_t(model, arc))
     if args.reference is not None:
         ref = _resolve_reference(args, model)
-        z = arcs.extract_params(model, arc, ref)
-        for i, s in enumerate(z, start=1):
-            lines.append(f"z_{i} = {s}")
-        payload["z"] = [str(s) for s in z]
+        payload["z"] = _strs(arcs.extract_params(model, arc, ref))
         payload["reference"] = _lift_json(ref)
-    _emit(args, lines, payload)
+    _emit(args, payload, lambda p: _numbered("t", p["t"]) + _numbered("z", p.get("z", ())))
     return 0
 
 
+def _roundtrip_view(p):
+    yield f"reference newton_iterations: {p['reference']['newton_iterations']}"
+    for idx, trial in enumerate(p["trials"], start=1):
+        yield (
+            f"trial {idx}: {'ok' if trial['ok'] else 'MISMATCH'} "
+            f"(offsets recovered through x^{trial['recovered_prec'] - 1})"
+        )
+    passed = sum(trial["ok"] for trial in p["trials"])
+    yield f"roundtrip: {passed}/{len(p['trials'])} ok"
+
+
 def cmd_roundtrip(args) -> int:
-    problem = load_problem(args.problem)
-    model = build_model(problem)
+    _check_depth(args.search_depth)
+    _check_count(args.count, "trial count")
+    model, payload = _model(args)
     ring = model.ring
-    ref = arcs.find_strict_reference(model, args.search_depth)
-    if ref is None:
-        return _no_reference(args.search_depth)
-    if args.count < 1:
-        raise StructureError(f"trial count must be positive, got {args.count}")
+    ref = _find_reference(model, args.search_depth)
     rng = SplitMix64(args.seed)
-    lines = _header(args.problem, problem)
-    lines.append(f"reference newton_iterations: {ref.newton_iterations}")
     trials = []
-    failures = 0
-    for trial in range(1, args.count + 1):
+    for _ in range(args.count):
         z = tuple(draw_series(rng, ring, 0, 6) for _ in range(model.param_count))
-        lifted = arcs.offset_lift(model, ref, z)
-        back = arcs.extract_params(model, lifted.y2, ref)
-        ok = all(a == b for a, b in zip(z, back))
-        depth = min((s.prec for s in back), default=ring.n_work)
-        failures += 0 if ok else 1
-        lines.append(
-            f"trial {trial}: {'ok' if ok else 'MISMATCH'} "
-            f"(offsets recovered through x^{depth - 1})"
+        back = arcs.extract_params(model, arcs.offset_lift(model, ref, z).y2, ref)
+        trials.append({
+            "z": _strs(z), "recovered": _strs(back), "ok": all(a == b for a, b in zip(z, back)),
+            "recovered_prec": min((s.prec for s in back), default=ring.n_work),
+        })
+    ok = all(trial["ok"] for trial in trials)
+    payload.update(reference=_lift_json(ref), trials=trials, ok=ok)
+    _emit(args, payload, _roundtrip_view)
+    return 0 if ok else 2
+
+
+def _oracle_view(p, skipped):
+    """Oracle text; skipped says why containment was not counted, None for no line."""
+    yield f"window: x^{p['window']}"
+    yield f"candidates: {p['candidates']}"
+    yield f"members: {p['count']}"
+    held = p["containment"]
+    if held is not None:
+        yield f"containment: {held['hits']}/{held['checked']} random strict lifts are members"
+    elif skipped is not None:
+        yield f"containment: skipped ({skipped})"
+    for idx, comps in enumerate(p["members_shown"], start=1):
+        yield f"member {idx}: " + " ; ".join(
+            f"y{i} = {s}" for i, s in enumerate(comps, start=1)
         )
-        trials.append(
-            {
-                "z": [str(s) for s in z],
-                "recovered": [str(s) for s in back],
-                "ok": ok,
-                "recovered_prec": depth,
-            }
-        )
-    lines.append(f"roundtrip: {args.count - failures}/{args.count} ok")
-    payload = {
-        "problem": _summary(args.problem, problem),
-        "reference": _lift_json(ref),
-        "trials": trials,
-        "ok": failures == 0,
-    }
-    _emit(args, lines, payload)
-    return 0 if failures == 0 else 2
 
 
 def cmd_oracle(args) -> int:
-    problem = load_problem(args.problem)
-    model = build_model(problem)
+    _check_depth(args.search_depth)
+    samples = args.samples
+    _expect(0 <= samples <= MAX_COUNT, f"--samples must lie in 0..{MAX_COUNT}, got {samples}")
+    model, payload = _model(args)
     ring = model.ring
-    jets = arcs.oracle_enumerate(problem, args.prec)
-    width = args.prec - (2 * problem.c + 1)
-    candidates = ring.field.p ** (problem.n * width)
-    lines = _header(args.problem, problem)
-    lines.append(f"window: x^{args.prec}")
-    lines.append(f"candidates: {candidates}")
-    lines.append(f"members: {jets.count}")
-    payload = {
-        "problem": _summary(args.problem, problem),
-        "window": args.prec,
-        "candidates": candidates,
-        "count": jets.count,
-    }
-
-    containment = None
-    misses = 0
+    jets = arcs.oracle_enumerate(model.problem, args.prec)
+    containment = skipped = None
     ref = arcs.find_strict_reference(model, args.search_depth)
     if ref is None:
-        lines.append("containment: skipped (no strict reference found)")
-    elif args.samples > 0:
+        skipped = "no strict reference found"
+    elif samples > 0:
         rng = SplitMix64(args.seed)
         hits = 0
         try:
-            for _ in range(args.samples):
+            for _ in range(samples):
                 z = tuple(draw_series(rng, ring, 0, 6) for _ in range(model.param_count))
                 member = arcs.offset_lift(model, ref, z)
                 hits += 1 if jets.contains(member.y2) else 0
         except PrecisionExhaustedError:
-            lines.append(
-                f"containment: skipped (precision cannot settle membership mod x^{args.prec})"
-            )
+            skipped = f"precision cannot settle membership mod x^{args.prec}"
         else:
-            misses = args.samples - hits
-            containment = {"checked": args.samples, "hits": hits}
-            lines.append(f"containment: {hits}/{args.samples} random strict lifts are members")
-    payload["containment"] = containment
-
-    shown = []
-    for idx, key in enumerate(jets.ordered[:3], start=1):
-        parts = [
-            f"y{i + 1} = {ring.series(list(comp), jets.m)}" for i, comp in enumerate(key)
-        ]
-        lines.append(f"member {idx}: {' ; '.join(parts)}")
-        shown.append([str(ring.series(list(comp), jets.m)) for comp in key])
-    payload["members_shown"] = shown
-
-    _emit(args, lines, payload)
-    if misses:
-        print(
-            "arclift: a strict lift is missing from the exhaustive member set",
-            file=sys.stderr,
-        )
-        return 2
+            containment = {"checked": samples, "hits": hits}
+    shown = [[str(ring.series(list(comp), jets.m)) for comp in key] for key in jets.ordered[:3]]
+    width = args.prec - (2 * model.c + 1)
+    payload.update(
+        window=args.prec, candidates=ring.field.p ** (model.n * width), count=jets.count,
+        containment=containment, members_shown=shown,
+    )
+    _emit(args, payload, lambda p: _oracle_view(p, skipped))
+    if containment is not None and containment["hits"] < containment["checked"]:
+        raise ValidationError("a strict lift is missing from the exhaustive member set")
     return 0
 
 

@@ -101,5 +101,11 @@ class NoProgressError(ArcliftError):
     """Newton iteration failed to strictly increase the residual order."""
 
 
+class NoReferenceError(ArcliftError):
+    """No strict reference lift was found within the search depth."""
+
+    exit_code = 3
+
+
 class BudgetExceededError(ArcliftError):
     """Jet enumeration would exceed its candidate budget."""

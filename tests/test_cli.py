@@ -5,10 +5,11 @@ import re
 
 import pytest
 
+import cli_corpus
 import helpers
 from arclift import ArcliftError, SeriesRing, parse_series
-from arclift import cli
-from arclift.cli import MAX_EXPONENT, MAX_NWORK, load_problem, main
+from arclift import arcs, cli, polyring, ring
+from arclift.cli import MAX_COUNT, MAX_EXPONENT, MAX_NWORK, load_problem, main
 
 CUSP = str(helpers.PROBLEMS / "cusp.json")
 CUSP5 = str(helpers.PROBLEMS / "cusp_f5.json")
@@ -151,6 +152,14 @@ def test_desingularize_out_file(capsys, tmp_path):
     assert parse_series(doc["d"], ring) == ring.parse("2*x^4")
 
 
+def test_an_unwritable_report_file_is_a_parse_error(capsys, tmp_path):
+    target = tmp_path / "no_such_dir" / "model.json"
+    code, out, err = run(capsys, "desingularize", CUSP, "--out", str(target))
+    assert (code, out) == (4, "")
+    assert err.startswith("arclift: parse error: cannot write report file: ")
+    assert "Traceback" not in err
+
+
 def test_report_series_reparse(capsys):
     """Every series the report prints must be readable back by the parser."""
     code, out, err = run(capsys, "lift", CUSP, "--t-free", "x^9")
@@ -277,6 +286,13 @@ def test_n_is_checked_against_the_jet_before_anything_n_wide_is_built(capsys, tm
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("c", [10**9, 10**20])
+def test_a_huge_c_exits_1_against_the_jet_precision(capsys, tmp_path, c):
+    code, out, err = run(capsys, "validate", _cusp_with(tmp_path, c=c))
+    assert (code, out) == (1, "")
+    assert f"need at least 2c+1 = {2 * c + 1}" in err
+
+
 def test_a_working_precision_above_the_cap_in_the_environment_exits_4(monkeypatch):
     monkeypatch.setenv("ARCLIFT_NWORK", str(MAX_NWORK + 1))
     proc = helpers.python("-m", "arclift", "validate", CUSP)
@@ -377,6 +393,14 @@ def test_oracle_refuses_a_huge_window_without_a_traceback(prec):
     assert "Traceback" not in proc.stderr
 
 
+def test_oracle_exits_2_when_a_strict_lift_is_not_a_member(capsys, monkeypatch):
+    monkeypatch.setattr(arcs.JetSet, "contains", lambda self, arc: False)
+    code, out, err = run(capsys, "oracle", CUSP5, "--prec", "10")
+    assert code == 2
+    assert "containment: 0/10 random strict lifts are members" in out.splitlines()
+    assert err == "arclift: a strict lift is missing from the exhaustive member set\n"
+
+
 # -- exit codes and parse errors -------------------------------------------
 
 
@@ -433,6 +457,52 @@ def test_lift_searches_to_the_given_depth_when_params_need_a_reference(capsys):
     assert err == "arclift: no strict lift found within search depth 2\n"
 
 
+MISSING = "no_such_problem.json"
+NEGATIVE_DEPTH = "--search-depth must not be negative, got -1"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lift", MISSING, "--search-depth", "-1"], NEGATIVE_DEPTH),
+        (["roundtrip", MISSING, "--search-depth", "-1"], NEGATIVE_DEPTH),
+        (["oracle", MISSING, "--prec", "10", "--search-depth", "-1"], NEGATIVE_DEPTH),
+        (["oracle", MISSING, "--prec", "10", "--samples", "-3"],
+         f"--samples must lie in 0..{MAX_COUNT}, got -3"),
+        (["oracle", MISSING, "--prec", "10", "--samples", str(MAX_COUNT + 1)],
+         f"--samples must lie in 0..{MAX_COUNT}, got {MAX_COUNT + 1}"),
+        (["lift", MISSING, "--random", "1", str(MAX_COUNT + 1)],
+         f"draw count {MAX_COUNT + 1} exceeds the cap {MAX_COUNT}"),
+        (["roundtrip", MISSING, "--count", str(MAX_COUNT + 1)],
+         f"trial count {MAX_COUNT + 1} exceeds the cap {MAX_COUNT}"),
+    ],
+)
+def test_count_and_depth_flags_out_of_range_exit_4_before_the_file_is_read(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (4, "", f"arclift: parse error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lift", MISSING, "--random", "1", "0"], "draw count must be positive, got 0"),
+        (["roundtrip", MISSING, "--count", "0"], "trial count must be positive, got 0"),
+        (["roundtrip", OFFJET, "--count", "0"], "trial count must be positive, got 0"),
+    ],
+)
+def test_counts_below_one_exit_1_before_the_file_is_read(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"arclift: {message}\n")
+
+
+def test_zero_samples_and_a_zero_search_depth_are_admitted(capsys):
+    code, out, err = run(
+        capsys, "oracle", CUSP5, "--prec", "10", "--samples", "0", "--search-depth", "0"
+    )
+    assert code == 0
+    assert not any(ln.startswith("containment") for ln in out.splitlines())
+
+
 def test_every_error_class_exits_as_the_readme_table_says():
     table = {}
     for line in (helpers.REPO / "README.md").read_text(encoding="utf-8").splitlines():
@@ -474,3 +544,43 @@ def test_space_curve_cli(capsys):
     assert code == 0
     assert "perm: 2 3 1" in out
     assert "verified: yes" in out
+
+
+# -- one report per run ------------------------------------------------------
+
+
+def test_the_cli_byte_corpus(monkeypatch):
+    """Every recorded invocation still gives the same exit code, stdout, stderr and report."""
+    monkeypatch.chdir(helpers.REPO)
+    monkeypatch.delenv("ARCLIFT_NWORK", raising=False)
+    entries = json.loads(cli_corpus.GOLDEN.read_text(encoding="utf-8"))
+    changed = [
+        e["argv"] for e in entries if cli_corpus.digest(e["argv"], e.get("nwork")) != e["sha256"]
+    ]
+    assert changed == []
+
+
+@pytest.mark.parametrize(
+    "argv, renders",
+    [
+        (["lift", CUSP, "--t-free", "x^9"], 4),
+        (["lift", CUSP, "--random", "1", "2"], 8),
+        (["desingularize", TCURVE], 8),
+        (["oracle", CUSP5, "--prec", "10"], 6),
+        (["roundtrip", CUSP, "--count", "3"], 10),
+    ],
+)
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_each_series_and_poly_is_rendered_once(capsys, monkeypatch, argv, renders, mode):
+    calls = []
+    render_terms = ring.render_terms
+
+    def counting(terms):
+        calls.append(1)
+        return render_terms(terms)
+
+    monkeypatch.setattr(ring, "render_terms", counting)
+    monkeypatch.setattr(polyring, "render_terms", counting)
+    code, out, err = run(capsys, *argv, *mode)
+    assert code == 0
+    assert len(calls) == renders
