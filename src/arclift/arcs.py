@@ -109,6 +109,12 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
       (det(J) is a unit, so every row of adj(J) holds one), hence delta
       needs J only mod x^(R-k): J, det(J), adj(J) and 1/det(J) are computed
       at u truncated to R - k.
+    - det(J) at the new iterate agrees with the previous step's det(J) mod
+      x^h0, h0 the order floor of their difference (about k, since delta
+      vanishes mod x^k).  Units that agree mod x^h0 have inverses that
+      agree mod x^h0, so the previous 1/det(J), cut to x^h0, is an exact
+      start for the next inverse, and Newton inverts only from x^h0 on.
+      The inverse is unique, so the start changes no digit.
     - g(u - delta) = g(u) - J(u)*delta + tail(u, -delta), with tail the
       Taylor tail of Q (model.newton_tail), and g(u) - J(u)*delta vanishes
       through the least precision of the residuals and of delta.  So the
@@ -149,6 +155,7 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
     iterations = 0
     zero = ring.zero(ring.n_work)
     one = ring.one()
+    det_prev = inv_det = None
     while k < target:
         if all(v.is_zero() for v in res):
             raise PrecisionExhaustedError(
@@ -160,7 +167,10 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
         w = max(v.prec for v in res) - k
         jac = model.t_jac.eval({nm: s.truncate(w) for nm, s in point.items()})
         adj = linalg.adjugate(jac, zero, one)
-        inv_det = linalg.expand_first_row(jac, adj).inv_unit()
+        det = linalg.expand_first_row(jac, adj)
+        h0 = 0 if inv_det is None else (det - det_prev).order_floor()
+        inv_det = det.inv_unit(inv_det.truncate(h0) if h0 else None)
+        det_prev = det
         correction = linalg.mat_vec(adj, res)
         delta = [c * inv_det for c in correction]
         tails = model.newton_tail
@@ -441,12 +451,22 @@ def _lowest_violated(model: SmoothModel, vec) -> int | None:
 def find_strict_reference(model: SmoothModel, search_depth: int = 8) -> LiftResult | None:
     """Search for a strict lift: zero free coordinates first, then greedy repair.
 
-    Layer by layer (x^1 up to x^search_depth) the search probes each free
-    direction with a finite difference, solves the resulting affine system
-    for the violation inside the congruence window, and keeps the solution
-    only when the lowest violated order strictly improves.  Returns None
-    when the budget runs out, which is a best-effort answer, not a proof
-    that no strict lift exists.
+    Layer by layer (x^1 up to x^min(search_depth, c)) the search probes each
+    free direction with a finite difference, solves the resulting affine
+    system for the violation inside the congruence window, and keeps the
+    solution only when the lowest violated order strictly improves.  Returns
+    None when the budget runs out, which is a best-effort answer, not a
+    proof that no strict lift exists.
+
+    Layers above c cannot help, so the search stops at c whatever the
+    depth.  The bound block solves g(T_bound, T_free) = 0 with an
+    invertible Jacobian, so by the implicit function theorem T_bound is a
+    power series in T_free over k[[x]], and moving T_free by x^layer * v
+    moves T_bound, hence all of T, only from x^layer on.  The arc is
+    y'' = y' + d*G(y')*T with ord d = c, so it moves only from x^(layer+c)
+    on, which lies beyond the window x^(2c+1) once layer > c.  A probe
+    there leaves the violation unchanged, its column is zero, and the layer
+    would be skipped after a full lift per free coordinate.
     """
     ring = model.ring
     nfree = model.param_count
@@ -460,7 +480,7 @@ def find_strict_reference(model: SmoothModel, search_depth: int = 8) -> LiftResu
     t_free = list(zeros)
     vbase = _violation(model, base)
     lowest = _lowest_violated(model, vbase)
-    for layer in range(1, search_depth + 1):
+    for layer in range(1, min(search_depth, model.c) + 1):
         cols = []
         for u in range(nfree):
             probe = list(t_free)

@@ -61,11 +61,13 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 from operator import add
 
 from .errors import (
     FieldMismatchError,
+    IdentityFailedError,
     NotAUnitError,
     NotDivisibleError,
     PrecisionExhaustedError,
@@ -303,10 +305,7 @@ class Series:
 
     def order(self) -> int | None:
         """Valuation, or None when the series is zero at its precision."""
-        for k, v in enumerate(self.nums):
-            if v:
-                return k
-        return None
+        return next(compress(count(), self.nums), None)
 
     def order_floor(self) -> int:
         """The certified lower bound for the valuation."""
@@ -382,12 +381,23 @@ class Series:
         out = _kmul(a, b, m, ring.field.p)
         return Series._make(ring, [0] * shift + out, prec, self.den * other.den)
 
-    def inv_unit(self) -> Series:
-        """Inverse of a unit (order exactly 0); precision is preserved."""
+    def inv_unit(self, warm: Series | None = None) -> Series:
+        """Inverse of a unit (order exactly 0); precision is preserved.
+
+        warm, when given, must be the inverse of self mod x^warm.prec, such
+        as the inverse of a unit that agrees with self that far; Newton then
+        starts from it instead of from one term.  The inverse mod x^prec is
+        unique, so the result is the same either way.
+        """
         if self.order() != 0:
             raise NotAUnitError("series has positive order, cannot invert")
-        # 1 / (a/da) = da * g/dg with g/dg = 1/a
-        g, dg = _inverse(self.nums, self.prec, self.ring.field.p)
+        # 1 / (a/da) = da * g/dg with g/dg = 1/a, and 1/a = w / (dw*da) for warm = w/dw
+        start = None
+        if warm is not None:
+            self._compat(warm)
+            w = warm.nums
+            start = (w + (0,) * (warm.prec - len(w)), warm.den * self.den)
+        g, dg = _inverse(self.nums, self.prec, self.ring.field.p, start=start)
         if self.den != 1:
             g = [v * self.den for v in g]
         return Series._make(self.ring, g, self.prec, dg)
@@ -620,26 +630,42 @@ def _kmul(a, b, m: int, p) -> list:
     return [(x + y * c) % p for x, y in zip(_little(array(code, lo)), _little(array(code, hi)))]
 
 
-def _inverse(b, n: int, p) -> tuple[list, int]:
+def _inverse(b, n: int, p, start=None) -> tuple[list, int]:
     """(g, den) with g/den = 1/b mod x^n for an integer vector b with b[0] a unit.
 
-    Newton doubling: from b*g = den + x^h*r (mod x^2h), the next iterate
-    g*(2 - b*g/den) is (den*g - x^h*g*r) / den^2.  Over Q (p None) den > 0
+    Newton doubling: from b*g = den + x^h*r (mod x^k), h < k <= 2h, the next
+    iterate g*(2 - b*g/den) is (den*g - x^h*g*r) / den^2, exact mod x^k.
+    start = (g, den), g non-empty, is an exact inverse mod x^len(g), for
+    instance that of a unit agreeing with b that far; without one, g/den =
+    1/b[0].  The precisions run top-down: the targets n, ceil(n/2),
+    ceil(n/4), ... that exceed the start's length are taken in rising order,
+    so each step at most doubles and the last lands on n (never 128 -> 132
+    after 64 -> 128).  The first product must show b*g = den mod x^h; a
+    start that does not raises IdentityFailedError.  The inverse mod x^n is
+    unique, so start and schedule change no result.  Over Q (p None) den > 0
     and the content is divided out at every step, or den would square the
     denominators of all of b's coefficients at each doubling.  Over F_p den
-    is 1 from the start and every vector holds residues.  A one-term b is
-    inverted by its first iterate, which stays one term, so a product by it
-    is a scaling.
+    is 1 from the start and every vector holds residues.  A one-term b with
+    no start is inverted by its first iterate, which stays one term, so a
+    product by it is a scaling.
     """
-    if p is not None:
+    if start is not None:
+        g, den = list(start[0][:n]), start[1]
+    elif p is not None:
         g, den = [pow(b[0], -1, p)], 1
     else:
         g, den = ([1], b[0]) if b[0] > 0 else ([-1], -b[0])
-    h = 1 if len(b) > 1 else n
-    while h < n:
-        k = min(2 * h, n)
-        r = _kmul(b, g, k, p)[h:]
-        t = _kmul(g, r, k - h, p)
+    h = n if len(b) == 1 and start is None else len(g)
+    targets = []
+    k = n
+    while k > h:
+        targets.append(k)
+        k = (k + 1) // 2
+    for k in reversed(targets):
+        bg = _kmul(b, g, k, p)
+        if k == targets[-1] and bg[:h] != [den] + [0] * (h - 1):
+            raise IdentityFailedError(f"the start of a Newton inverse is not exact mod x^{h}")
+        t = _kmul(g, bg[h:], k - h, p)
         if p is None:
             g = [v * den for v in g] + [-v for v in t]
             den *= den

@@ -38,6 +38,7 @@ from arclift import (
     oracle_enumerate,
 )
 from arclift import arcs, linalg
+from arclift import ring as ring_module
 from arclift.cli import load_problem
 from arclift.polyring import Poly
 
@@ -254,6 +255,37 @@ def test_make_lift_takes_no_determinant(monkeypatch):
     for path in helpers.shipped_problems():
         make_lift(build_model(load_problem(str(path))))
     assert calls == []
+
+
+def test_newton_inverts_det_from_the_previous_inverse(monkeypatch, tmp_path):
+    """The products of Newton's inverses on the F5 offjet lift at n_work 320.
+
+    Each inverse starts from the previous step's 1/det(J) and runs the
+    top-down schedule; inverting every det(J) from x^0 bottom-up took 102.
+    """
+    raw = json.loads((helpers.PROBLEMS / "cusp_offjet_f5.json").read_text())
+    path = tmp_path / "offjet.json"
+    path.write_text(json.dumps(dict(raw, n_work=320)))
+    model = build_model(load_problem(str(path)))
+    inside, calls = [False], []
+    plain_kmul, plain_inverse = ring_module._kmul, ring_module._inverse
+
+    def kmul(*args):
+        if inside[0]:
+            calls.append(args[2])
+        return plain_kmul(*args)
+
+    def inverse(*args, **kw):
+        inside[0] = True
+        try:
+            return plain_inverse(*args, **kw)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(ring_module, "_kmul", kmul)
+    monkeypatch.setattr(ring_module, "_inverse", inverse)
+    make_lift(model)
+    assert len(calls) == 52
 
 
 def test_newton_evaluates_g_only_at_its_start_on_every_shipped_problem(monkeypatch):
@@ -518,6 +550,21 @@ def test_reference_search_solves_the_shifted_node(shifted_node):
 
 def test_reference_search_gives_up_honestly(offjet):
     assert find_strict_reference(offjet, search_depth=3) is None
+
+
+def test_reference_search_stops_at_layer_c(tmp_path):
+    """Layers above c cannot reach the window, so depths c, c + 1, 8 and 20 agree."""
+    for path in helpers.shipped_problems():
+        raw = json.loads(path.read_text())
+        for field in dict.fromkeys((raw["field"], "F5", "Q")):
+            copy = tmp_path / f"{path.stem}-{field}.json"
+            copy.write_text(json.dumps(dict(raw, field=field)))
+            model = build_model(load_problem(str(copy)))
+            found = set()
+            for depth in (model.c, model.c + 1, 8, 20):
+                ref = find_strict_reference(model, depth)
+                found.add(None if ref is None else tuple((s.nums, s.den, s.prec) for s in ref.t))
+            assert len(found) == 1, (path.name, field)
 
 
 def test_reference_search_handles_no_parameters(smooth):

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 
@@ -213,6 +214,14 @@ def test_lift_reference_mode_exits_3_without_a_reference(capsys):
     code, out, err = run(capsys, "lift", OFFJET, "--search-depth", "2")
     assert code == 3
     assert "no strict lift found within search depth 2" in err
+
+
+def test_a_huge_search_depth_exits_3_at_once(capsys):
+    """The search stops at layer c, so a depth of 10^6 costs what depth c costs."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lift", OFFJET, "--search-depth", "1000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (3, "", "arclift: no strict lift found within search depth 1000000\n")
 
 
 def test_lift_reference_mode_finds_the_shifted_node(capsys):

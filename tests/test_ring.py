@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from arclift import (
     DEFAULT_PRECISION,
     FieldMismatchError,
+    IdentityFailedError,
     NotAUnitError,
     NotDivisibleError,
     ParseError,
@@ -540,6 +541,43 @@ def test_inv_unit_matches_schoolbook_at_slot_boundaries(data):
     ring = data.draw(st.sampled_from(BOUNDARY_RINGS))
     u = data.draw(_boundary_series(ring, unit=True))
     _assert_same(u.inv_unit(), _school_div(ring.series([1], u.prec), u))
+
+
+WARM_RINGS = (
+    SeriesRing(QQ, 80),
+    SeriesRing(PrimeField(5), 80),
+    SeriesRing(PrimeField(2**31 - 1), 80),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_a_warm_inverse_is_the_cold_one(data):
+    """inv_unit(warm) stores what inv_unit() stores, from any warm precision.
+
+    The warm start is the inverse of another unit that agrees with u
+    through x^(j-1), cut to x^j: what Newton hands from one step to the next.
+    Over Q, u also gets a denominator.
+    """
+    ring = data.draw(st.sampled_from(WARM_RINGS))
+    u = data.draw(_boundary_series(ring, unit=True))
+    if ring.field.p is None:
+        u = u * ring.scalar(Fraction(1, data.draw(st.integers(1, 12))))
+    j = data.draw(st.integers(1, u.prec))
+    tail = data.draw(_boundary_series(ring))
+    near = ring.series(u.coeffs[:j]) + ring.monomial(j) * tail
+    warm = near.inv_unit().truncate(j)
+    cold, got = u.inv_unit(), u.inv_unit(warm)
+    assert (got.nums, got.den, got.prec) == (cold.nums, cold.den, cold.prec)
+
+
+@pytest.mark.parametrize("ring", [R, R5], ids=["Q", "F5"])
+def test_a_tampered_warm_inverse_fails_the_identity(ring):
+    u = ring.series([2, 1, 3, 1, 4, 1, 3, 2, 2])
+    warm = u.inv_unit().truncate(6)
+    for k in (0, 3, 5):
+        with pytest.raises(IdentityFailedError):
+            u.inv_unit(warm + ring.monomial(k).truncate(6))
 
 
 @settings(max_examples=60, deadline=None)
