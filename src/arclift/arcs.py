@@ -35,6 +35,7 @@ cannot settle.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -207,18 +208,13 @@ def _next_residual(gi, tail, point, tail_point, certified: int) -> Series:
     return gi.eval(point)
 
 
-def _window(model) -> int:
-    """The congruence window: a strict arc agrees with the jet mod x^(2c+1)."""
-    return 2 * model.c + 1
-
-
 def _window_miss(model, diffs):
     """The first (index, diff) with diff not certified zero mod x^(2c+1), or None.
 
     Such a diff either has a visible order inside the window or is zero at a
     precision inside it, where the question is undecidable.
     """
-    need = _window(model)
+    need = model.problem.window
     for i, diff in enumerate(diffs):
         if diff.order_floor() < need:
             return i, diff
@@ -231,12 +227,66 @@ def _is_strict(model: SmoothModel, y2) -> bool:
         i, diff = miss
         raise PrecisionExhaustedError(
             f"component {i + 1} matches the jet only through x^{diff.prec - 1}; "
-            f"strictness needs agreement through x^{_window(model) - 1}"
+            f"strictness needs agreement through x^{model.problem.window - 1}"
         )
     return miss is None
 
 
-def _finish(model: SmoothModel, t, hensel: HenselResult) -> LiftResult:
+def _require_window(model, diffs, label: str, needs: str, differs: str, error) -> None:
+    """Raise at the first diff not certified zero mod x^(2c+1): error at a visible
+    order, PrecisionExhaustedError where the precision cannot decide."""
+    miss = _window_miss(model, diffs)
+    if miss is None:
+        return
+    i, diff = miss
+    need, o = model.problem.window, diff.order()
+    if o is None:
+        raise PrecisionExhaustedError(
+            f"{label} {i + 1} is known only through x^{diff.prec - 1}; {needs} x^{need - 1}"
+        )
+    raise error(
+        f"{label} {i + 1} {differs} at order {o}, inside the congruence window x^{need}",
+        index=i + 1,
+        order=o,
+    )
+
+
+def _series_vector(model, items, count: int, noun: str, kind: str, in_x: bool = False) -> tuple:
+    """items as a tuple of count series over the model ring, and in (x) when in_x.
+
+    The count is checked first, then each component in turn.
+    """
+    items = tuple(items)
+    if len(items) != count:
+        raise StructureError(f"expected {count} {noun}, got {len(items)}")
+    for i, s in enumerate(items, start=1):
+        if not isinstance(s, Series) or s.ring != model.ring:
+            raise FieldMismatchError(f"{kind} component {i} is not a series over the model ring")
+        if in_x and s.order() == 0:
+            raise StructureError(
+                f"{kind} component {i} has a nonzero constant term; parameters must lie in (x)"
+            )
+    return items
+
+
+def default_target(model: SmoothModel) -> int:
+    """Highest residual order certifiable at the working precision."""
+    return model.ring.n_work - 2 * model.c
+
+
+def _lift(model: SmoothModel, t_free: tuple, target: int | None, seed=None) -> LiftResult:
+    """Solve the bound block from seed (or zero) to target (or default_target), certify the arc."""
+    if target is None:
+        target = default_target(model)
+        if target < 1:
+            raise StructureError(
+                f"working precision {model.ring.n_work} leaves no room above the "
+                f"denominator order 2c = {2 * model.c}"
+            )
+    elif target < 1:
+        raise StructureError(f"target residual order must be at least 1, got {target}")
+    hensel = hensel_solve(model, t_free, target, seed)
+    t = hensel.t_bound + t_free
     tpoint = dict(zip(model.tspace.names, t))
     names = model.problem.space.names
     y2 = tuple(model.images[nm].eval(tpoint) for nm in names)
@@ -249,21 +299,15 @@ def _finish(model: SmoothModel, t, hensel: HenselResult) -> LiftResult:
         raise IdentityFailedError("subsystem residual dipped below the arc's precision")
     if residual_i < eff - model.c:
         raise IdentityFailedError("ideal residual dipped below its guaranteed floor")
-    strict = _is_strict(model, y2)
     return LiftResult(
-        t=tuple(t),
+        t=t,
         y2=y2,
         residual_f=residual_f,
         residual_i=residual_i,
-        strict=strict,
+        strict=_is_strict(model, y2),
         newton_iterations=hensel.iterations,
         k0=hensel.k0,
     )
-
-
-def default_target(model: SmoothModel) -> int:
-    """Highest residual order certifiable at the working precision."""
-    return model.ring.n_work - 2 * model.c
 
 
 def make_lift(model: SmoothModel, t_free=None, target: int | None = None) -> LiftResult:
@@ -276,29 +320,8 @@ def make_lift(model: SmoothModel, t_free=None, target: int | None = None) -> Lif
     ring = model.ring
     if t_free is None:
         t_free = tuple(ring.zero(ring.n_work) for _ in range(model.param_count))
-    t_free = tuple(t_free)
-    if len(t_free) != model.param_count:
-        raise StructureError(
-            f"expected {model.param_count} free components, got {len(t_free)}"
-        )
-    for u, s in enumerate(t_free, start=1):
-        if not isinstance(s, Series) or s.ring != ring:
-            raise FieldMismatchError(f"free component {u} is not a series over the model ring")
-        if s.order() == 0:
-            raise StructureError(
-                f"free component {u} has a nonzero constant term; parameters must lie in (x)"
-            )
-    if target is None:
-        target = default_target(model)
-        if target < 1:
-            raise StructureError(
-                f"working precision {ring.n_work} leaves no room above the "
-                f"denominator order 2c = {2 * model.c}"
-            )
-    elif target < 1:
-        raise StructureError(f"target residual order must be at least 1, got {target}")
-    hr = hensel_solve(model, t_free, target)
-    return _finish(model, hr.t_bound + t_free, hr)
+    t_free = _series_vector(model, t_free, model.param_count, "free components", "free", in_x=True)
+    return _lift(model, t_free, target)
 
 
 def offset_lift(model: SmoothModel, reference: LiftResult, z, target: int | None = None) -> LiftResult:
@@ -309,21 +332,11 @@ def offset_lift(model: SmoothModel, reference: LiftResult, z, target: int | None
     """
     if not reference.strict:
         raise NotStrictError("the reference lift is not strict")
-    ring = model.ring
-    z = tuple(z)
-    if len(z) != model.param_count:
-        raise StructureError(f"expected {model.param_count} offset components, got {len(z)}")
-    for u, s in enumerate(z, start=1):
-        if not isinstance(s, Series) or s.ring != ring:
-            raise FieldMismatchError(f"offset component {u} is not a series over the model ring")
-    need = _window(model)
-    shift = ring.monomial(need)
+    z = _series_vector(model, z, model.param_count, "offset components", "offset")
+    shift = model.ring.monomial(model.problem.window)
     r = model.r
-    t_free = tuple(reference.t[r + u] + shift * z[u] for u in range(model.param_count))
-    if target is None:
-        target = default_target(model)
-    hr = hensel_solve(model, t_free, target, seed=reference.t[:r])
-    out = _finish(model, hr.t_bound + t_free, hr)
+    t_free = tuple(t + shift * s for t, s in zip(reference.t[r:], z))
+    out = _lift(model, t_free, target, seed=reference.t[:r])
     if not out.strict:
         raise IdentityFailedError("offset lift lost strictness")
     if _window_miss(model, [y - ref for y, ref in zip(out.y2, reference.y2)]) is not None:
@@ -342,29 +355,10 @@ def extract_t(model: SmoothModel, arc) -> tuple:
     IdentityFailedError when the arc is strict but does not solve the
     system, so cannot lie in the family.
     """
-    ring = model.ring
-    arc = tuple(arc)
-    if len(arc) != model.n:
-        raise StructureError(f"expected {model.n} components, got {len(arc)}")
-    for i, s in enumerate(arc, start=1):
-        if not isinstance(s, Series) or s.ring != ring:
-            raise FieldMismatchError(f"arc component {i} is not a series over the model ring")
+    arc = _series_vector(model, arc, model.n, "components", "arc")
     diffs = [s - j for s, j in zip(arc, model.jet)]
-    miss = _window_miss(model, diffs)
-    if miss is not None:
-        i, diff = miss
-        need, o = _window(model), diff.order()
-        if o is None:
-            raise PrecisionExhaustedError(
-                f"arc component {i + 1} is known only through x^{diff.prec - 1}; "
-                f"extraction needs agreement decided through x^{need - 1}"
-            )
-        raise NotStrictError(
-            f"arc component {i + 1} deviates from the jet at order {o}, "
-            f"inside the congruence window x^{need}",
-            index=i + 1,
-            order=o,
-        )
+    _require_window(model, diffs, "arc component", "extraction needs agreement decided through",
+                    "deviates from the jet", NotStrictError)
     eps = [diffs[model.perm[j]].div_exact(model.d2) for j in range(model.n)]
     t = linalg.mat_vec(model.hy, eps)
     tpoint = dict(zip(model.tspace.names, t))
@@ -395,23 +389,9 @@ def extract_params(model: SmoothModel, arc, reference: LiftResult) -> tuple:
         raise NotStrictError("the reference lift is not strict")
     t = extract_t(model, arc)
     diffs = [a - b for a, b in zip(t[model.r:], reference.t[model.r:])]
-    miss = _window_miss(model, diffs)
-    need = _window(model)
-    if miss is not None:
-        u, diff = miss
-        o = diff.order()
-        if o is None:
-            raise PrecisionExhaustedError(
-                f"free coordinate {u + 1} is known only through x^{diff.prec - 1}; "
-                f"offset extraction needs x^{need - 1}"
-            )
-        raise OutOfFamilyError(
-            f"free coordinate {u + 1} differs from the reference at order {o}, "
-            f"inside the congruence window x^{need}",
-            index=u + 1,
-            order=o,
-        )
-    shift = model.ring.monomial(need)
+    _require_window(model, diffs, "free coordinate", "offset extraction needs",
+                    "differs from the reference", OutOfFamilyError)
+    shift = model.ring.monomial(model.problem.window)
     z = tuple(diff.div_exact(shift) for diff in diffs)
     relift = offset_lift(model, reference, z)
     eff = min(s.prec for s in arc)
@@ -426,26 +406,14 @@ def extract_params(model: SmoothModel, arc, reference: LiftResult) -> tuple:
     return z
 
 
-def _violation(model: SmoothModel, lift: LiftResult) -> list:
-    """Coefficients inside the congruence window where the arc leaves the jet."""
-    vec = []
-    for i in range(model.n):
-        diff = lift.y2[i] - model.jet[i]
-        for k in range(_window(model)):
-            vec.append(diff.coefficient(k))
-    return vec
-
-
-def _lowest_violated(model: SmoothModel, vec) -> int | None:
-    need = _window(model)
-    field = model.ring.field
-    lowest = None
-    for idx, val in enumerate(vec):
-        if val != field.zero:
-            k = idx % need
-            if lowest is None or k < lowest:
-                lowest = k
-    return lowest
+def _violation(model: SmoothModel, lift: LiftResult) -> tuple:
+    """The arc's coefficients off the jet inside the congruence window, and
+    the lowest order among the nonzero ones (None when all are zero)."""
+    need = model.problem.window
+    zero = model.ring.field.zero
+    diffs = [y - j for y, j in zip(lift.y2, model.jet)]
+    vec = [diff.coefficient(k) for diff in diffs for k in range(need)]
+    return vec, min((idx % need for idx, v in enumerate(vec) if v != zero), default=None)
 
 
 def find_strict_reference(model: SmoothModel, search_depth: int = 8) -> LiftResult | None:
@@ -478,14 +446,13 @@ def find_strict_reference(model: SmoothModel, search_depth: int = 8) -> LiftResu
         return None
     field = ring.field
     t_free = list(zeros)
-    vbase = _violation(model, base)
-    lowest = _lowest_violated(model, vbase)
+    vbase, lowest = _violation(model, base)
     for layer in range(1, min(search_depth, model.c) + 1):
         cols = []
         for u in range(nfree):
             probe = list(t_free)
             probe[u] = probe[u] + ring.monomial(layer)
-            v_u = _violation(model, make_lift(model, tuple(probe)))
+            v_u, _ = _violation(model, make_lift(model, tuple(probe)))
             cols.append([field.add(a, field.neg(b)) for a, b in zip(v_u, vbase)])
         rows = [[cols[u][row] for u in range(nfree)] for row in range(len(vbase))]
         rhs = [field.neg(v) for v in vbase]
@@ -500,8 +467,7 @@ def find_strict_reference(model: SmoothModel, search_depth: int = 8) -> LiftResu
         cand = make_lift(model, tuple(cand_free))
         if cand.strict:
             return cand
-        v_new = _violation(model, cand)
-        new_lowest = _lowest_violated(model, v_new)
+        v_new, new_lowest = _violation(model, cand)
         if new_lowest is not None and new_lowest > lowest:
             t_free = cand_free
             vbase = v_new
@@ -511,13 +477,17 @@ def find_strict_reference(model: SmoothModel, search_depth: int = 8) -> LiftResu
 
 @dataclass(frozen=True)
 class JetSet:
-    """All coefficient vectors mod x^m that extend the jet and kill the ideal."""
+    """All coefficient vectors mod x^m that extend the jet and kill the ideal.
+
+    ordered holds them sorted.  candidates counts the vectors mod x^m that
+    extend the jet mod x^(2c+1), p^(n*(m-2c-1)), all of which were tried.
+    """
 
     p: int
     n: int
     m: int
-    keys: frozenset
     ordered: tuple
+    candidates: int
 
     @property
     def count(self) -> int:
@@ -539,7 +509,9 @@ class JetSet:
                     f"membership mod x^{self.m} is undecidable"
                 )
             key.append(tuple(int(s.coeff_at(k)) for k in range(self.m)))
-        return tuple(key) in self.keys
+        key = tuple(key)
+        at = bisect_left(self.ordered, key)
+        return at < len(self.ordered) and self.ordered[at] == key
 
 
 def _conv(a, b, p):
@@ -582,14 +554,14 @@ def oracle_enumerate(problem: Problem, m: int) -> JetSet:
     if field.p is None:
         raise StructureError("brute force enumeration needs a finite coefficient field")
     p = field.p
-    need = _window(problem)
+    need = problem.window
     if m < need:
         raise StructureError(
             f"window x^{m} is shorter than the congruence window x^{need}"
         )
     slots = problem.n * (m - need)
     # p >= 2, so more than 24 slots is over budget without computing p^slots
-    if slots > _ENUM_BUDGET_BITS or p**slots > 1 << _ENUM_BUDGET_BITS:
+    if slots > _ENUM_BUDGET_BITS or (candidates := p**slots) > 1 << _ENUM_BUDGET_BITS:
         raise BudgetExceededError(
             f"enumerating {p}^{slots} candidates exceeds the budget of 2^{_ENUM_BUDGET_BITS}"
         )
@@ -630,4 +602,4 @@ def oracle_enumerate(problem: Problem, m: int) -> JetSet:
                     grown.append(tuple(y + ((d + w) % p,) for y, d, w in zip(u, sol[0], v)))
         members = grown
     ordered = tuple(sorted(members))
-    return JetSet(p=p, n=problem.n, m=m, keys=frozenset(ordered), ordered=ordered)
+    return JetSet(p=p, n=problem.n, m=m, ordered=ordered, candidates=candidates)

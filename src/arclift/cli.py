@@ -510,9 +510,8 @@ def cmd_oracle(args) -> int:
         else:
             containment = {"checked": samples, "hits": hits}
     shown = [[str(ring.series(list(comp), jets.m)) for comp in key] for key in jets.ordered[:3]]
-    width = args.prec - (2 * model.c + 1)
     payload.update(
-        window=args.prec, candidates=ring.field.p ** (model.n * width), count=jets.count,
+        window=args.prec, candidates=jets.candidates, count=jets.count,
         containment=containment, members_shown=shown,
     )
     _emit(args, payload, lambda p: _oracle_view(p, skipped))

@@ -147,7 +147,7 @@ class Problem:
             raise StructureError(f"congruence level c must be a positive integer, got {self.c!r}")
         if len(self.jet) != self.n:
             raise StructureError(f"jet must have {self.n} components, got {len(self.jet)}")
-        need = 2 * self.c + 1
+        need = self.window
         for i, y in enumerate(self.jet, start=1):
             if not isinstance(y, Series) or y.ring != self.ring:
                 raise StructureError(f"jet component {i} is not a series of this ring")
@@ -177,6 +177,11 @@ class Problem:
     @property
     def f_polys(self) -> tuple:
         return tuple(self.ideal_gens[i - 1] for i in self.f_idx)
+
+    @property
+    def window(self) -> int:
+        """The congruence window 2c+1: the jet solves the system mod x^window."""
+        return 2 * self.c + 1
 
     def jet_point(self) -> dict:
         return {nm: y for nm, y in zip(self.space.names, self.jet)}
@@ -235,35 +240,41 @@ def minor_poly(problem: Problem) -> Poly:
     return problem.minor
 
 
+def _cofactor_miss(problem: Problem, n_poly: Poly, cofactors) -> int | None:
+    """The first j with n_poly * gen_j != sum_k cofactors[j][k] * f_k (1-based), or None."""
+    for j, gen in enumerate(problem.ideal_gens, start=1):
+        rhs = Poly.zero(problem.ring, problem.space)
+        for cof, f in zip(cofactors[j - 1], problem.f_polys):
+            rhs = rhs + cof * f
+        if n_poly * gen != rhs:
+            return j
+    return None
+
+
+def _check(name: str, miss, passed: str, failed) -> CheckResult:
+    """A check with detail passed when miss is None, else failed with detail failed(miss)."""
+    if miss is None:
+        return CheckResult(name, True, passed)
+    return CheckResult(name, False, failed(miss))
+
+
 def validate_problem(problem: Problem) -> ValidationReport:
     """Run the three mathematical admission checks; failures are reported, not raised."""
-    checks = []
-    f_polys = problem.f_polys
+    cert = problem.certificate
+    checks = [_check(
+        "certificate-cofactors", _cofactor_miss(problem, cert.n_poly, cert.cofactors),
+        "multiplier identity holds for every generator",
+        lambda j: f"N * generator {j} does not match its cofactor combination",
+    )]
 
-    ok = True
-    detail = "multiplier identity holds for every generator"
-    for j, gen in enumerate(problem.ideal_gens, start=1):
-        lhs = problem.certificate.n_poly * gen
-        rhs = Poly.zero(problem.ring, problem.space)
-        for cof, f in zip(problem.certificate.cofactors[j - 1], f_polys):
-            rhs = rhs + cof * f
-        if lhs != rhs:
-            ok = False
-            detail = f"N * generator {j} does not match its cofactor combination"
-            break
-    checks.append(CheckResult("certificate-cofactors", ok, detail))
-
-    need = 2 * problem.c + 1
+    need = problem.window
     point = problem.jet_point()
-    ok = True
-    detail = f"every generator vanishes at the jet through x^{need - 1}"
-    for j, gen in enumerate(problem.ideal_gens, start=1):
-        o = gen.eval(point).order_floor()
-        if o < need:
-            ok = False
-            detail = f"generator {j} has order {o} at the jet, below 2c+1 = {need}"
-            break
-    checks.append(CheckResult("jet-kills-ideal", ok, detail))
+    orders = enumerate((gen.eval(point).order_floor() for gen in problem.ideal_gens), start=1)
+    checks.append(_check(
+        "jet-kills-ideal", next(((j, o) for j, o in orders if o < need), None),
+        f"every generator vanishes at the jet through x^{need - 1}",
+        lambda m: f"generator {m[0]} has order {m[1]} at the jet, below 2c+1 = {need}",
+    ))
 
     p_val = (problem.certificate.n_poly * problem.minor).eval(point)
     window = p_val.truncate(min(need, p_val.prec))
@@ -351,8 +362,11 @@ def compute_g(h_mat: PolyMatrix, r: int, n_norm: Poly, p_poly: Poly) -> PolyMatr
     return g_mat
 
 
-def _eval_matrix(mat: PolyMatrix, point: dict) -> tuple:
-    return tuple(tuple(row) for row in mat.eval(point))
+def _jet_evaluations(problem: Problem, h_mat: PolyMatrix, g_mat: PolyMatrix, d: Series) -> tuple:
+    """H(y'), G(y') and d*G(y'), each a tuple of rows."""
+    point = problem.jet_point()
+    hy, gy = (tuple(tuple(row) for row in mat.eval(point)) for mat in (h_mat, g_mat))
+    return hy, gy, tuple(tuple(d * entry for entry in row) for row in gy)
 
 
 def substitution_images(problem: Problem, dgy: tuple, perm: tuple, tspace: VarSpace) -> dict:
@@ -366,6 +380,19 @@ def substitution_images(problem: Problem, dgy: tuple, perm: tuple, tspace: VarSp
             img = img + Poly.variable(ring, tspace, tspace.names[k]).scale(dgy[j][k])
         images[names[perm[j]]] = img
     return images
+
+
+def _low_degree(q: Poly) -> int | None:
+    """The T-degree of the first visible term of q of T-degree below 2, or None."""
+    for exps, coeff in q.terms.items():
+        if sum(exps) < 2 and not coeff.is_zero():
+            return sum(exps)
+    return None
+
+
+def _g_component(ring: SeriesRing, tspace: VarSpace, i: int, ai: Series, qi: Poly) -> Poly:
+    """g_(i+1) = a_(i+1) + T_(i+1) + Q_(i+1)."""
+    return Poly.constant(ring, tspace, ai) + Poly.variable(ring, tspace, tspace.names[i]) + qi
 
 
 def taylor_decompose(problem: Problem, d2: Series, dgy: tuple, perm: tuple, tspace: VarSpace):
@@ -390,12 +417,11 @@ def taylor_decompose(problem: Problem, d2: Series, dgy: tuple, perm: tuple, tspa
         )
         ti = Poly.variable(ring, tspace, tspace.names[i - 1])
         qi = reduced - ti
-        for exps, coeff in qi.terms.items():
-            if sum(exps) < 2 and not coeff.is_zero():
-                raise IdentityFailedError(
-                    f"Taylor remainder of f component {i} has a visible term of "
-                    f"T-degree {sum(exps)}"
-                )
+        deg = _low_degree(qi)
+        if deg is not None:
+            raise IdentityFailedError(
+                f"Taylor remainder of f component {i} has a visible term of T-degree {deg}"
+            )
         a.append(ai)
         q.append(qi)
     return tuple(a), tuple(q), images
@@ -494,21 +520,13 @@ def build_model(problem: Problem) -> SmoothModel:
     border = build_border(problem)
     g_mat = compute_g(border.h_mat, problem.r, norm.n_norm, norm.p_poly)
 
-    point = problem.jet_point()
-    hy = _eval_matrix(border.h_mat, point)
-    gy = _eval_matrix(g_mat, point)
     d = norm.d
     d2 = d * d
-    dgy = tuple(tuple(d * entry for entry in row) for row in gy)
+    hy, gy, dgy = _jet_evaluations(problem, border.h_mat, g_mat, d)
 
     tspace = VarSpace.ts(problem.n)
     a, q, images = taylor_decompose(problem, d2, dgy, border.perm, tspace)
-
-    g = []
-    for i in range(problem.r):
-        ti = Poly.variable(problem.ring, tspace, tspace.names[i])
-        g.append(Poly.constant(problem.ring, tspace, a[i]) + ti + q[i])
-    g = tuple(g)
+    g = tuple(_g_component(problem.ring, tspace, i, a[i], q[i]) for i in range(problem.r))
 
     r = problem.r
     bound_names = tspace.names[:r]
@@ -558,27 +576,36 @@ def build_model(problem: Problem) -> SmoothModel:
 _VERIFY_SEED = 0x5EED0FA0
 
 
+def _taylor_miss(model: SmoothModel, images: dict) -> str | None:
+    """How f(y' + d*G(y')*T) = f(y') + d^2 * g first fails, as polynomials or at a sample point."""
+    problem, ring, tspace = model.problem, model.ring, model.tspace
+    point = problem.jet_point()
+    rng = SplitMix64(_VERIFY_SEED)
+    samples = [{nm: draw_series(rng, ring, 1, 4) for nm in tspace.names} for _ in range(3)]
+    for i, f in enumerate(problem.f_polys):
+        gi, ai = model.g[i], model.a[i]
+        if gi != _g_component(ring, tspace, i, ai, model.q[i]):
+            return f"g component {i + 1} is not a_{i + 1} + T_{i + 1} + Q_{i + 1}"
+        lhs = f.subst(images, tspace)
+        fy = f.eval(point)
+        if lhs != gi.scale(model.d2) + Poly.constant(ring, tspace, fy - ai * model.d2):
+            return f"Taylor identity fails as polynomials for f component {i + 1}"
+        for pt in samples:
+            if lhs.eval(pt) != fy + (gi.eval(pt) - ai) * model.d2:
+                return f"Taylor identity fails at a sample point for f component {i + 1}"
+    return None
+
+
 def verify_model(model: SmoothModel) -> ValidationReport:
     """Re-check every identity the model claims, from its inputs, two ways where possible."""
     problem = model.problem
-    ring = problem.ring
-    checks = []
+    checks = [_check(
+        "certificate-normalized", _cofactor_miss(problem, model.n_norm, model.cofactors),
+        "scaled multiplier identity holds for every generator",
+        lambda j: f"scaled identity fails for generator {j}",
+    )]
 
-    ok = True
-    detail = "scaled multiplier identity holds for every generator"
-    for j, gen in enumerate(problem.ideal_gens, start=1):
-        lhs = model.n_norm * gen
-        rhs = Poly.zero(ring, problem.space)
-        for cof, f in zip(model.cofactors[j - 1], problem.f_polys):
-            rhs = rhs + cof * f
-        if lhs != rhs:
-            ok = False
-            detail = f"scaled identity fails for generator {j}"
-            break
-    checks.append(CheckResult("certificate-normalized", ok, detail))
-
-    n = problem.n
-    p_id = PolyMatrix.identity(ring, problem.space, n).scale(model.p_poly)
+    p_id = PolyMatrix.identity(problem.ring, problem.space, problem.n).scale(model.p_poly)
     ok = model.g_mat.mul(model.h_mat) == p_id and model.h_mat.mul(model.g_mat) == p_id
     checks.append(
         CheckResult("matrix-identity", ok, "GH = HG = P * Id" if ok else "GH = HG = P * Id failed")
@@ -601,10 +628,7 @@ def verify_model(model: SmoothModel) -> ValidationReport:
         )
     )
 
-    point = problem.jet_point()
-    hy = _eval_matrix(model.h_mat, point)
-    gy = _eval_matrix(model.g_mat, point)
-    dgy = tuple(tuple(model.d * entry for entry in row) for row in gy)
+    hy, gy, dgy = _jet_evaluations(problem, model.h_mat, model.g_mat, model.d)
     images = substitution_images(problem, dgy, model.perm, model.tspace)
     ok = hy == model.hy and gy == model.gy and dgy == model.dgy and images == model.images
     checks.append(
@@ -617,61 +641,22 @@ def verify_model(model: SmoothModel) -> ValidationReport:
         )
     )
 
-    ok = True
-    detail = "f(y' + d*G(y')*T) = f(y') + d^2 * g, by polynomial identity and at random points"
-    rng = SplitMix64(_VERIFY_SEED)
-    sample_points = []
-    for _ in range(3):
-        sample_points.append(
-            {nm: draw_series(rng, ring, 1, 4) for nm in model.tspace.names}
-        )
-    for i, f in enumerate(problem.f_polys):
-        t_i = Poly.variable(ring, model.tspace, model.tspace.names[i])
-        a_i = Poly.constant(ring, model.tspace, model.a[i])
-        if model.g[i] != a_i + t_i + model.q[i]:
-            ok = False
-            detail = f"g component {i + 1} is not a_{i + 1} + T_{i + 1} + Q_{i + 1}"
-            break
-        lhs = f.subst(images, model.tspace)
-        fy = f.eval(point)
-        rhs = model.g[i].scale(model.d2) + Poly.constant(
-            ring, model.tspace, fy - model.a[i] * model.d2
-        )
-        if lhs != rhs:
-            ok = False
-            detail = f"Taylor identity fails as polynomials for f component {i + 1}"
-            break
-        for pt in sample_points:
-            left = lhs.eval(pt)
-            right = fy + (model.g[i].eval(pt) - model.a[i]) * model.d2
-            if left != right:
-                ok = False
-                detail = f"Taylor identity fails at a sample point for f component {i + 1}"
-                break
-        if not ok:
-            break
-    checks.append(CheckResult("taylor-identity", ok, detail))
+    checks.append(_check(
+        "taylor-identity", _taylor_miss(model, images),
+        "f(y' + d*G(y')*T) = f(y') + d^2 * g, by polynomial identity and at random points", str,
+    ))
 
-    ok = True
-    detail = "every visible term of Q has T-degree >= 2"
-    for i, qi in enumerate(model.q, start=1):
-        for exps, coeff in qi.terms.items():
-            if sum(exps) < 2 and not coeff.is_zero():
-                ok = False
-                detail = f"Q component {i} has a visible term of T-degree {sum(exps)}"
-                break
-        if not ok:
-            break
-    checks.append(CheckResult("q-degree", ok, detail))
+    low = ((i, deg) for i, deg in enumerate(map(_low_degree, model.q), start=1) if deg is not None)
+    checks.append(_check(
+        "q-degree", next(low, None), "every visible term of Q has T-degree >= 2",
+        lambda m: f"Q component {m[0]} has a visible term of T-degree {m[1]}",
+    ))
 
-    ok = True
-    detail = "every a component has order >= 1"
-    for i, ai in enumerate(model.a, start=1):
-        if ai.order_floor() < 1:
-            ok = False
-            detail = f"a component {i} has order 0"
-            break
-    checks.append(CheckResult("a-order", ok, detail))
+    orders = enumerate((ai.order_floor() for ai in model.a), start=1)
+    checks.append(_check(
+        "a-order", next((i for i, o in orders if o < 1), None),
+        "every a component has order >= 1", lambda i: f"a component {i} has order 0",
+    ))
 
     bound = model.tspace.names[:problem.r]
     if model.t_jac != PolyMatrix([[gi.diff(nm) for nm in bound] for gi in model.g]):

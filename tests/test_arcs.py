@@ -434,6 +434,84 @@ def test_a_residual_below_its_floor_fails_the_identity(cusp_q):
         make_lift(tampered)
 
 
+# -- argument errors -------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def two_free():
+    """A cusp with one untouched variable: n = 3, r = 1, two free coordinates."""
+    return build_model(helpers.cusp_product_problem(1, untouched=1))
+
+
+def _raises(cls, message, fn, *args, **kwargs):
+    """fn(*args, **kwargs) raises exactly cls with exactly message."""
+    with pytest.raises(ArcliftError) as exc:
+        fn(*args, **kwargs)
+    assert (type(exc.value), str(exc.value)) == (cls, message)
+
+
+def test_make_lift_argument_errors(cusp_q, two_free):
+    x, one = cusp_q.ring.x(), cusp_q.ring.one()
+    f5 = SeriesRing(helpers.F5, 40).x()
+    short = SeriesRing(QQ, 20).x()
+    foreign = "free component 1 is not a series over the model ring"
+    constant = "free component 1 has a nonzero constant term; parameters must lie in (x)"
+    two = "expected 1 free components, got 2"
+    _raises(StructureError, two, make_lift, cusp_q, (x, x))
+    _raises(StructureError, "expected 1 free components, got 0", make_lift, cusp_q, ())
+    _raises(FieldMismatchError, foreign, make_lift, cusp_q, (f5,))
+    _raises(FieldMismatchError, foreign, make_lift, cusp_q, (short,))
+    _raises(FieldMismatchError, foreign, make_lift, cusp_q, (0,))
+    _raises(StructureError, constant, make_lift, cusp_q, (one + x,))
+    # the count is checked first, then each component in turn, then the target
+    _raises(StructureError, two, make_lift, cusp_q, (f5, f5), target=0)
+    _raises(FieldMismatchError, foreign, make_lift, cusp_q, (f5,), target=0)
+    x, one = two_free.ring.x(), two_free.ring.one()
+    _raises(StructureError, constant, make_lift, two_free, (one, f5))
+    _raises(FieldMismatchError, foreign, make_lift, two_free, (f5, one))
+    _raises(FieldMismatchError, "free component 2 is not a series over the model ring",
+            make_lift, two_free, (x, f5))
+
+
+def test_offset_lift_argument_errors(cusp_q, node, two_free):
+    ref = make_lift(cusp_q)
+    x = cusp_q.ring.x()
+    f5 = SeriesRing(helpers.F5, 40).x()
+    foreign = "offset component 1 is not a series over the model ring"
+    _raises(StructureError, "expected 1 offset components, got 2", offset_lift, cusp_q, ref, (x, x))
+    _raises(FieldMismatchError, foreign, offset_lift, cusp_q, ref, (f5,))
+    _raises(FieldMismatchError, foreign, offset_lift, cusp_q, ref, (SeriesRing(QQ, 20).one(),))
+    # a strict reference is checked first, then the count, each component, the target
+    loose = make_lift(node, (node.ring.x(),))
+    _raises(NotStrictError, "the reference lift is not strict", offset_lift, node, loose, (f5, f5))
+    _raises(StructureError, "expected 1 offset components, got 2",
+            offset_lift, cusp_q, ref, (f5, f5), target=0)
+    _raises(FieldMismatchError, foreign, offset_lift, cusp_q, ref, (f5,), target=0)
+    ref2 = make_lift(two_free)
+    _raises(FieldMismatchError, "offset component 2 is not a series over the model ring",
+            offset_lift, two_free, ref2, (two_free.ring.one(), f5))
+
+
+@pytest.mark.parametrize("target", [0, -3])
+def test_offset_lift_names_a_target_below_one(cusp_q, target):
+    ref = make_lift(cusp_q)
+    _raises(StructureError, f"target residual order must be at least 1, got {target}",
+            offset_lift, cusp_q, ref, (cusp_q.ring.one(),), target=target)
+
+
+def test_extract_t_argument_errors(cusp_q):
+    ring = cusp_q.ring
+    f5 = SeriesRing(helpers.F5, 40).parse("x^2")
+    foreign = "arc component 2 is not a series over the model ring"
+    _raises(StructureError, "expected 2 components, got 1", extract_t, cusp_q, (cusp_q.jet[0],))
+    _raises(StructureError, "expected 2 components, got 3", extract_t, cusp_q, (f5, f5, f5))
+    _raises(FieldMismatchError, foreign, extract_t, cusp_q, (cusp_q.jet[0], f5))
+    _raises(FieldMismatchError, "arc component 1 is not a series over the model ring",
+            extract_t, cusp_q, (SeriesRing(QQ, 20).parse("x^3"), cusp_q.jet[1]))
+    # every component's ring is checked before the window
+    _raises(FieldMismatchError, foreign, extract_t, cusp_q, (ring.parse("x^3 + x"), f5))
+
+
 # -- inverting the parametrization ---------------------------------------
 
 
@@ -608,6 +686,21 @@ def test_oracle_membership_and_determinism(cusp5):
     ring = SeriesRing(helpers.F5)
     assert first.contains((ring.parse("x^3"), ring.parse("x^2")))
     assert not first.contains((ring.parse("x^3 + x^4"), ring.parse("x^2")))
+
+
+def test_oracle_counts_its_candidates_and_finds_each_member(cusp5):
+    jets = oracle_enumerate(cusp5, 11)
+    assert jets.candidates == 5 ** (2 * (11 - 9))
+    ring = SeriesRing(helpers.F5, 11)
+
+    def arc(key):
+        return tuple(ring.series(list(c)) for c in key)
+
+    for key in jets.ordered:
+        assert jets.contains(arc(key))
+        # moved inside the window, so off the jet: sorts between members or after them
+        assert not jets.contains(arc(((key[0][0] + 1,) + key[0][1:], key[1])))
+    assert not jets.contains(arc(((0,) * 11, (0,) * 11)))
 
 
 def test_oracle_contains_needs_enough_arc_precision(cusp5):

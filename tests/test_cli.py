@@ -540,6 +540,13 @@ def test_lift_names_a_bad_target(capsys):
     assert err == "arclift: target residual order must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize("prec", ["0", "-3"])
+def test_lift_params_names_a_bad_target(capsys, prec):
+    code, out, err = run(capsys, "lift", CUSP, "--params", "1", "--prec", prec)
+    assert (code, out) == (1, "")
+    assert err == f"arclift: target residual order must be at least 1, got {prec}\n"
+
+
 def test_smooth_point_has_no_parameters(capsys):
     code, out, err = run(capsys, "lift", SMOOTH, "--t-free", "")
     assert code in (0, 4)

@@ -1,10 +1,12 @@
 """Certificate validation, model construction, and the verification battery."""
 
 import dataclasses
+import json
 import time
 
 import pytest
 
+import check_corpus
 import helpers
 from arclift import (
     IdentityFailedError,
@@ -320,6 +322,11 @@ def test_verify_catches_a_tampered_localization_unit(cusp_q):
     bump = parse_poly("x^20*T2", cusp_q.ring, cusp_q.tspace)
     tampered = dataclasses.replace(cusp_q, loc_s=cusp_q.loc_s + bump)
     assert _failed_checks(tampered) == {"localization-units"}
+
+
+def test_every_check_result_matches_the_recorded_corpus():
+    """Names, verdicts and details of validate_problem and verify_model, failures included."""
+    assert check_corpus.current() == json.loads(check_corpus.GOLDEN.read_text(encoding="utf-8"))
 
 
 # -- randomized families -------------------------------------------------

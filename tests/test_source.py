@@ -1,6 +1,7 @@
 """Guards on the package source itself."""
 
 import ast
+import importlib.util
 
 import helpers
 
@@ -26,3 +27,18 @@ def test_no_linear_algebra_routine_calls_itself():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == fn.name
     ]
     assert recursive == []
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    """perfbench/tracing.py patches arclift by (owner, attribute); a renamed stage fails here."""
+    path = helpers.REPO / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{owner.__name__}.{attr}"
+        for _, places, _ in tracing._targets()
+        for owner, attr in places
+        if attr not in vars(owner)
+    ]
+    assert missing == []
