@@ -12,8 +12,7 @@ Problems live in JSON files:
       "c": 4,                          optional; inferred as e + 1 when absent
       "certificate": {"N": "...", "cofactors": [["..."]]},   optional
       "mode": "dvr",                   optional; "variety" forbids x in the ideal
-      "n_work": 40,                    optional working precision
-      "jet_prec": 40                   optional cap on the jet's precision
+      "n_work": 40                     optional working precision
     }
 
 When "n_work" is absent the environment variable ARCLIFT_NWORK applies,
@@ -67,7 +66,7 @@ from .errors import (
 )
 from .polyring import VarSpace, parse_poly
 from .prng import SplitMix64, draw_series
-from .ring import DEFAULT_PRECISION, PrimeField, QQ, SeriesRing
+from .ring import DEFAULT_PRECISION, PrimeField, QQ, SeriesRing, digits
 
 # layers tried by find_strict_reference unless --search-depth says otherwise
 SEARCH_DEPTH = 8
@@ -126,7 +125,7 @@ def _str_list(raw, key):
 
 _TOP_KEYS = {
     "field", "n", "ideal", "f", "minor_cols", "jet",
-    "c", "certificate", "mode", "n_work", "jet_prec",
+    "c", "certificate", "mode", "n_work",
 }
 _REQUIRED = ("field", "n", "ideal", "f", "minor_cols", "jet")
 
@@ -136,10 +135,10 @@ def load_problem(path: str) -> Problem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read problem file: {exc}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"problem file is not valid JSON: {exc}")
+    except (OSError, ValueError) as exc:  # bad UTF-8, or a number past the int/str digit limit
+        raise ParseError(f"cannot read problem file: {exc}")
     _expect(isinstance(raw, dict), "problem file must hold a JSON object")
     unknown = set(raw) - _TOP_KEYS
     _expect(not unknown, f"unknown problem keys: {', '.join(sorted(unknown))}")
@@ -183,10 +182,6 @@ def load_problem(path: str) -> Problem:
     f_idx = _int_list(raw, "f")
     minor_cols = _int_list(raw, "minor_cols")
     jet = [ring.parse(s) for s in _str_list(raw, "jet")]
-    jet_prec = _opt_int(raw, "jet_prec")
-    if jet_prec is not None:
-        _expect(jet_prec >= 1, "'jet_prec' must be positive")
-        jet = [y.truncate(jet_prec) for y in jet]
 
     mode = raw.get("mode", "dvr")
     _expect(isinstance(mode, str), "'mode' must be a string")
@@ -212,7 +207,9 @@ def load_problem(path: str) -> Problem:
 
     polys = gens + ([cert.n_poly, *chain(*cert.cofactors)] if cert else [])
     top = max((max(exps) for p in polys for exps in p.terms), default=0)
-    _expect(top <= MAX_EXPONENT, f"variable exponent {top} exceeds the cap {MAX_EXPONENT}")
+    _expect(
+        top <= MAX_EXPONENT, f"variable exponent {digits(top)} exceeds the cap {MAX_EXPONENT}"
+    )
     return make_problem(
         ring,
         n=n,

@@ -68,10 +68,8 @@ class Certificate:
 
 def identity_certificate(ring: SeriesRing, space: VarSpace, count: int) -> Certificate:
     """The trivial certificate N = 1 for a system whose f covers every generator."""
-    one = Poly.constant(ring, space, 1)
-    zero = Poly.zero(ring, space)
-    rows = tuple(tuple(one if i == j else zero for j in range(count)) for i in range(count))
-    return Certificate(one, rows)
+    rows = PolyMatrix.identity(ring, space, count).rows if count else ()
+    return Certificate(Poly.constant(ring, space, 1), rows)
 
 
 @dataclass(frozen=True)
@@ -337,12 +335,7 @@ def build_border(problem: Problem) -> Border:
     perm = lead + rest
     names = problem.space.names
     jac = jacobian(problem.f_polys, tuple(names[j] for j in perm))
-    one = Poly.constant(problem.ring, problem.space, 1)
-    zero = Poly.zero(problem.ring, problem.space)
-    rows = [list(row) for row in jac.rows]
-    for i in range(r, n):
-        rows.append([one if j == i else zero for j in range(n)])
-    h_mat = PolyMatrix(rows)
+    h_mat = PolyMatrix(jac.rows + PolyMatrix.identity(problem.ring, problem.space, n).rows[r:])
     if h_mat.det() != problem.minor:
         raise IdentityFailedError("border determinant does not equal the selected minor")
     return Border(h_mat, perm)
@@ -355,11 +348,17 @@ def compute_g(h_mat: PolyMatrix, r: int, n_norm: Poly, p_poly: Poly) -> PolyMatr
     top = h_mat.rows[:r]
     lead = PolyMatrix(linalg.adjugate([row[:r] for row in top], zero, one)).scale(n_norm)
     right = linalg.mat_mul(lead.rows, [row[r:] for row in top])
-    p_id = PolyMatrix.identity(h_mat.ring, h_mat.space, n).scale(p_poly)
-    g_mat = PolyMatrix([a + [-p for p in b] for a, b in zip(lead.rows, right)] + p_id.rows[r:])
-    if g_mat.mul(h_mat) != p_id or h_mat.mul(g_mat) != p_id:
+    p_rows = PolyMatrix.identity(h_mat.ring, h_mat.space, n).scale(p_poly).rows[r:]
+    g_mat = PolyMatrix([a + [-p for p in b] for a, b in zip(lead.rows, right)] + p_rows)
+    if not _inverts_up_to_p(g_mat, h_mat, p_poly):
         raise IdentityFailedError("GH = HG = P * Id failed")
     return g_mat
+
+
+def _inverts_up_to_p(g_mat: PolyMatrix, h_mat: PolyMatrix, p_poly: Poly) -> bool:
+    """GH = HG = P * Id, exactly."""
+    p_id = PolyMatrix.identity(h_mat.ring, h_mat.space, h_mat.shape[0]).scale(p_poly)
+    return g_mat.mul(h_mat) == p_id and h_mat.mul(g_mat) == p_id
 
 
 def _jet_evaluations(problem: Problem, h_mat: PolyMatrix, g_mat: PolyMatrix, d: Series) -> tuple:
@@ -605,8 +604,7 @@ def verify_model(model: SmoothModel) -> ValidationReport:
         lambda j: f"scaled identity fails for generator {j}",
     )]
 
-    p_id = PolyMatrix.identity(problem.ring, problem.space, problem.n).scale(model.p_poly)
-    ok = model.g_mat.mul(model.h_mat) == p_id and model.h_mat.mul(model.g_mat) == p_id
+    ok = _inverts_up_to_p(model.g_mat, model.h_mat, model.p_poly)
     checks.append(
         CheckResult("matrix-identity", ok, "GH = HG = P * Id" if ok else "GH = HG = P * Id failed")
     )

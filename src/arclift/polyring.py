@@ -14,12 +14,13 @@ Text input follows a small grammar shared by polynomials and series:
     factor := var ('^' nat)?
     coeff  := int | int '/' int
 
-where var is 'x' or one of the declared variable names, whitespace is
-ignored, and juxtaposition is not multiplication ('2x' is rejected, write
-'2*x').  Series text uses the same grammar restricted to the variable x and
-may end with a '+ O(x^k)' marker fixing the effective precision; 'O(x^k)'
-alone denotes the zero series at precision k.  Terms at or beyond a stated
-precision are truncated away.
+where var is 'x' or one of the declared variable names, int and nat are
+digit strings of any length (read exactly, without Python's int/str digit
+limit), whitespace is ignored, and juxtaposition is not multiplication
+('2x' is rejected, write '2*x').  Series text uses the same grammar
+restricted to the variable x and may end with a '+ O(x^k)' marker fixing
+the effective precision; 'O(x^k)' alone denotes the zero series at
+precision k.  Terms at or beyond a stated precision are truncated away.
 
 Rendering is canonical: terms are ordered by ascending lexicographic
 comparison of the reversed exponent vector, then by ascending x power, and
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from operator import mul
 
 from .errors import (
@@ -64,11 +66,14 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Recursive-descent parser for the shared poly/series grammar."""
+    """Recursive-descent parser for the shared poly/series grammar.
+
+    Scalars are read as plain ints, or as field elements for a/b, and are
+    coerced into the field once, by `SeriesRing.monomial`.
+    """
 
     def __init__(self, text: str, ring: SeriesRing, names, series_mode: bool):
         self.ring = ring
-        self.field = ring.field
         self.names = tuple(names)
         self.series_mode = series_mode
         self.tokens = _tokenize(text)
@@ -86,121 +91,103 @@ class _Parser:
         self.i += 1
         return tok
 
-    def _expect_op(self, op: str):
+    def _accept(self, op: str) -> bool:
+        """Consume the next token if it is the operator op."""
+        if self._peek()[:2] != ("op", op):
+            return False
+        self.i += 1
+        return True
+
+    def _nat(self, message: str) -> int:
+        """The next token as a non-negative integer, read exactly at any length."""
         kind, val, pos = self._take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
+        if kind != "int":
+            raise ParseError(message, pos)
+        # Decimal, unlike int(str), has no digit limit
+        return int(Decimal(val))
+
+    def _exponent(self, message: str) -> int:
+        """The optional '^' nat after a variable; 1 when absent."""
+        return self._nat(message) if self._accept("^") else 1
+
+    def _sign(self):
+        """-1 or 1 for a '-' or '+' consumed here; None when neither is next."""
+        return -1 if self._accept("-") else 1 if self._accept("+") else None
+
+    def _expect_op(self, op: str):
+        if not self._accept(op):
+            raise ParseError(f"expected {op!r}", self._peek()[2])
 
     def parse(self) -> dict:
-        terms = {}
-        kind, val, pos = self._peek()
-        if kind is None:
+        if not self.tokens:
             raise ParseError("empty input", 0)
-        sign = 1
-        if kind == "op" and val in "+-":
-            sign = -1 if val == "-" else 1
-            self._take()
-        self._term(terms, sign)
-        while True:
-            kind, val, pos = self._peek()
-            if kind is None:
-                return terms
-            if kind != "op" or val not in "+-":
+        terms = {}
+        self._term(terms, self._sign() or 1)
+        while self.i < len(self.tokens):
+            pos = self._peek()[2]
+            sign = self._sign()
+            if sign is None:
                 raise ParseError("expected '+' or '-' between terms", pos)
             if self.o_prec is not None:
                 raise ParseError("O(...) must be the final term", pos)
-            self._take()
-            self._term(terms, -1 if val == "-" else 1)
+            self._term(terms, sign)
+        return terms
 
     def _term(self, terms: dict, sign: int):
         kind, val, pos = self._peek()
         if kind == "int":
             scalar = self._coeff()
+            more = self._accept("*")
+        elif kind == "name" and self.series_mode and val == "O":
+            if sign < 0:
+                raise ParseError("O(...) cannot be subtracted", pos)
+            self._take()
+            self._o_tail(pos)
+            return
         elif kind == "name":
-            if self.series_mode and val == "O":
-                if sign < 0:
-                    raise ParseError("O(...) cannot be subtracted", pos)
-                self._take()
-                self._o_tail(pos)
-                return
-            scalar = self.field.one
+            scalar, more = 1, True
         else:
             raise ParseError("expected a coefficient or a variable", pos)
-        xpow = 0
-        exps = [0] * len(self.names)
-        if kind == "name":
+        exps = [0] * (len(self.names) + 1)  # the last slot, index -1, counts x
+        while more:
             idx, e = self._factor()
-            if idx < 0:
-                xpow += e
-            else:
-                exps[idx] += e
-        while True:
-            k2, v2, p2 = self._peek()
-            if k2 != "op" or v2 != "*":
-                break
-            self._take()
-            k3, v3, p3 = self._peek()
-            if k3 != "name":
-                raise ParseError("expected a variable after '*'", p3)
-            idx, e = self._factor()
-            if idx < 0:
-                xpow += e
-            else:
-                exps[idx] += e
-        if sign < 0:
-            scalar = self.field.neg(scalar)
-        mono = self.ring.monomial(xpow, scalar)
+            exps[idx] += e
+            more = self._accept("*")
+        mono = self.ring.monomial(exps.pop(), sign * scalar)
         key = tuple(exps)
         prev = terms.get(key)
         terms[key] = mono if prev is None else prev + mono
 
     def _coeff(self):
-        kind, val, pos = self._take()
-        num = int(val)
-        k2, v2, p2 = self._peek()
-        if k2 == "op" and v2 == "/":
-            self._take()
-            k3, v3, p3 = self._take()
-            if k3 != "int":
-                raise ParseError("expected an integer denominator", p3)
-            try:
-                return self.field.from_pair(num, int(v3))
-            except NotAUnitError as exc:
-                raise ParseError(str(exc), pos) from None
-        return self.field.from_int(num)
+        pos = self._peek()[2]
+        num = self._nat("expected a coefficient or a variable")
+        if not self._accept("/"):
+            return num
+        den = self._nat("expected an integer denominator")
+        try:
+            return self.ring.field.from_pair(num, den)
+        except NotAUnitError as exc:
+            raise ParseError(str(exc), pos) from None
 
     def _factor(self):
+        """(variable index, exponent) of the next factor; x has index -1."""
         kind, val, pos = self._take()
+        if kind != "name":
+            raise ParseError("expected a variable after '*'", pos)
         if val == "x":
             idx = -1
+        elif val in self.names:
+            idx = self.names.index(val)
         else:
-            if val in self.names:
-                idx = self.names.index(val)
-            else:
-                raise UnknownVariableError(f"unknown variable {val!r}", pos)
-        e = 1
-        k2, v2, p2 = self._peek()
-        if k2 == "op" and v2 == "^":
-            self._take()
-            k3, v3, p3 = self._take()
-            if k3 != "int":
-                raise ParseError("expected a nonnegative integer exponent", p3)
-            e = int(v3)
-        return idx, e
+            raise UnknownVariableError(f"unknown variable {val!r}", pos)
+        return idx, self._exponent("expected a nonnegative integer exponent")
 
     def _o_tail(self, pos: int):
         self._expect_op("(")
         kind, val, p = self._take()
         if kind != "name" or val != "x":
             raise ParseError("expected x inside O(...)", p)
-        k = 1
-        k2, v2, p2 = self._peek()
-        if k2 == "op" and v2 == "^":
-            self._take()
-            k3, v3, p3 = self._take()
-            if k3 != "int":
-                raise ParseError("expected an integer exponent in O(...)", p3)
-            k = int(v3)
+        k = self._exponent("expected an integer exponent in O(...)")
         self._expect_op(")")
         if k < 1:
             raise ParseError("precision in O(...) must be at least 1", pos)
@@ -391,7 +378,7 @@ class Poly:
             if e == 0:
                 continue
             key = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-            scaled = coeff * self.ring.scalar(self.ring.field.from_int(e))
+            scaled = coeff * self.ring.scalar(e)
             prev = out.get(key)
             out[key] = scaled if prev is None else prev + scaled
         return Poly._make(self.ring, self.space, out)

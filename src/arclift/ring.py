@@ -60,6 +60,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
@@ -119,9 +120,6 @@ class RationalField:
             return Fraction(v)
         raise StructureError(f"cannot coerce {v!r} into Q")
 
-    def from_int(self, k: int) -> Fraction:
-        return Fraction(k)
-
     def from_pair(self, num: int, den: int) -> Fraction:
         if den == 0:
             raise NotAUnitError("zero denominator")
@@ -174,9 +172,6 @@ class PrimeField:
         if isinstance(v, Fraction):
             return self.from_pair(v.numerator, v.denominator)
         raise StructureError(f"cannot coerce {v!r} into F_{self.p}")
-
-    def from_int(self, k: int) -> int:
-        return k % self.p
 
     def from_pair(self, num: int, den: int) -> int:
         return num % self.p * self.inv(den % self.p) % self.p
@@ -483,6 +478,11 @@ def x_power(k: int, name: str = "x") -> str:
     return name if k == 1 else f"{name}^{k}"
 
 
+def digits(k: int) -> str:
+    """k in decimal, exactly at any length; str(k) stops at Python's int/str digit limit."""
+    return str(Decimal(k))
+
+
 def render_terms(terms) -> str:
     """The canonical text of a sum of (num, den, factors) terms, num != 0 < den.
 
@@ -496,7 +496,7 @@ def render_terms(terms) -> str:
             c = gcd(num, den)
             num, den = num // c, den // c
         mag = -num if num < 0 else num
-        coeff = str(mag) if den == 1 else f"{mag}/{den}"
+        coeff = digits(mag) if den == 1 else f"{digits(mag)}/{digits(den)}"
         body = "*".join(factors if factors and coeff == "1" else (coeff, *factors))
         if parts:
             parts.append((" - " if num < 0 else " + ") + body)

@@ -600,3 +600,22 @@ def test_each_series_and_poly_is_rendered_once(capsys, monkeypatch, argv, render
     code, out, err = run(capsys, *argv, *mode)
     assert code == 0
     assert len(calls) == renders
+
+
+def test_jet_prec_is_not_a_problem_key(capsys, tmp_path):
+    raw = json.loads((helpers.PROBLEMS / "cusp.json").read_text(encoding="utf-8"))
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**raw, "jet_prec": 20}), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 4
+    assert "unknown problem keys: jet_prec" in err
+
+
+def test_an_o_marker_in_the_jet_truncates_it(tmp_path):
+    raw = json.loads((helpers.PROBLEMS / "cusp.json").read_text(encoding="utf-8"))
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**raw, "jet": ["x^3 + O(x^20)", "x^2"]}), encoding="utf-8")
+    problem = load_problem(str(path))
+    assert problem.jet[0].prec == 20
+    assert problem.jet[0] == problem.ring.parse("x^3").truncate(20)
+    assert problem.jet[1].prec == problem.ring.n_work
