@@ -98,12 +98,11 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
 
     The free coordinates are fixed to t_free.  Each step is the Newton update
     u -> u - delta with delta = adj(J)*g(u)/det(J), J the bound block
-    Jacobian at u; det(J) is expanded along J's first row from adj(J), so it
-    certifies the digits of cofactor expansion up to r = 3.  The residual
-    order must strictly increase every round (it doubles in practice).  A
-    step computes each piece only to the precision that reaches its result,
-    so the iterates, residuals and orders are those of full-precision
-    Newton, digit for digit:
+    Jacobian at u; det(J) and adj(J) certify the digits of cofactor
+    expansion.  The residual order must strictly increase every round (it
+    doubles in practice).  A step computes each piece only to the precision
+    that reaches its result, so the iterates, residuals and orders are those
+    of full-precision Newton, digit for digit:
 
     - g(u) vanishes mod x^k and is known mod x^R, R the largest precision
       among its components.  No component of delta is known beyond x^R
@@ -167,12 +166,11 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
             raise NoProgressError("Newton did not reach the target within 64 iterations")
         w = max(v.prec for v in res) - k
         jac = model.t_jac.eval({nm: s.truncate(w) for nm, s in point.items()})
-        adj = linalg.adjugate(jac, zero, one)
-        det = linalg.expand_first_row(jac, adj)
+        det = linalg.det(jac, zero, one)
         h0 = 0 if inv_det is None else (det - det_prev).order_floor()
         inv_det = det.inv_unit(inv_det.truncate(h0) if h0 else None)
         det_prev = det
-        correction = linalg.mat_vec(adj, res)
+        correction = linalg.mat_vec(linalg.adjugate(jac, zero, one), res)
         delta = [c * inv_det for c in correction]
         tails = model.newton_tail
         tail_point = dict(zip(tails[0].space.names, t_bound + t_free + tuple(-d for d in delta)))

@@ -167,9 +167,16 @@ def load_problem(path: str) -> Problem:
     if n_work is None:
         env = os.environ.get("ARCLIFT_NWORK")
         if env is not None:
+            plain = env.isascii() and env.isdigit()
+            # leading zeros count toward Python's int/str digit limit, not toward the value
+            text = (env.lstrip("0") or "0") if plain else env
             try:
-                n_work = int(env)
+                n_work = int(text)
             except ValueError:
+                # int() refuses a plain digit string only past that limit, far above the cap
+                _expect(
+                    not plain, f"working precision of {len(text)} digits exceeds the cap {MAX_NWORK}"
+                )
                 raise ParseError(f"ARCLIFT_NWORK must be an integer, got {env!r}")
     if n_work is None:
         n_work = DEFAULT_PRECISION

@@ -331,14 +331,19 @@ def build_border(problem: Problem) -> Border:
     """Jacobian with minor columns first, bordered by (0 | Id); det equals the minor."""
     n, r = problem.n, problem.r
     lead = tuple(j - 1 for j in problem.minor_cols)
-    rest = tuple(j for j in range(n) if j not in set(lead))
-    perm = lead + rest
-    names = problem.space.names
-    jac = jacobian(problem.f_polys, tuple(names[j] for j in perm))
+    perm = lead + tuple(j for j in range(n) if j not in lead)
+    jac = jacobian(problem.f_polys, tuple(problem.space.names[j] for j in perm))
     h_mat = PolyMatrix(jac.rows + PolyMatrix.identity(problem.ring, problem.space, n).rows[r:])
-    if h_mat.det() != problem.minor:
+    if not _border_is_minor(h_mat, r, problem.minor):
         raise IdentityFailedError("border determinant does not equal the selected minor")
     return Border(h_mat, perm)
+
+
+def _border_is_minor(h_mat: PolyMatrix, r: int, minor: Poly) -> bool:
+    """det(H) = M, read off H = [[A, B], [0, Id]]: the rows below r are (0 | Id) and det(A) = M."""
+    lower = PolyMatrix.identity(h_mat.ring, h_mat.space, h_mat.shape[0]).rows[r:]
+    block = PolyMatrix([row[:r] for row in h_mat.rows[:r]])
+    return h_mat.rows[r:] == lower and block.det() == minor
 
 
 def compute_g(h_mat: PolyMatrix, r: int, n_norm: Poly, p_poly: Poly) -> PolyMatrix:
@@ -609,7 +614,7 @@ def verify_model(model: SmoothModel) -> ValidationReport:
         CheckResult("matrix-identity", ok, "GH = HG = P * Id" if ok else "GH = HG = P * Id failed")
     )
 
-    ok = model.h_mat.det() == problem.minor
+    ok = _border_is_minor(model.h_mat, problem.r, problem.minor)
     checks.append(
         CheckResult(
             "border-determinant", ok, "det(H) equals the minor" if ok else "det(H) != minor"

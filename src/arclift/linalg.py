@@ -2,10 +2,10 @@
 
 The matrix routines are generic over any commutative coefficient type that
 supports +, *, and unary -, so the same code serves matrices of Series and
-of Poly entries.  det is Berkowitz's division-free loop; adjugate takes
-signed minors, which keeps Series precisions those of cofactor expansion (an
-adjugate by Cayley-Hamilton certifies fewer digits on Series entries), and
-expand_first_row reads the determinant off such an adjugate.
+of Poly entries.  det and adjugate share one division-free cofactor
+expansion along the first row, memoised on its blocks and built bottom-up,
+so Series entries keep the precisions of cofactor expansion at n * 2^n
+products, not n!; the package takes them of r x r blocks only.
 
 solve_linear is the one routine specialised to scalar fields; it performs
 plain Gaussian elimination with exact division, returns a particular
@@ -14,6 +14,8 @@ unsolvable systems by returning None.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 
 def _dot(u, v):
@@ -34,52 +36,43 @@ def mat_vec(a, v):
     return [_dot(row, v) for row in a]
 
 
-def det(rows, zero, one):
-    """Determinant by Berkowitz's division-free loop (S. J. Berkowitz, IPL 18, 1984).
+def _block_dets(rows, tops, one):
+    """{(rows, columns): determinant} for each block that expanding the top row tuples reaches.
 
-    poly is det(lambda * Id + M) = [1, c_1, ..., c_k] for the leading k x k
-    block M, so c_n is the determinant.  On Series it is the cofactor value
-    bit for bit up to 2 x 2; from 3 x 3 on it agrees through the shared
-    precision, which may differ (mostly fewer digits), so Newton takes det(J)
-    from its adjugate by expand_first_row instead.
+    A block expands along its first row into blocks on its other rows, built smallest
+    first, with the products, signs and left-to-right sums of the recursive expansion
+    and a 1 x 1 block its entry; each top is taken with every column set of its size.
     """
-    poly = [one]
-    for k, row in enumerate(rows):
-        col = [r[k] for r in rows[:k]]
-        toeplitz = [row[k]]  # a, -RC, RMC, -RM^2C, ... for row R, column C, corner a
-        for i in range(k):
-            if i:
-                col = [_dot(r, col) for r in rows[:k]]
-            rc = _dot(row, col)
-            toeplitz.append(rc if i % 2 else -rc)
-        nxt = [one]
-        for i, t in enumerate(toeplitz, start=1):
-            for j in range(1, i):
-                t = t + toeplitz[i - j - 1] * poly[j]
-            nxt.append(poly[i] + t if i <= k else t)
-        poly = nxt
-    return poly[-1]
+    dets = {((), ()): one}
+    for size in range(1, max(map(len, tops), default=0) + 1):
+        for part in dict.fromkeys(top[len(top) - size:] for top in tops):
+            lead, below = rows[part[0]], part[1:]
+            for cols in combinations(range(len(rows)), size):
+                acc = lead[cols[0]] * dets[below, cols[1:]] if below else lead[cols[0]]
+                for i in range(1, size):
+                    term = lead[cols[i]] * dets[below, cols[:i] + cols[i + 1:]]
+                    acc = acc + (-term if i % 2 else term)
+                dets[part, cols] = acc
+    return dets
+
+
+def det(rows, zero, one):
+    """Determinant by cofactor expansion along the first row; zero is unused."""
+    top = tuple(range(len(rows)))
+    return _block_dets(rows, [top], one)[top, top]
 
 
 def adjugate(rows, zero, one):
-    """Transposed signed-minor matrix; rows * adjugate = det * identity."""
-    n = len(rows)
-    out = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[e for c, e in enumerate(r) if c != j] for k, r in enumerate(rows) if k != i]
-            cof = det(minor, zero, one)
-            out[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return out
+    """Transposed signed-minor matrix; rows * adjugate = det * identity.
 
-
-def expand_first_row(rows, adj):
-    """det(rows) as sum_j rows[0][j] * adj[j][0], for adj the adjugate of rows.
-
-    Cofactor expansion along the first row; adj holds the signed minors, so
-    on Series this is the cofactor determinant bit for bit up to 3 x 3.
+    Minor (i, j) is the block on the rows other than i and the columns other than j.
     """
-    return _dot(rows[0], [r[0] for r in adj])
+    others = [tuple(k for k in range(len(rows)) if k != i) for i in range(len(rows))]
+    dets = _block_dets(rows, others, one)
+    return [
+        [dets[top, cols] if (i + j) % 2 == 0 else -dets[top, cols] for i, top in enumerate(others)]
+        for j, cols in enumerate(others)
+    ]
 
 
 def solve_linear(field, rows, rhs):

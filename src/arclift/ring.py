@@ -108,7 +108,6 @@ class RationalField:
     """The field of exact rationals; scalars are fractions.Fraction."""
 
     p = None
-    name = "Q"
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -154,8 +153,6 @@ class RationalField:
 
 class PrimeField:
     """Residue field F_p for a prime p < 2^31; scalars are ints in [0, p)."""
-
-    name = "Fp"
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not (2 <= p < _MAX_PRIME):

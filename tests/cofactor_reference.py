@@ -1,7 +1,8 @@
 """The recursive cofactor determinant and adjugate, kept as a test reference.
 
-This is the linear algebra the package used before its determinant became
-Berkowitz's loop; tests compare the two on Poly and Series matrices.
+The package's determinant performs these operations in this order, memoised
+and bottom-up; tests compare the two on Poly and Series matrices, and take
+Newton's reference det(J) and adj(J) from here.
 """
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from arclift import (
     Certificate,
+    Poly,
     PrimeField,
     QQ,
     SeriesRing,
@@ -151,6 +152,34 @@ def cusp_product_problem(k, untouched=0, field=QQ):
         jet=[ring.parse(s) for s in ("x^3", "x^2") * k] + [ring.parse("x")] * untouched,
         certificate=identity_certificate(ring, space, k),
         c=c,
+    )
+
+
+def coupled_cusp_problem(k, links, field=QQ):
+    """cusp_product_problem(k) after the change of variables Y(a) -> Y(a) + Y(b), (a, b) in links.
+
+    Each a is a free (even) variable and each b a minor (odd) column, so the
+    change is unimodular: the jet solved back through it stays exact, the
+    identity certificate still serves and the minor keeps its order 3k at the
+    jet.  A link (2i, b) makes generator i depend on minor column b besides
+    2i-1, so the minor block and t_jac are no longer diagonal.
+    """
+    base = cusp_product_problem(k, field=field)
+    ring, space = base.ring, base.space
+    images = {nm: Poly.variable(ring, space, nm) for nm in space.names}
+    jet = list(base.jet)
+    for a, b in links:
+        images[f"Y{a}"] = images[f"Y{a}"] + images[f"Y{b}"]
+        jet[a - 1] = jet[a - 1] - jet[b - 1]
+    return make_problem(
+        ring,
+        n=base.n,
+        ideal_gens=[g.subst(images, space) for g in base.ideal_gens],
+        f_idx=base.f_idx,
+        minor_cols=base.minor_cols,
+        jet=jet,
+        certificate=base.certificate,
+        c=base.c,
     )
 
 

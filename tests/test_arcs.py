@@ -3,12 +3,12 @@
 import dataclasses
 import json
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cofactor_reference as reference
 import helpers
 from arclift import (
     ArcliftError,
@@ -36,6 +36,7 @@ from arclift import (
     make_problem,
     offset_lift,
     oracle_enumerate,
+    verify_model,
 )
 from arclift import arcs, linalg
 from arclift import ring as ring_module
@@ -109,7 +110,8 @@ def test_newton_at_least_doubles_the_residual_order_on_every_shipped_problem(mon
 def _reference_newton(model, t_free, target, seed=None):
     """Newton on the bound block with every piece at full precision.
 
-    Each step evaluates the bound Jacobian at the whole iterate, inverts its
+    Each step evaluates the bound Jacobian at the whole iterate, takes its
+    determinant and adjugate by the recursive cofactor reference, inverts the
     determinant at that precision, and evaluates g at the new iterate.
     """
     ring = model.ring
@@ -137,8 +139,8 @@ def _reference_newton(model, t_free, target, seed=None):
         if iterations >= 64:
             raise NoProgressError("Newton did not reach the target within 64 iterations")
         jac = model.t_jac.eval(point)
-        inv_det = linalg.det(jac, zero, one).inv_unit()
-        correction = linalg.mat_vec(linalg.adjugate(jac, zero, one), res)
+        inv_det = reference.det(jac, zero, one).inv_unit()
+        correction = linalg.mat_vec(reference.adjugate(jac, zero, one), res)
         for i in range(model.r):
             t_bound[i] = t_bound[i] - correction[i] * inv_det
         iterations += 1
@@ -230,6 +232,33 @@ def test_hensel_solve_matches_full_precision_newton(shipped_models, data):
     )
 
 
+# Y(2i) -> Y(2i) + Y(2i+1): a 3-cycle gives a dense 3 x 3 minor block, a chain a triangular one
+CYCLE = [(2, 3), (4, 5), (6, 1)]
+CHAIN = [(2 * i, 2 * i + 1) for i in range(1, 6)]
+
+
+@pytest.mark.parametrize(
+    "k, links", [(3, CYCLE), (4, CYCLE), (6, CHAIN)], ids=["r3-dense", "r4-block", "r6-chain"]
+)
+def test_coupled_systems_verify_and_newton_takes_cofactor_digits(k, links):
+    """No shipped problem has r >= 3, nor a bound Jacobian with entries off its diagonal.
+
+    Each Newton run, from random free coordinates, matches Newton with det(J)
+    and adj(J) from the recursive cofactor reference, iterates and precisions.
+    """
+    model = build_model(helpers.coupled_cusp_problem(k, links))
+    assert model.r == k and verify_model(model).ok
+    assert any(model.t_jac.rows[i][j].terms for i in range(k) for j in range(k) if i != j)
+    rng = SplitMix64(k)
+    for _ in range(4):
+        t_free = tuple(draw_series(rng, model.ring, 1, 6) for _ in range(model.param_count))
+        target = default_target(model)
+        assert hensel_solve(model, t_free, target).iterations > 0
+        assert _outcome(hensel_solve, model, t_free, target) == _outcome(
+            _reference_newton, model, t_free, target
+        )
+
+
 def _g_evaluations(monkeypatch):
     """Record every Poly.eval call; returns the list of polynomials evaluated."""
     evaluated = []
@@ -241,20 +270,6 @@ def _g_evaluations(monkeypatch):
 
     monkeypatch.setattr(Poly, "eval", recording)
     return evaluated
-
-
-def test_make_lift_takes_no_determinant(monkeypatch):
-    """Newton reads det(J) off the adjugate it already has; arcs never calls linalg.det."""
-    calls = []
-
-    def det(*args):
-        calls.append(args)
-        return linalg.det(*args)
-
-    monkeypatch.setattr(arcs, "linalg", SimpleNamespace(**{**vars(linalg), "det": det}))
-    for path in helpers.shipped_problems():
-        make_lift(build_model(load_problem(str(path))))
-    assert calls == []
 
 
 def test_newton_inverts_det_from_the_previous_inverse(monkeypatch, tmp_path):

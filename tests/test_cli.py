@@ -310,6 +310,27 @@ def test_a_working_precision_above_the_cap_in_the_environment_exits_4(monkeypatc
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("value, message", [
+    ("soon", "ARCLIFT_NWORK must be an integer, got 'soon'"),
+    (str(MAX_NWORK + 1), f"working precision {MAX_NWORK + 1} exceeds the cap {MAX_NWORK}"),
+    ("1" * 5000, f"working precision of 5000 digits exceeds the cap {MAX_NWORK}"),
+])
+def test_a_bad_working_precision_in_the_environment_exits_4_with_a_short_message(
+    capsys, monkeypatch, value, message
+):
+    """A digit string that int() refuses for its length alone is above the cap, and not echoed."""
+    monkeypatch.setenv("ARCLIFT_NWORK", value)
+    code, out, err = run(capsys, "validate", CUSP)
+    assert (code, out, err) == (4, "", f"arclift: parse error: {message}\n")
+
+
+def test_leading_zeros_in_the_environment_do_not_count_toward_the_int_limit(capsys, monkeypatch):
+    monkeypatch.setenv("ARCLIFT_NWORK", "0" * 5000 + "20")
+    code, out, err = run(capsys, "lift", CUSP, "--t-free", "x^9")
+    assert code == 0
+    assert "eff_prec: 17" in out
+
+
 # -- extract and roundtrip ------------------------------------------------
 
 

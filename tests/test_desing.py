@@ -274,6 +274,17 @@ def test_verify_passes_on_every_fixture(cusp_q, cusp_f5, node, shifted_node, smo
         ]
 
 
+def test_verify_reads_det_h_off_the_block_form(cusp_q):
+    """det(H) = M is read off H = [[A, B], [0, Id]]: a lower row that keeps det(H) still fails."""
+    (a, b), _ = cusp_q.h_mat.rows
+    w = parse_poly("x*Y2", cusp_q.ring, cusp_q.problem.space)
+    tampered = PolyMatrix([[a, b], [a * w, b * w + Poly.constant(cusp_q.ring, w.space, 1)]])
+    assert tampered.det() == cusp_q.problem.minor
+    report = verify_model(dataclasses.replace(cusp_q, h_mat=tampered))
+    check = next(c for c in report.checks if c.name == "border-determinant")
+    assert (check.ok, check.detail) == (False, "det(H) != minor")
+
+
 def test_verify_catches_a_tampered_remainder(cusp_q):
     ring = cusp_q.ring
     bump = parse_poly("x^20*T1^2", ring, cusp_q.tspace)
@@ -436,16 +447,36 @@ def test_wide_systems_build_verify_and_lift_in_under_a_second(k, untouched):
 
 
 def test_build_and_verify_take_adjugates_of_the_minor_block_only(monkeypatch):
-    """G comes from adj(A) for the r x r block A, never from an n x n adjugate."""
-    sizes = []
-    plain = linalg.adjugate
+    """Every determinant and adjugate of a build, verify and lift is r x r.
 
-    def recording(rows, zero, one):
-        sizes.append(len(rows))
-        return plain(rows, zero, one)
+    G comes from adj(A) for the r x r block A, det(H) is read off H's block
+    form, and Newton's J is r x r: an n x n one would cost about n * 2^n.
+    """
+    sizes = {"det": [], "adjugate": []}
 
-    monkeypatch.setattr(linalg, "adjugate", recording)
-    for problem in (helpers.cusp_product_problem(2, 3), helpers.tcurve_problem()):
-        sizes.clear()
-        verify_model(build_model(problem))
-        assert sizes == [problem.r]
+    def recording(name):
+        plain, seen = getattr(linalg, name), sizes[name]
+
+        def call(rows, zero, one):
+            seen.append(len(rows))
+            return plain(rows, zero, one)
+
+        return call
+
+    for name in sizes:
+        monkeypatch.setattr(linalg, name, recording(name))
+    problems = (
+        helpers.cusp_product_problem(1, 14),
+        helpers.cusp_product_problem(4, 0),
+        helpers.tcurve_problem(),
+    )
+    for problem in problems:
+        for seen in sizes.values():
+            seen.clear()
+        model = build_model(problem)
+        verify_model(model)
+        rng = SplitMix64(problem.n)
+        t_free = [draw_series(rng, model.ring, 1, 6) for _ in range(model.param_count)]
+        assert make_lift(model, t_free).newton_iterations > 0
+        assert sizes["adjugate"] and set(sizes["adjugate"]) == {problem.r}
+        assert sizes["det"] and set(sizes["det"]) == {problem.r}

@@ -1,4 +1,4 @@
-"""Berkowitz determinants and signed-minor adjugates against the cofactor reference."""
+"""Memoised cofactor determinants and adjugates against the recursive cofactor reference."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,47 +53,26 @@ def _series_units(ring):
 @given(st.data())
 def test_poly_det_and_adjugate_equal_the_cofactor_reference(data):
     ring = data.draw(st.sampled_from(RINGS))
-    n = data.draw(st.integers(0, 5))
+    n = data.draw(st.integers(0, 6))
     rows = data.draw(_poly_matrix(ring, n))
     zero, one = _poly_units(ring)
-    assert linalg.det(rows, zero, one) == reference.det(rows, zero, one)
+    assert _exact(linalg.det(rows, zero, one)) == _exact(reference.det(rows, zero, one))
     if n:
-        assert linalg.adjugate(rows, zero, one) == reference.adjugate(rows, zero, one)
+        got = linalg.adjugate(rows, zero, one)
+        assert _exact(got) == _exact(reference.adjugate(rows, zero, one))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.data())
-def test_series_det_up_to_2x2_and_adjugate_up_to_3x3_are_bit_identical(data):
-    """Newton's J is r x r with r <= 2, so its determinant and adjugate must not move."""
+def test_series_det_and_adjugate_up_to_6x6_are_bit_identical(data):
+    """Newton's det(J) and adj(J) certify the cofactor digits and precisions at every r."""
     ring = data.draw(st.sampled_from(RINGS))
-    n = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 6))
     rows = data.draw(_series_matrix(ring, n))
     zero, one = _series_units(ring)
-    if n <= 2:
-        assert _exact(linalg.det(rows, zero, one)) == _exact(reference.det(rows, zero, one))
+    assert _exact(linalg.det(rows, zero, one)) == _exact(reference.det(rows, zero, one))
     got = linalg.adjugate(rows, zero, one)
     assert _exact(got) == _exact(reference.adjugate(rows, zero, one))
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.data())
-def test_larger_series_determinants_agree_through_the_shared_precision(data):
-    """From 3 x 3 on the certified precision may differ, the digits never do."""
-    ring = data.draw(st.sampled_from(RINGS))
-    rows = data.draw(_series_matrix(ring, data.draw(st.integers(3, 4))))
-    zero, one = _series_units(ring)
-    assert linalg.det(rows, zero, one) == reference.det(rows, zero, one)
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.data())
-def test_first_row_expansion_over_the_adjugate_is_the_cofactor_determinant_at_3x3(data):
-    """Newton's det(J), bit for bit, where Berkowitz's loop is not."""
-    ring = data.draw(st.sampled_from(RINGS))
-    rows = data.draw(_series_matrix(ring, 3))
-    zero, one = _series_units(ring)
-    got = linalg.expand_first_row(rows, linalg.adjugate(rows, zero, one))
-    assert _exact(got) == _exact(reference.det(rows, zero, one))
 
 
 def _zero_started(a, b, zero):

@@ -16,7 +16,11 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_no_linear_algebra_routine_calls_itself():
-    """Determinants are one loop; a recursive expansion costs O(n!) on the bordered H."""
+    """Determinants are memoised and built bottom-up, not recursive.
+
+    A recursive expansion costs O(n!) and the memoised one n * 2^n, so the
+    n x n bordered H is never expanded: its det is read off its r x r block.
+    """
     path = helpers.REPO / "src" / "arclift" / "linalg.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     recursive = [
