@@ -32,7 +32,6 @@ from .desing import (
     build_model,
     identity_certificate,
     make_problem,
-    minor_poly,
     validate_problem,
     verify_model,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "jacobian",
     "make_lift",
     "make_problem",
-    "minor_poly",
     "offset_lift",
     "oracle_enumerate",
     "parse_poly",

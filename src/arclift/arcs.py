@@ -99,7 +99,9 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
     The free coordinates are fixed to t_free.  Each step is the Newton update
     u -> u - delta with delta = adj(J)*g(u)/det(J), J the bound block
     Jacobian at u; det(J) and adj(J) certify the digits of cofactor
-    expansion.  The residual order must strictly increase every round (it
+    expansion.  One block table gives both: det(J) is the first entry of
+    J*adj(J), the first-row expansion with the products, signs and order of
+    linalg.det.  The residual order must strictly increase every round (it
     doubles in practice).  A step computes each piece only to the precision
     that reaches its result, so the iterates, residuals and orders are those
     of full-precision Newton, digit for digit:
@@ -153,7 +155,6 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
     k = k0
     orders = [k0]
     iterations = 0
-    zero = ring.zero(ring.n_work)
     one = ring.one()
     det_prev = inv_det = None
     while k < target:
@@ -166,11 +167,12 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
             raise NoProgressError("Newton did not reach the target within 64 iterations")
         w = max(v.prec for v in res) - k
         jac = model.t_jac.eval({nm: s.truncate(w) for nm, s in point.items()})
-        det = linalg.det(jac, zero, one)
+        adj = linalg.adjugate(jac, one)
+        det = linalg.mat_vec([jac[0]], [row[0] for row in adj])[0]
         h0 = 0 if inv_det is None else (det - det_prev).order_floor()
         inv_det = det.inv_unit(inv_det.truncate(h0) if h0 else None)
         det_prev = det
-        correction = linalg.mat_vec(linalg.adjugate(jac, zero, one), res)
+        correction = linalg.mat_vec(adj, res)
         delta = [c * inv_det for c in correction]
         tails = model.newton_tail
         tail_point = dict(zip(tails[0].space.names, t_bound + t_free + tuple(-d for d in delta)))

@@ -233,11 +233,6 @@ def make_problem(
     return problem
 
 
-def minor_poly(problem: Problem) -> Poly:
-    """The problem's minor M, computed once per Problem (Problem.minor)."""
-    return problem.minor
-
-
 def _cofactor_miss(problem: Problem, n_poly: Poly, cofactors) -> int | None:
     """The first j with n_poly * gen_j != sum_k cofactors[j][k] * f_k (1-based), or None."""
     for j, gen in enumerate(problem.ideal_gens, start=1):
@@ -349,9 +344,9 @@ def _border_is_minor(h_mat: PolyMatrix, r: int, minor: Poly) -> bool:
 def compute_g(h_mat: PolyMatrix, r: int, n_norm: Poly, p_poly: Poly) -> PolyMatrix:
     """G = N_norm * adjugate(H) from H's r x r minor block; checks GH = HG = P * Id exactly."""
     n = h_mat.shape[0]
-    zero, one = h_mat._zero_one()
+    one = Poly.constant(h_mat.ring, h_mat.space, 1)
     top = h_mat.rows[:r]
-    lead = PolyMatrix(linalg.adjugate([row[:r] for row in top], zero, one)).scale(n_norm)
+    lead = PolyMatrix(linalg.adjugate([row[:r] for row in top], one)).scale(n_norm)
     right = linalg.mat_mul(lead.rows, [row[r:] for row in top])
     p_rows = PolyMatrix.identity(h_mat.ring, h_mat.space, n).scale(p_poly).rows[r:]
     g_mat = PolyMatrix([a + [-p for p in b] for a, b in zip(lead.rows, right)] + p_rows)
@@ -400,7 +395,7 @@ def _g_component(ring: SeriesRing, tspace: VarSpace, i: int, ai: Series, qi: Pol
 
 
 def taylor_decompose(problem: Problem, d2: Series, dgy: tuple, perm: tuple, tspace: VarSpace):
-    """Split f(y' + d*G(y')*T) into f(y') + d^2 * (a + T + Q) with Q of T-degree >= 2."""
+    """Split f(y' + d*G(y')*T) = d^2 * (a + T + Q) = f(y') + d^2 * (T + Q), Q of T-degree >= 2."""
     ring = problem.ring
     point = problem.jet_point()
     images = substitution_images(problem, dgy, perm, tspace)
@@ -581,7 +576,10 @@ _VERIFY_SEED = 0x5EED0FA0
 
 
 def _taylor_miss(model: SmoothModel, images: dict) -> str | None:
-    """How f(y' + d*G(y')*T) = f(y') + d^2 * g first fails, as polynomials or at a sample point."""
+    """How f(y' + d*G(y')*T) = d^2 * g = f(y') + d^2 * (T + Q) first fails, as polynomials or at a point.
+
+    The check's printed detail still reads f(y') + d^2 * g; it is hashed into recorded goldens.
+    """
     problem, ring, tspace = model.problem, model.ring, model.tspace
     point = problem.jet_point()
     rng = SplitMix64(_VERIFY_SEED)

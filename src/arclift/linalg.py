@@ -5,7 +5,12 @@ supports +, *, and unary -, so the same code serves matrices of Series and
 of Poly entries.  det and adjugate share one division-free cofactor
 expansion along the first row, memoised on its blocks and built bottom-up,
 so Series entries keep the precisions of cofactor expansion at n * 2^n
-products, not n!; the package takes them of r x r blocks only.
+products, not n!; the package takes them of r x r blocks only.  Every sum
+starts from its first term, so the two take no zero, only the one that the
+empty determinant and the 1 x 1 adjugate are.  The first entry of
+rows * adjugate(rows), mat_vec of the first row with the adjugate's first
+column, is the first-row expansion of det(rows) with the same products,
+signs and order, so a caller that needs both builds one table.
 
 solve_linear is the one routine specialised to scalar fields; it performs
 plain Gaussian elimination with exact division, returns a particular
@@ -56,13 +61,13 @@ def _block_dets(rows, tops, one):
     return dets
 
 
-def det(rows, zero, one):
-    """Determinant by cofactor expansion along the first row; zero is unused."""
+def det(rows, one):
+    """Determinant by cofactor expansion along the first row; the empty one is one."""
     top = tuple(range(len(rows)))
     return _block_dets(rows, [top], one)[top, top]
 
 
-def adjugate(rows, zero, one):
+def adjugate(rows, one):
     """Transposed signed-minor matrix; rows * adjugate = det * identity.
 
     Minor (i, j) is the block on the rows other than i and the columns other than j.

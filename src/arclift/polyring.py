@@ -561,9 +561,6 @@ class PolyMatrix:
         zero = Poly.zero(ring, space)
         return PolyMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def _zero_one(self):
-        return Poly.zero(self.ring, self.space), Poly.constant(self.ring, self.space, 1)
-
     def mul(self, other: PolyMatrix) -> PolyMatrix:
         return PolyMatrix(linalg.mat_mul(self.rows, other.rows))
 
@@ -574,8 +571,7 @@ class PolyMatrix:
         m, n = self.shape
         if m != n:
             raise StructureError("determinant of a non-square matrix")
-        zero, one = self._zero_one()
-        return linalg.det(self.rows, zero, one)
+        return linalg.det(self.rows, Poly.constant(self.ring, self.space, 1))
 
     def eval(self, values: dict):
         """Entrywise evaluation, returning a list of lists of Series."""

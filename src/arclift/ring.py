@@ -34,17 +34,16 @@ substitution", J. Symbolic Comput. 2009): each vector becomes one integer
 with a slot per coefficient wide enough for any product coefficient.  A
 slot is one of three kinds.  One of at most 8 bytes is rounded up to 1, 2, 4
 or 8 bytes and is one cell of an array buffer.  A wider F_p slot is exactly
-as many bytes as it needs and, from 16 coefficients on, is moved by strided
-copies with no call per coefficient: residues (p < 2^31) go in as 4-byte
-cells spread to the slot width, and each product slot comes out as two
-8-byte cells, lo + hi * 2^64, reduced mod p.  A wider Q slot, and a wide F_p
-slot of a shorter vector, is plain bytes, written by int.to_bytes and read
-back by int.from_bytes.  Q numerators are
-signed, so they are packed as two's complement digits and corrected by one
-subtraction, and the product's slots carry an offset of half their range so
-that they unpack without borrows; F_p residues are non-negative and need
-neither.  A product with a one-coefficient factor is a scaling of the other
-vector and is not packed.
+as many bytes as it needs and is moved by strided copies with no call per
+coefficient: residues (p < 2^31) go in as 4-byte cells spread to the slot
+width, and each product slot comes out as two 8-byte cells, lo + hi * 2^64,
+reduced mod p.  A wider Q slot is plain bytes, written by int.to_bytes and
+read back by int.from_bytes.  Q numerators are signed, so they are packed
+as two's complement digits and corrected by one subtraction, and the
+product's slots carry an offset of half their range so that they unpack
+without borrows; F_p residues are non-negative and need neither.  A
+product with a one-coefficient factor is a scaling of the other vector and
+is not packed, so a packed vector always has at least two coefficients.
 The inverse of a unit is Newton doubling g <- g*(2 - a*g) on top of that
 product, and an exact quotient is a/x^oa times the inverse of b/x^ob (R. P.
 Brent and H. T. Kung, "Fast algorithms for manipulating formal power
@@ -526,10 +525,6 @@ def _trimmed(nums: tuple) -> tuple:
 # array type codes by item size; upper case is the unsigned twin
 _CODES = {array(c).itemsize: c for c in "bhilq"}
 
-# A wide F_p vector this long or longer moves by strided copies; a shorter
-# one goes slot by slot, where the copies' fixed cost exceeds their saving.
-_STRIDED = 16
-
 
 def _little(cells: array) -> array:
     """The cells in little-endian byte order, which the slot layout assumes."""
@@ -542,17 +537,17 @@ def _pack(v, w: int, signed: bool, ones: int) -> int:
     """sum(v[i] << 8*w*i) for integers that fit a w-byte slot.
 
     A slot of 1, 2, 4 or 8 bytes is one array cell.  A wider slot over F_p
-    holds a residue below 2^31: for at least _STRIDED values its 4-byte cell
-    is copied into the slot's low bytes, one strided copy per byte for the
-    whole vector.  Any other wider slot is the w bytes of int.to_bytes.
-    Signed values go in as two's complement, so a negative one leaves
-    2^(8*w) in its slot; its sign bit, gathered by ones (1 at the bottom of
-    every slot), takes that back in one subtraction.
+    holds a residue below 2^31: its 4-byte cell is copied into the slot's
+    low bytes, one strided copy per byte for the whole vector.  A wider Q
+    slot is the w bytes of int.to_bytes.  Signed values go in as two's
+    complement, so a negative one leaves 2^(8*w) in its slot; its sign bit,
+    gathered by ones (1 at the bottom of every slot), takes that back in one
+    subtraction.
     """
     if w <= 8:
         buf = _little(array(_CODES[w] if signed else _CODES[w].upper(), v)).tobytes()
-    elif signed or len(v) < _STRIDED:
-        buf = b"".join([x.to_bytes(w, "little", signed=signed) for x in v])
+    elif signed:
+        buf = b"".join([x.to_bytes(w, "little", signed=True) for x in v])
     else:
         cells = _little(array(_CODES[4].upper(), v)).tobytes()
         buf = bytearray(w * len(v))
@@ -571,11 +566,11 @@ def _kmul(a, b, m: int, p) -> list:
     wide enough for any product coefficient (plus a sign bit over Q, when p
     is None), and one big-integer product does all the work.  A slot of at
     most 8 bytes is rounded up to 1, 2, 4 or 8 bytes and is one array cell;
-    a wider slot is exactly as many bytes as it needs.  For m >= _STRIDED a
-    wide F_p slot is read as two 8-byte cells, bytes 0..7 and 8..w-1, split
-    out by strided slice operations, and lo + hi * (2^64 mod p) is reduced
-    mod p; w <= 16 holds for any length below 2^66.  Any other wide slot is
-    read by int.from_bytes.  Over Q each product slot is offset by half its
+    a wider slot is exactly as many bytes as it needs.  A wide F_p slot is
+    read as two 8-byte cells, bytes 0..7 and 8..w-1, split out by strided
+    slice operations, and lo + hi * (2^64 mod p) is reduced mod p; w <= 16
+    holds for any length below 2^66.  A wide Q slot is read by
+    int.from_bytes.  Over Q each product slot is offset by half its
     range, so the slots separate without borrows, and the offset is then
     flipped away, leaving two's complement.  Over F_p the vectors hold
     residues and so does the result.  A factor with one coefficient just
@@ -610,11 +605,9 @@ def _kmul(a, b, m: int, p) -> list:
     if w <= 8:
         out = _little(array(_CODES[w] if signed else _CODES[w].upper(), raw)).tolist()
         return out if signed else [v % p for v in out]
-    read, cuts = int.from_bytes, range(0, w * m, w)
     if signed:
-        return [read(raw[i:i + w], "little", signed=True) for i in cuts]
-    if m < _STRIDED:
-        return [read(raw[i:i + w], "little") % p for i in cuts]
+        read = int.from_bytes
+        return [read(raw[i:i + w], "little", signed=True) for i in range(0, w * m, w)]
     # bytes 0..7 and 8..w-1 of every slot, as two arrays of 8-byte cells:
     # hi gathers the top bytes, lo deletes them (each del narrows every slot)
     lo, hi = bytearray(raw), bytearray(8 * m)

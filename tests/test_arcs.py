@@ -259,6 +259,29 @@ def test_coupled_systems_verify_and_newton_takes_cofactor_digits(k, links):
         )
 
 
+@pytest.mark.parametrize(
+    "k, links", [(3, CYCLE), (4, CYCLE), (6, CHAIN)], ids=["r3-dense", "r4-block", "r6-chain"]
+)
+def test_newton_builds_one_block_table_per_step(k, links, monkeypatch):
+    """det(J) is read off adj(J)'s cofactor table, so a step expands J once, not twice."""
+    model = build_model(helpers.coupled_cusp_problem(k, links))
+    tables = []
+    plain = linalg._block_dets
+
+    def recording(rows, tops, one):
+        tables.append(len(rows))
+        return plain(rows, tops, one)
+
+    monkeypatch.setattr(linalg, "_block_dets", recording)
+    rng = SplitMix64(k)
+    for _ in range(2):
+        t_free = tuple(draw_series(rng, model.ring, 1, 6) for _ in range(model.param_count))
+        tables.clear()
+        res = hensel_solve(model, t_free, default_target(model))
+        assert res.iterations > 0
+        assert tables == [k] * res.iterations
+
+
 def _g_evaluations(monkeypatch):
     """Record every Poly.eval call; returns the list of polynomials evaluated."""
     evaluated = []
@@ -658,6 +681,38 @@ def test_reference_search_stops_at_layer_c(tmp_path):
                 ref = find_strict_reference(model, depth)
                 found.add(None if ref is None else tuple((s.nums, s.den, s.prec) for s in ref.t))
             assert len(found) == 1, (path.name, field)
+
+
+def test_reference_search_keeps_only_an_improving_candidate(monkeypatch):
+    """The greedy step: a candidate that raises the lowest violated order seeds the next
+    layer's probes and residual, and one that does not is dropped.
+
+    No shipped problem reaches an improving non-strict candidate, so make_lift and
+    _violation are scripted: no lift is strict, each is recorded by its free vector, and
+    each violation is one window coefficient over F5 with its lowest order.
+    """
+    ring = SeriesRing(PrimeField(5), 40)
+    model = dataclasses.make_dataclass("Model", ["ring", "param_count", "c"])(ring, 1, 3)
+    lifts = []
+    script = iter([
+        ([1], 0),  # base
+        ([2], 0), ([3], 1),  # layer 1: probe, then a candidate that improves 0 -> 1
+        ([4], 0), ([1], 1),  # layer 2: probe, then a candidate that does not improve
+        ([4], 0), ([2], 0),  # layer 3: probe, then a candidate that does not improve
+    ])
+
+    def lift(model, t_free):
+        lifts.append(t_free)
+        return dataclasses.make_dataclass("Lift", ["strict"])(False)
+
+    monkeypatch.setattr(arcs, "make_lift", lift)
+    monkeypatch.setattr(arcs, "_violation", lambda model, lift: next(script))
+    assert find_strict_reference(model, search_depth=8) is None
+    # layer 1 solves 1 + (2 - 1)*a = 0, a = 4; layer 2 solves 3 + (4 - 3)*a = 0 against
+    # the kept candidate's violation, a = 2; layer 3 probes from the layer-1 candidate again
+    expected = ["0", "x", "4*x", "4*x + x^2", "4*x + 2*x^2", "4*x + x^3", "4*x + 2*x^3"]
+    assert [t.render() for (t,) in lifts] == expected
+    assert next(script, None) is None
 
 
 def test_reference_search_handles_no_parameters(smooth):

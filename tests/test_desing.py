@@ -26,7 +26,6 @@ from arclift import (
     linalg,
     make_lift,
     make_problem,
-    minor_poly,
     parse_poly,
     validate_problem,
     verify_model,
@@ -193,7 +192,7 @@ def test_smooth_point_model(smooth):
 
 def test_minor_poly_golden():
     prob = helpers.cusp_problem()
-    assert minor_poly(prob) == parse_poly("2*Y1", prob.ring, prob.space)
+    assert prob.minor == parse_poly("2*Y1", prob.ring, prob.space)
 
 
 def test_q_has_no_linear_part(cusp_q, node):
@@ -457,9 +456,9 @@ def test_build_and_verify_take_adjugates_of_the_minor_block_only(monkeypatch):
     def recording(name):
         plain, seen = getattr(linalg, name), sizes[name]
 
-        def call(rows, zero, one):
+        def call(rows, one):
             seen.append(len(rows))
-            return plain(rows, zero, one)
+            return plain(rows, one)
 
         return call
 

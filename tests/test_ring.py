@@ -681,15 +681,25 @@ def test_div_exact_by_a_monomial_or_a_constant_packs_nothing(field, monkeypatch)
                 _assert_same(q, _school_div(a, divisor))
 
 
-def test_kmul_matches_schoolbook_across_the_strided_threshold():
-    """Wide residue slots: operands and products on either side of ring._STRIDED."""
+def test_kmul_matches_schoolbook_on_wide_residue_slots():
+    """Wide residue slots move by strided copies at every length, short vectors included.
+
+    Two 31-bit residues need a slot wider than 8 bytes once the shorter factor has four
+    coefficients, so lengths 2..20 on both sides cover each side of that.
+    """
     rng = random.Random(2028)
     p = 2**31 - 1
-    t = ring_module._STRIDED
-    for la in (4, t - 1, t, t + 1, 3 * t):
-        for lb in (4, t - 1, t, 2 * t):
-            a = [rng.randrange(p) for _ in range(la)]
-            b = [rng.randrange(p) for _ in range(lb)]
-            a[-1] = b[0] = p - 1
-            for m in {min(la, lb), max(la, lb), t - 1, t, la + lb - 1}:
-                assert _kmul(a, b, m, p) == [v % p for v in _school_ints(a, b, m)]
+
+    def check(la, lb, ms):
+        a = [rng.randrange(p) for _ in range(la)]
+        b = [rng.randrange(p) for _ in range(lb)]
+        a[-1] = b[0] = p - 1
+        for m in ms:
+            assert _kmul(a, b, m, p) == [v % p for v in _school_ints(a, b, m)], (la, lb, m)
+
+    for la in (4, 15, 16, 17, 48):
+        for lb in (4, 15, 16, 32):
+            check(la, lb, {min(la, lb), max(la, lb), 15, 16, la + lb - 1})
+    for la in range(2, 21):
+        for lb in range(2, 21):
+            check(la, lb, {2, min(la, lb), max(la, lb), la + lb - 1})
