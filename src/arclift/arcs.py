@@ -416,7 +416,13 @@ def _violation(model: SmoothModel, lift: LiftResult) -> tuple:
     return vec, min((idx % need for idx, v in enumerate(vec) if v != zero), default=None)
 
 
-def find_strict_reference(model: SmoothModel, search_depth: int = 8) -> LiftResult | None:
+# layers tried by find_strict_reference unless its caller says otherwise
+SEARCH_DEPTH = 8
+
+
+def find_strict_reference(
+    model: SmoothModel, search_depth: int = SEARCH_DEPTH
+) -> LiftResult | None:
     """Search for a strict lift: zero free coordinates first, then greedy repair.
 
     Layer by layer (x^1 up to x^min(search_depth, c)) the search probes each

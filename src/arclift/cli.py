@@ -68,9 +68,6 @@ from .polyring import VarSpace, parse_poly
 from .prng import SplitMix64, draw_series
 from .ring import DEFAULT_PRECISION, PrimeField, QQ, SeriesRing, digits
 
-# layers tried by find_strict_reference unless --search-depth says otherwise
-SEARCH_DEPTH = 8
-
 # the largest working precision a problem file or ARCLIFT_NWORK may ask for
 MAX_NWORK = 10_000
 
@@ -159,9 +156,9 @@ def load_problem(path: str) -> Problem:
 
     n = _int_field(raw, "n")
     _expect(n >= 1, "'n' must be positive")
-    # checked before anything n wide is built, so a small file cannot ask for n-wide memory
     jet_text = raw["jet"]
-    if isinstance(jet_text, list) and len(jet_text) != n:
+    _expect(isinstance(jet_text, list), "'jet' must be a non-empty list of strings")
+    if len(jet_text) != n:
         raise StructureError(f"jet must have {n} components, got {len(jet_text)}")
     n_work = _opt_int(raw, "n_work")
     if n_work is None:
@@ -398,7 +395,7 @@ def cmd_lift(args) -> int:
         raise ParseError("--prec does not apply when searching for a reference lift")
     searches = reference_mode or (args.params is not None and args.reference is None)
     if args.search_depth is None:
-        args.search_depth = SEARCH_DEPTH
+        args.search_depth = arcs.SEARCH_DEPTH
     elif not searches:
         raise ParseError("--search-depth applies only when searching for a reference lift")
     _check_depth(args.search_depth)
@@ -532,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="path to a problem JSON file")
         p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
 
-    def searching(p, default=SEARCH_DEPTH):
+    def searching(p, default=arcs.SEARCH_DEPTH):
         p.add_argument("--search-depth", type=int, default=default,
                        help="layers tried when searching for a strict reference")
 

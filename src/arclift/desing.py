@@ -23,7 +23,7 @@ the business of the arcs module.  The pieces are:
              [0, P * Id]] for H = [[A, B], [0, Id]], satisfying GH = HG = P * Id
     a        f(y') / d^2, componentwise, each of positive order
     Q        the quadratic-and-higher remainder of f(y' + d*G(y')*T) / d^2
-    loc_s    det(Id_r + dQ/dT over the bound block), constant term 1
+    loc_s    det(dg/dT_bound) = det(Id_r + dQ/dT_bound), constant term 1
     loc_s'   P(y' + d*G(y')*T) / d, constant term 1
 
 Everything is exact; effective precision flows through the series layer, so
@@ -527,13 +527,7 @@ def build_model(problem: Problem) -> SmoothModel:
     a, q, images = taylor_decompose(problem, d2, dgy, border.perm, tspace)
     g = tuple(_g_component(problem.ring, tspace, i, a[i], q[i]) for i in range(problem.r))
 
-    r = problem.r
-    bound_names = tspace.names[:r]
-    jac_q = [[q[i].diff(nm) for nm in bound_names] for i in range(r)]
-    ident = PolyMatrix.identity(problem.ring, tspace, r)
-    t_jac = PolyMatrix(
-        [[ident.rows[i][k] + jac_q[i][k] for k in range(r)] for i in range(r)]
-    )
+    t_jac = jacobian(g, tspace.names[:problem.r])
     loc_s = t_jac.det()
     if not _unit_constant(loc_s):
         raise IdentityFailedError("localization unit from the bound Jacobian lacks constant term 1")
@@ -659,8 +653,7 @@ def verify_model(model: SmoothModel) -> ValidationReport:
         "every a component has order >= 1", lambda i: f"a component {i} has order 0",
     ))
 
-    bound = model.tspace.names[:problem.r]
-    if model.t_jac != PolyMatrix([[gi.diff(nm) for nm in bound] for gi in model.g]):
+    if model.t_jac != jacobian(model.g, model.tspace.names[:problem.r]):
         ok, detail = False, "t_jac is not dg/dT over the bound block"
     elif model.loc_s != model.t_jac.det():
         ok, detail = False, "loc_s is not det(t_jac)"

@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     FieldMismatchError,
@@ -364,9 +364,8 @@ class Poly:
             acc = acc * self
         return acc
 
-    def scale(self, value) -> Poly:
-        """Multiply every coefficient by a series (or scalar)."""
-        s = value if isinstance(value, Series) else self.ring.scalar(value)
+    def scale(self, s: Series) -> Poly:
+        """Multiply every coefficient by a series."""
         return Poly._make(self.ring, self.space, {e: c * s for e, c in self.terms.items()})
 
     def diff(self, name: str) -> Poly:
@@ -397,41 +396,42 @@ class Poly:
             vals.append(v)
         return vals
 
-    def eval(self, values: dict) -> Series:
-        """Evaluate at a point given as {name: Series}; extra keys are ignored."""
-        vals = self._values(values)
-        acc = self.ring.zero()
+    def _walk(self, lift, points: list, times, acc, plus):
+        """Fold plus over the terms: each term is lift(coeff) times its variables' powers.
+
+        points holds one entry per variable; the powers of each are built once
+        per walk, by times, in the shared _power cache.
+        """
         cache = {}
         for exps, coeff in self.terms.items():
-            prod = coeff
+            prod = lift(coeff)
             for j, e in enumerate(exps):
                 if e:
-                    prod = prod * _power(cache, j, e, vals[j], mul)
-            acc = acc + prod
+                    prod = times(prod, _power(cache, j, e, points[j], times))
+            acc = plus(acc, prod)
         return acc
+
+    def eval(self, values: dict) -> Series:
+        """Evaluate at a point given as {name: Series}; extra keys are ignored."""
+        return self._walk(lambda c: c, self._values(values), mul, self.ring.zero(), add)
 
     def eval_prec(self, values: dict) -> int:
         """The eff_prec of eval(values), from the point's precisions and orders alone.
 
-        Replays eval's products on (eff_prec, order floor) pairs with the same
-        rule Series multiplication uses; the sum's precision is the least of
-        its terms'.
+        eval's term walk, run on (eff_prec, order floor) marks with the rule
+        Series multiplication uses; the sum's precision is the least of its
+        terms'.
         """
         n_work = self.ring.n_work
 
         def times(a, b):
             return product_precision(*a, *b, n_work)
 
-        marks = [(v.prec, v.order_floor()) for v in self._values(values)]
-        prec = n_work
-        cache = {}
-        for exps, coeff in self.terms.items():
-            mark = (coeff.prec, coeff.order_floor())
-            for j, e in enumerate(exps):
-                if e:
-                    mark = times(mark, _power(cache, j, e, marks[j], times))
-            prec = min(prec, mark[0])
-        return prec
+        def lift(c):
+            return (c.prec, c.order_floor())
+
+        marks = [lift(v) for v in self._values(values)]
+        return self._walk(lift, marks, times, n_work, lambda prec, mark: min(prec, mark[0]))
 
     def subst(self, images: dict, space_out: VarSpace) -> Poly:
         """Substitute every variable by a polynomial over space_out."""
@@ -443,16 +443,10 @@ class Poly:
             if not isinstance(img, Poly) or img.ring != self.ring or img.space != space_out:
                 raise StructureError(f"image of {nm!r} is not a polynomial over the target space")
             imgs.append(img)
-        acc = Poly.zero(self.ring, space_out)
-        cache = {}
-        for exps, coeff in self.terms.items():
-            prod = None
-            for j, e in enumerate(exps):
-                if e:
-                    power = _power(cache, j, e, imgs[j], mul)
-                    prod = power.scale(coeff) if prod is None else prod * power
-            acc = acc + (Poly.constant(self.ring, space_out, coeff) if prod is None else prod)
-        return acc
+        ring = self.ring
+        return self._walk(
+            lambda c: Poly.constant(ring, space_out, c), imgs, mul, Poly.zero(ring, space_out), add
+        )
 
     # -- comparison and display ------------------------------------------
 

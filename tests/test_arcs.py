@@ -354,6 +354,22 @@ def test_newton_evaluates_g_only_at_its_start_on_every_shipped_problem(monkeypat
         assert g_calls == r
 
 
+def test_eval_prec_is_the_precision_eval_certifies_on_every_shipped_model():
+    """Each g_i and t_jac entry, at points whose components are cut to different precisions."""
+    for path in helpers.shipped_problems():
+        model = build_model(load_problem(str(path)))
+        ring = model.ring
+        polys = list(model.g) + [p for row in model.t_jac.rows for p in row]
+        rng = SplitMix64(11)
+        for cut in (ring.n_work, ring.n_work // 2, 9):
+            point = {
+                nm: draw_series(rng, ring, 1, 6).truncate(cut - k)
+                for k, nm in enumerate(model.tspace.names)
+            }
+            for p in polys:
+                assert p.eval_prec(point) == p.eval(point).prec
+
+
 def test_a_residual_the_tail_cannot_certify_is_evaluated(tcurve, monkeypatch):
     """The guard's branch: g_1 is evaluated where the tail identity is too short.
 
@@ -509,6 +525,21 @@ def test_make_lift_argument_errors(cusp_q, two_free):
     _raises(FieldMismatchError, foreign, make_lift, two_free, (f5, one))
     _raises(FieldMismatchError, "free component 2 is not a series over the model ring",
             make_lift, two_free, (x, f5))
+
+
+def test_hensel_solve_argument_errors(cusp_q):
+    x, one = cusp_q.ring.x(), cusp_q.ring.one()
+    _raises(StructureError, "expected 1 free components, got 2", hensel_solve, cusp_q, (x, x), 10)
+    _raises(StructureError, "seed must have 1 components",
+            hensel_solve, cusp_q, (x,), 10, seed=(x, x))
+    _raises(NoProgressError, "initial residual has order 0; Newton iteration needs positive order",
+            hensel_solve, cusp_q, (x,), 10, seed=(one,))
+
+
+def test_extract_params_requires_a_strict_reference(node):
+    loose = make_lift(node, (node.ring.x(),))
+    _raises(NotStrictError, "the reference lift is not strict",
+            extract_params, node, loose.y2, loose)
 
 
 def test_offset_lift_argument_errors(cusp_q, node, two_free):
@@ -780,6 +811,7 @@ def test_oracle_contains_needs_enough_arc_precision(cusp5):
         jets.contains((ring.parse("x^3 + O(x^9)"), ring.parse("x^2 + O(x^9)")))
     with pytest.raises(FieldMismatchError):
         jets.contains((SeriesRing(QQ).parse("x^3"), SeriesRing(QQ).parse("x^2")))
+    _raises(StructureError, "expected 2 components, got 1", jets.contains, (ring.parse("x^3"),))
 
 
 def test_oracle_covers_every_strict_lift(cusp_f5):

@@ -3,6 +3,7 @@
 import json
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -295,6 +296,49 @@ def test_n_is_checked_against_the_jet_before_anything_n_wide_is_built(capsys, tm
     assert "Traceback" not in err
 
 
+def test_a_jet_that_is_not_a_list_is_refused_before_anything_n_wide_is_built(capsys, tmp_path):
+    path = _cusp_with(tmp_path, n=10**6, jet="x^3")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "validate", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = "arclift: parse error: 'jet' must be a non-empty list of strings\n"
+    assert (code, out, err) == (4, "", message)
+    assert peak < 5 * 10**6
+
+
+def _refused(capsys, code, message, *argv):
+    """main(argv) prints nothing on stdout, exits with code and reports exactly message."""
+    assert run(capsys, *argv) == (code, "", f"arclift: {message}\n")
+
+
+def test_a_truncated_problem_file_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "truncated.json"
+    text = (helpers.PROBLEMS / "cusp.json").read_text()[:40]
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    _refused(capsys, 4, f"parse error: problem file is not valid JSON: {exc.value}",
+             "validate", str(path))
+
+
+def test_a_field_of_composite_order_is_a_parse_error(capsys, tmp_path):
+    _refused(capsys, 4, "parse error: bad field 'F4': modulus 4 is not prime",
+             "validate", _cusp_with(tmp_path, field="F4"))
+
+
+def test_c_cannot_be_inferred_where_multiplier_times_minor_vanishes_at_the_jet(capsys, tmp_path):
+    payload = json.loads((helpers.PROBLEMS / "cusp.json").read_text())
+    del payload["c"]
+    payload["jet"] = ["0", "x^2"]
+    path = tmp_path / "no_c.json"
+    path.write_text(json.dumps(payload))
+    _refused(capsys, 1, "cannot infer c: multiplier times minor vanishes at the jet "
+             "to the checked precision x^40", "validate", str(path))
+
+
 @pytest.mark.parametrize("c", [10**9, 10**20])
 def test_a_huge_c_exits_1_against_the_jet_precision(capsys, tmp_path, c):
     code, out, err = run(capsys, "validate", _cusp_with(tmp_path, c=c))
@@ -347,6 +391,12 @@ def test_extract_non_strict_arc_exits_1(capsys):
     code, out, err = run(capsys, "extract", NODE, "--arc", "x^2 + x^9, x^4 + x^11")
     assert code == 1
     assert "congruence window" in err
+
+
+def test_extract_refuses_an_arc_too_short_to_decide_the_window(capsys):
+    _refused(capsys, 1, "arc component 1 is known only through x^4; "
+             "extraction needs agreement decided through x^8",
+             "extract", CUSP, "--arc", "x^3 + O(x^5), x^2 + O(x^5)")
 
 
 def test_extract_with_reference_reports_offsets(capsys):
@@ -421,6 +471,14 @@ def test_oracle_refuses_a_huge_window_without_a_traceback(prec):
     assert proc.returncode == 1
     assert "budget" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_oracle_refuses_generators_known_short_of_the_window(capsys, tmp_path):
+    path = tmp_path / "cusp_f5_short.json"
+    payload = json.loads((helpers.PROBLEMS / "cusp_f5.json").read_text())
+    path.write_text(json.dumps(dict(payload, n_work=12)))
+    _refused(capsys, 1, "a coefficient of generator 1 is known only through x^11, "
+             "short of the window x^13", "oracle", str(path), "--prec", "13")
 
 
 def test_oracle_exits_2_when_a_strict_lift_is_not_a_member(capsys, monkeypatch):
