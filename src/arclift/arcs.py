@@ -349,18 +349,18 @@ def offset_lift(model: SmoothModel, reference: LiftResult, z, target: int | None
 def extract_t(model: SmoothModel, arc) -> tuple:
     """Recover the T coordinates of a strict arc.
 
-    Inverts y'' = y' + d*G(y')*t using H(y')*G(y') = d * Id: the coordinate
-    vector is H(y') applied to (y'' - y') / d^2.  Raises NotStrictError when
-    the arc deviates from the jet inside the congruence window, and
-    IdentityFailedError when the arc is strict but does not solve the
-    system, so cannot lie in the family.
+    Inverts y'' = y' + d*G(y')*t using H(y')*G(y') = d * Id: t is H's r
+    stored rows times eps = (y'' - y') / d^2, then eps[r:] for H's rows
+    (0 | Id).  Raises NotStrictError when the arc deviates from the jet
+    inside the congruence window, and IdentityFailedError when the arc is
+    strict but does not solve the system, so cannot lie in the family.
     """
     arc = _series_vector(model, arc, model.n, "components", "arc")
     diffs = [s - j for s, j in zip(arc, model.jet)]
     _require_window(model, diffs, "arc component", "extraction needs agreement decided through",
                     "deviates from the jet", NotStrictError)
     eps = [diffs[model.perm[j]].div_exact(model.d2) for j in range(model.n)]
-    t = linalg.mat_vec(model.hy, eps)
+    t = linalg.mat_vec(model.hy, eps) + eps[model.r:]
     tpoint = dict(zip(model.tspace.names, t))
     for i, gi in enumerate(model.g, start=1):
         val = gi.eval(tpoint)

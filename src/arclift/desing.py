@@ -17,10 +17,11 @@ the business of the arcs module.  The pieces are:
     N_norm   x^(c-e) * N, so that d below has order exactly c
     P        N_norm * M
     d        P(y'), the localizing denominator
-    H        Jacobian of f with minor columns permuted first, bordered
-             below by (0 | Id) so that det(H) = M
-    G        N_norm * adjugate(H) = [[N_norm * adj(A), -N_norm * adj(A) * B],
-             [0, P * Id]] for H = [[A, B], [0, Id]], satisfying GH = HG = P * Id
+    H        [[A, B], [0, Id]], [A | B] the Jacobian of f with the minor
+             columns first and A its r x r block, so det(H) = M
+    G        N_norm * adjugate(H) = [[L, R], [0, P * Id]], L = N_norm * adj(A)
+             and R = -L * B, so GH = HG = P * Id; only the r top rows of H
+             and G are kept, the rows below being fixed: nothing is n x n
     a        f(y') / d^2, componentwise, each of positive order
     Q        the quadratic-and-higher remainder of f(y' + d*G(y')*T) / d^2
     loc_s    det(dg/dT_bound) = det(Id_r + dQ/dT_bound), constant term 1
@@ -316,67 +317,69 @@ def normalize_certificate(problem: Problem, e: int | None) -> NormalizedCertific
     return NormalizedCertificate(n_norm, p_poly, d, scaled.cofactors)
 
 
-@dataclass(frozen=True)
-class Border:
-    h_mat: PolyMatrix
-    perm: tuple
-
-
-def build_border(problem: Problem) -> Border:
-    """Jacobian with minor columns first, bordered by (0 | Id); det equals the minor."""
-    n, r = problem.n, problem.r
+def build_border(problem: Problem) -> tuple:
+    """H's top rows [A | B], the Jacobian with minor columns first, and perm; det(A) must be M."""
     lead = tuple(j - 1 for j in problem.minor_cols)
-    perm = lead + tuple(j for j in range(n) if j not in lead)
-    jac = jacobian(problem.f_polys, tuple(problem.space.names[j] for j in perm))
-    h_mat = PolyMatrix(jac.rows + PolyMatrix.identity(problem.ring, problem.space, n).rows[r:])
-    if not _border_is_minor(h_mat, r, problem.minor):
+    perm = lead + tuple(j for j in range(problem.n) if j not in lead)
+    h_mat = jacobian(problem.f_polys, tuple(problem.space.names[j] for j in perm))
+    if not _border_is_minor(h_mat, problem.r, problem.minor):
         raise IdentityFailedError("border determinant does not equal the selected minor")
-    return Border(h_mat, perm)
+    return h_mat, perm
 
 
 def _border_is_minor(h_mat: PolyMatrix, r: int, minor: Poly) -> bool:
-    """det(H) = M, read off H = [[A, B], [0, Id]]: the rows below r are (0 | Id) and det(A) = M."""
-    lower = PolyMatrix.identity(h_mat.ring, h_mat.space, h_mat.shape[0]).rows[r:]
-    block = PolyMatrix([row[:r] for row in h_mat.rows[:r]])
-    return h_mat.rows[r:] == lower and block.det() == minor
+    """det(H) = M, read off H = [[A, B], [0, Id]]: r stored rows [A | B] with det(A) = M."""
+    rows = h_mat.rows
+    return len(rows) == r <= len(rows[0]) and PolyMatrix([row[:r] for row in rows]).det() == minor
 
 
-def compute_g(h_mat: PolyMatrix, r: int, n_norm: Poly, p_poly: Poly) -> PolyMatrix:
-    """G = N_norm * adjugate(H) from H's r x r minor block; checks GH = HG = P * Id exactly."""
-    n = h_mat.shape[0]
+def compute_g(h_mat: PolyMatrix, n_norm: Poly, p_poly: Poly) -> PolyMatrix:
+    """G's top rows, L = N_norm * adj(A) and R = -L * B for H's [A | B]; checks GH = HG = P * Id."""
+    r = h_mat.shape[0]
     one = Poly.constant(h_mat.ring, h_mat.space, 1)
-    top = h_mat.rows[:r]
-    lead = PolyMatrix(linalg.adjugate([row[:r] for row in top], one)).scale(n_norm)
-    right = linalg.mat_mul(lead.rows, [row[r:] for row in top])
-    p_rows = PolyMatrix.identity(h_mat.ring, h_mat.space, n).scale(p_poly).rows[r:]
-    g_mat = PolyMatrix([a + [-p for p in b] for a, b in zip(lead.rows, right)] + p_rows)
-    if not _inverts_up_to_p(g_mat, h_mat, p_poly):
+    lead = PolyMatrix(linalg.adjugate([row[:r] for row in h_mat.rows], one)).scale(n_norm)
+    right = linalg.mat_mul(lead.rows, [row[r:] for row in h_mat.rows])
+    g_mat = PolyMatrix([a + [-p for p in b] for a, b in zip(lead.rows, right)])
+    if not _inverts_up_to_p(g_mat, h_mat, p_poly, h_mat.shape):
         raise IdentityFailedError("GH = HG = P * Id failed")
     return g_mat
 
 
-def _inverts_up_to_p(g_mat: PolyMatrix, h_mat: PolyMatrix, p_poly: Poly) -> bool:
-    """GH = HG = P * Id, exactly."""
-    p_id = PolyMatrix.identity(h_mat.ring, h_mat.space, h_mat.shape[0]).scale(p_poly)
-    return g_mat.mul(h_mat) == p_id and h_mat.mul(g_mat) == p_id
+def _inverts_up_to_p(g_mat: PolyMatrix, h_mat: PolyMatrix, p_poly: Poly, shape: tuple) -> bool:
+    """GH = HG = P * Id on top rows of shape (r, n): L[A | B] + [0 | R] and A[L | R] + [0 | B*P],
+    the n x n products' sums for those rows in their order; the rows below are (0 | P * Id)."""
+    if g_mat.shape != shape or h_mat.shape != shape:
+        return False
+    r, n = shape
+    zero = Poly.zero(p_poly.ring, p_poly.space)
+    gh = linalg.mat_mul([row[:r] for row in g_mat.rows], h_mat.rows)
+    hg = linalg.mat_mul([row[:r] for row in h_mat.rows], g_mat.rows)
+    for i in range(r):
+        for j in range(r, n):
+            gh[i][j] = gh[i][j] + g_mat.rows[i][j]
+            hg[i][j] = hg[i][j] + h_mat.rows[i][j] * p_poly
+    p_id = [[p_poly if i == j else zero for j in range(n)] for i in range(r)]
+    return gh == p_id and hg == p_id
 
 
 def _jet_evaluations(problem: Problem, h_mat: PolyMatrix, g_mat: PolyMatrix, d: Series) -> tuple:
-    """H(y'), G(y') and d*G(y'), each a tuple of rows."""
+    """H(y'), G(y') and d*G(y') on the top rows, each a tuple of rows."""
     point = problem.jet_point()
     hy, gy = (tuple(tuple(row) for row in mat.eval(point)) for mat in (h_mat, g_mat))
     return hy, gy, tuple(tuple(d * entry for entry in row) for row in gy)
 
 
-def substitution_images(problem: Problem, dgy: tuple, perm: tuple, tspace: VarSpace) -> dict:
-    """The map Y_perm[j] -> y'_perm[j] + sum_k dgy[j][k] * T_k."""
+def substitution_images(problem: Problem, dgy: tuple, d2: Series, perm: tuple, tspace: VarSpace) -> dict:
+    """Y_perm[j] -> y'_perm[j] + (d*G(y')*T)_j, that is dgy[j] * T for j < r and d^2 * T_j below."""
     ring = problem.ring
     names = problem.space.names
+    top = dgy[:problem.r]
     images = {}
     for j in range(problem.n):
         img = Poly.constant(ring, tspace, problem.jet[perm[j]])
-        for k in range(problem.n):
-            img = img + Poly.variable(ring, tspace, tspace.names[k]).scale(dgy[j][k])
+        row = zip(tspace.names, top[j]) if j < len(top) else [(tspace.names[j], d2)]
+        for name, coeff in row:
+            img = img + Poly.variable(ring, tspace, name).scale(coeff)
         images[names[perm[j]]] = img
     return images
 
@@ -389,6 +392,11 @@ def _low_degree(q: Poly) -> int | None:
     return None
 
 
+def _divided(poly: Poly, s: Series) -> Poly:
+    """poly with each coefficient divided exactly by s."""
+    return Poly._make(poly.ring, poly.space, {e: c.div_exact(s) for e, c in poly.terms.items()})
+
+
 def _g_component(ring: SeriesRing, tspace: VarSpace, i: int, ai: Series, qi: Poly) -> Poly:
     """g_(i+1) = a_(i+1) + T_(i+1) + Q_(i+1)."""
     return Poly.constant(ring, tspace, ai) + Poly.variable(ring, tspace, tspace.names[i]) + qi
@@ -398,7 +406,7 @@ def taylor_decompose(problem: Problem, d2: Series, dgy: tuple, perm: tuple, tspa
     """Split f(y' + d*G(y')*T) = d^2 * (a + T + Q) = f(y') + d^2 * (T + Q), Q of T-degree >= 2."""
     ring = problem.ring
     point = problem.jet_point()
-    images = substitution_images(problem, dgy, perm, tspace)
+    images = substitution_images(problem, dgy, d2, perm, tspace)
     a = []
     q = []
     for i, f in enumerate(problem.f_polys, start=1):
@@ -411,9 +419,7 @@ def taylor_decompose(problem: Problem, d2: Series, dgy: tuple, perm: tuple, tspa
             )
         full = f.subst(images, tspace)
         num = full - Poly.constant(ring, tspace, full.constant_term())
-        reduced = Poly._make(
-            ring, tspace, {exps: coeff.div_exact(d2) for exps, coeff in num.terms.items()}
-        )
+        reduced = _divided(num, d2)
         ti = Poly.variable(ring, tspace, tspace.names[i - 1])
         qi = reduced - ti
         deg = _low_degree(qi)
@@ -428,7 +434,11 @@ def taylor_decompose(problem: Problem, d2: Series, dgy: tuple, perm: tuple, tspa
 
 @dataclass(frozen=True, eq=False)
 class SmoothModel:
-    """Everything the construction produces, immutable and safe to share."""
+    """Everything the construction produces, immutable and safe to share.
+
+    h_mat and g_mat are the r top rows [A | B] and [L | R] of H and G, columns
+    in perm order; hy, gy and dgy are those rows at the jet, and d times gy.
+    """
 
     problem: Problem
     e: int
@@ -516,15 +526,15 @@ def build_model(problem: Problem) -> SmoothModel:
         raise ValidationError(f"validation failed: {names}", report)
     e = report.e
     norm = normalize_certificate(problem, e)
-    border = build_border(problem)
-    g_mat = compute_g(border.h_mat, problem.r, norm.n_norm, norm.p_poly)
+    h_mat, perm = build_border(problem)
+    g_mat = compute_g(h_mat, norm.n_norm, norm.p_poly)
 
     d = norm.d
     d2 = d * d
-    hy, gy, dgy = _jet_evaluations(problem, border.h_mat, g_mat, d)
+    hy, gy, dgy = _jet_evaluations(problem, h_mat, g_mat, d)
 
     tspace = VarSpace.ts(problem.n)
-    a, q, images = taylor_decompose(problem, d2, dgy, border.perm, tspace)
+    a, q, images = taylor_decompose(problem, d2, dgy, perm, tspace)
     g = tuple(_g_component(problem.ring, tspace, i, a[i], q[i]) for i in range(problem.r))
 
     t_jac = jacobian(g, tspace.names[:problem.r])
@@ -532,25 +542,20 @@ def build_model(problem: Problem) -> SmoothModel:
     if not _unit_constant(loc_s):
         raise IdentityFailedError("localization unit from the bound Jacobian lacks constant term 1")
 
-    p_sub = norm.p_poly.subst(images, tspace)
-    loc_s_prime = Poly._make(
-        problem.ring,
-        tspace,
-        {exps: coeff.div_exact(d) for exps, coeff in p_sub.terms.items()},
-    )
+    loc_s_prime = _divided(norm.p_poly.subst(images, tspace), d)
     if not _unit_constant(loc_s_prime):
         raise IdentityFailedError("localization unit from P lacks constant term 1")
 
     return SmoothModel(
         problem=problem,
         e=e,
-        perm=border.perm,
+        perm=perm,
         n_norm=norm.n_norm,
         p_poly=norm.p_poly,
         cofactors=norm.cofactors,
         d=d,
         d2=d2,
-        h_mat=border.h_mat,
+        h_mat=h_mat,
         g_mat=g_mat,
         hy=hy,
         gy=gy,
@@ -601,16 +606,14 @@ def verify_model(model: SmoothModel) -> ValidationReport:
         lambda j: f"scaled identity fails for generator {j}",
     )]
 
-    ok = _inverts_up_to_p(model.g_mat, model.h_mat, model.p_poly)
+    ok = _inverts_up_to_p(model.g_mat, model.h_mat, model.p_poly, (problem.r, problem.n))
     checks.append(
         CheckResult("matrix-identity", ok, "GH = HG = P * Id" if ok else "GH = HG = P * Id failed")
     )
 
     ok = _border_is_minor(model.h_mat, problem.r, problem.minor)
     checks.append(
-        CheckResult(
-            "border-determinant", ok, "det(H) equals the minor" if ok else "det(H) != minor"
-        )
+        CheckResult("border-determinant", ok, "det(H) equals the minor" if ok else "det(H) != minor")
     )
 
     ok = model.d.order() == problem.c
@@ -624,17 +627,11 @@ def verify_model(model: SmoothModel) -> ValidationReport:
     )
 
     hy, gy, dgy = _jet_evaluations(problem, model.h_mat, model.g_mat, model.d)
-    images = substitution_images(problem, dgy, model.perm, model.tspace)
+    images = substitution_images(problem, dgy, model.d * model.d, model.perm, model.tspace)
     ok = hy == model.hy and gy == model.gy and dgy == model.dgy and images == model.images
-    checks.append(
-        CheckResult(
-            "evaluation-consistency",
-            ok,
-            "H(y'), G(y'), d*G(y') match the stored evaluations"
-            if ok
-            else "a stored evaluation or substitution image does not match recomputation",
-        )
-    )
+    passed = "H(y'), G(y'), d*G(y') match the stored evaluations"
+    failed = "a stored evaluation or substitution image does not match recomputation"
+    checks.append(CheckResult("evaluation-consistency", ok, passed if ok else failed))
 
     checks.append(_check(
         "taylor-identity", _taylor_miss(model, images),

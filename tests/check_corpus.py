@@ -63,7 +63,7 @@ def _cases():
     q0, g0 = model.q[0], model.g[0]
     verify("remainder", q=(q0 + bump("x^20*T1^2"),), g=(g0 + bump("x^20*T1^2"),))
     verify("linear term in q", q=(q0 + bump("x^20*T2"),), g=(g0 + bump("x^20*T2"),))
-    verify("swapped dgy", dgy=tuple(reversed(model.dgy)))
+    verify("swapped dgy", dgy=(tuple(reversed(model.dgy[0])),))
     moved = model.images["Y1"] + Poly.constant(ring, tspace, ring.parse("x^12"))
     verify("images", images={**model.images, "Y1": moved})
     verify("t_jac", t_jac=PolyMatrix([[model.t_jac.rows[0][0] + bump("x^20*T1")]]))

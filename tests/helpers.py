@@ -10,6 +10,7 @@ import pytest
 from arclift import (
     Certificate,
     Poly,
+    PolyMatrix,
     PrimeField,
     QQ,
     SeriesRing,
@@ -181,6 +182,13 @@ def coupled_cusp_problem(k, links, field=QQ):
         certificate=base.certificate,
         c=base.c,
     )
+
+
+def bordered(model):
+    """The n x n H = [[A, B], [0, Id]] and G = [[L, R], [0, P * Id]] from the model's r top rows."""
+    ident = PolyMatrix.identity(model.ring, model.problem.space, model.n)
+    lower_g = ident.scale(model.p_poly).rows[model.r:]
+    return PolyMatrix(model.h_mat.rows + ident.rows[model.r:]), PolyMatrix(model.g_mat.rows + lower_g)
 
 
 def cusp_model(**kw):

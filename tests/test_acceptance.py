@@ -63,10 +63,10 @@ def _monomial_models():
 
 
 def _matrix_identity_is_exact(model):
-    ident = PolyMatrix.identity(model.ring, model.problem.space, model.n)
-    p_id = ident.scale(model.p_poly)
-    assert model.g_mat.mul(model.h_mat) == p_id
-    assert model.h_mat.mul(model.g_mat) == p_id
+    h_mat, g_mat = helpers.bordered(model)
+    p_id = PolyMatrix.identity(model.ring, model.problem.space, model.n).scale(model.p_poly)
+    assert g_mat.mul(h_mat) == p_id
+    assert h_mat.mul(g_mat) == p_id
 
 
 def test_criterion_1(cusp_q, node):

@@ -146,8 +146,7 @@ def test_cusp_model_golden(cusp_q):
     assert m.a[0].order() is None or m.a[0].order() >= 1
     assert m.dgy[0][0] == ring.parse("2*x^5")
     assert m.dgy[0][1] == ring.parse("6*x^9")
-    assert m.dgy[1][0].is_zero()
-    assert m.dgy[1][1] == ring.parse("4*x^8")
+    assert m.images["Y2"].render() == "x^2 + 4*x^8*T2"
 
 
 def test_cusp_images_golden(cusp_q):
@@ -274,8 +273,9 @@ def test_verify_passes_on_every_fixture(cusp_q, cusp_f5, node, shifted_node, smo
 
 
 def test_verify_reads_det_h_off_the_block_form(cusp_q):
-    """det(H) = M is read off H = [[A, B], [0, Id]]: a lower row that keeps det(H) still fails."""
-    (a, b), _ = cusp_q.h_mat.rows
+    """det(H) = M is read off H's r top rows [A | B]: an H handed in with a lower row fails,
+    even one that keeps det(H)."""
+    ((a, b),) = cusp_q.h_mat.rows
     w = parse_poly("x*Y2", cusp_q.ring, cusp_q.problem.space)
     tampered = PolyMatrix([[a, b], [a * w, b * w + Poly.constant(cusp_q.ring, w.space, 1)]])
     assert tampered.det() == cusp_q.problem.minor
@@ -306,13 +306,75 @@ def test_verify_catches_a_linear_term_smuggled_into_q(cusp_q):
 
 
 def test_verify_catches_inconsistent_evaluations(cusp_q):
-    swapped = dataclasses.replace(cusp_q, dgy=tuple(reversed(cusp_q.dgy)))
+    swapped = dataclasses.replace(cusp_q, dgy=(tuple(reversed(cusp_q.dgy[0])),))
     report = verify_model(swapped)
     assert "evaluation-consistency" in {c.name for c in report.checks if not c.ok}
 
 
 def _failed_checks(model):
     return {c.name for c in verify_model(model).checks if not c.ok}
+
+
+RESHAPE = {
+    "extra row": lambda rows: rows + rows[-1:],
+    "missing row": lambda rows: rows[:-1],
+    "extra column": lambda rows: [row + row[-1:] for row in rows],
+    "missing column": lambda rows: [row[:-1] for row in rows],
+}
+
+
+@pytest.mark.parametrize("name", ["h_mat", "g_mat"])
+@pytest.mark.parametrize(
+    "fixture, shape",
+    [("cusp_q", "extra row"), ("cusp_q", "extra column"), ("cusp_q", "missing column"),
+     ("tcurve", "missing row")],
+)
+def test_verify_reports_h_or_g_of_the_wrong_shape(fixture, shape, name, request):
+    """H and G are kept as r top rows of n entries; another shape fails a check and raises nothing.
+
+    det(H) is read off the r x r block of r rows, so only a wrong row count of H fails it.
+    """
+    model = request.getfixturevalue(fixture)
+    rows = RESHAPE[shape](getattr(model, name).rows)
+    failed = _failed_checks(dataclasses.replace(model, **{name: PolyMatrix(rows)}))
+    assert "matrix-identity" in failed
+    assert ("border-determinant" in failed) == (name == "h_mat" and shape.endswith("row"))
+
+
+def test_substitution_images_read_n_entries_of_each_row(cusp_q):
+    m = cusp_q
+    longer = tuple(row + (m.ring.one(),) for row in m.dgy)
+    assert desing.substitution_images(m.problem, longer, m.d2, m.perm, m.tspace) == m.images
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        helpers.cusp_problem,
+        helpers.tcurve_problem,
+        lambda: helpers.cusp_product_problem(1, 14),
+        lambda: helpers.coupled_cusp_problem(3, [(2, 3), (4, 5), (6, 1)]),
+    ],
+    ids=["cusp", "tcurve", "cusp-n16-r1", "r3-dense"],
+)
+def test_the_top_row_identity_check_agrees_with_the_bordered_products(build):
+    """GH = HG = P * Id on r rows gives the verdict of the n x n products, G tampered or not.
+
+    One entry of L = N * adj(A), then one of R = -L * B, is moved by x^20.
+    """
+    model = build_model(build())
+    ring, r, n = model.ring, model.r, model.n
+    p_id = PolyMatrix.identity(ring, model.problem.space, n).scale(model.p_poly)
+
+    def moved(col):
+        rows = [list(row) for row in model.g_mat.rows]
+        rows[0][col] = rows[0][col] + Poly.constant(ring, model.problem.space, ring.parse("x^20"))
+        return PolyMatrix(rows)
+
+    for g_mat, holds in ((model.g_mat, True), (moved(0), False), (moved(r), False)):
+        h_full, g_full = helpers.bordered(dataclasses.replace(model, g_mat=g_mat))
+        full = g_full.mul(h_full) == p_id and h_full.mul(g_full) == p_id
+        assert desing._inverts_up_to_p(g_mat, model.h_mat, model.p_poly, (r, n)) == full == holds
 
 
 def test_verify_catches_tampered_images(cusp_q):
@@ -432,7 +494,9 @@ def test_an_inferred_c_reuses_the_probe_minor(monkeypatch):
 # -- scaling in n and r ---------------------------------------------------
 
 
-@pytest.mark.parametrize("k, untouched", [(1, 14), (4, 0)], ids=["cusp-n16-r1", "cusps4-n8-r4"])
+@pytest.mark.parametrize(
+    "k, untouched", [(1, 14), (1, 78), (4, 0)], ids=["cusp-n16-r1", "cusp-n80-r1", "cusps4-n8-r4"]
+)
 def test_wide_systems_build_verify_and_lift_in_under_a_second(k, untouched):
     problem = helpers.cusp_product_problem(k, untouched)
     start = time.perf_counter()
@@ -446,24 +510,32 @@ def test_wide_systems_build_verify_and_lift_in_under_a_second(k, untouched):
 
 
 def test_build_and_verify_take_adjugates_of_the_minor_block_only(monkeypatch):
-    """Every determinant and adjugate of a build, verify and lift is r x r.
+    """Every determinant and adjugate of a build, verify and lift is r x r, and no
+    matrix product or evaluation has more than r rows.
 
     G comes from adj(A) for the r x r block A, det(H) is read off H's block
     form, and Newton's J is r x r: an n x n one would cost about n * 2^n.
+    H and G are kept as their r top rows, so nothing n x n is multiplied or
+    evaluated either.
     """
-    sizes = {"det": [], "adjugate": []}
+    sizes = {"det": [], "adjugate": [], "mat_mul": [], "eval": []}
 
-    def recording(name):
-        plain, seen = getattr(linalg, name), sizes[name]
-
-        def call(rows, one):
+    def recording(plain, seen):
+        def call(rows, *args):
             seen.append(len(rows))
-            return plain(rows, one)
+            return plain(rows, *args)
 
         return call
 
-    for name in sizes:
-        monkeypatch.setattr(linalg, name, recording(name))
+    for name in ("det", "adjugate", "mat_mul"):
+        monkeypatch.setattr(linalg, name, recording(getattr(linalg, name), sizes[name]))
+    plain_eval = PolyMatrix.eval
+
+    def evaluating(mat, values):
+        sizes["eval"].append(len(mat.rows))
+        return plain_eval(mat, values)
+
+    monkeypatch.setattr(PolyMatrix, "eval", evaluating)
     problems = (
         helpers.cusp_product_problem(1, 14),
         helpers.cusp_product_problem(4, 0),
@@ -479,3 +551,5 @@ def test_build_and_verify_take_adjugates_of_the_minor_block_only(monkeypatch):
         assert make_lift(model, t_free).newton_iterations > 0
         assert sizes["adjugate"] and set(sizes["adjugate"]) == {problem.r}
         assert sizes["det"] and set(sizes["det"]) == {problem.r}
+        assert sizes["mat_mul"] and max(sizes["mat_mul"]) <= problem.r
+        assert sizes["eval"] and max(sizes["eval"]) <= problem.r

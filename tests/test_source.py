@@ -19,7 +19,7 @@ def test_no_linear_algebra_routine_calls_itself():
     """Determinants are memoised and built bottom-up, not recursive.
 
     A recursive expansion costs O(n!) and the memoised one n * 2^n, so the
-    n x n bordered H is never expanded: its det is read off its r x r block.
+    n x n bordered H is never formed: its det is read off its r x r block.
     """
     path = helpers.REPO / "src" / "arclift" / "linalg.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
