@@ -36,7 +36,6 @@ cannot settle.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 
@@ -52,11 +51,12 @@ from .errors import (
     PrecisionExhaustedError,
     StructureError,
 )
+from .polyring import PolyMatrix
+from .record import Record
 from .ring import Series
 
 
-@dataclass(frozen=True)
-class HenselResult:
+class HenselResult(Record):
     """Outcome of Newton iteration on the bound block.
 
     orders is the residual order before the first step and after each one,
@@ -70,8 +70,7 @@ class HenselResult:
     orders: tuple
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(Record):
     """An arc produced by lifting, with the certificates gathered on the way.
 
     t is the full coordinate vector (bound block first, then the free
@@ -288,9 +287,8 @@ def _lift(model: SmoothModel, t_free: tuple, target: int | None, seed=None) -> L
     hensel = hensel_solve(model, t_free, target, seed)
     t = hensel.t_bound + t_free
     tpoint = dict(zip(model.tspace.names, t))
-    names = model.problem.space.names
-    y2 = tuple(model.images[nm].eval(tpoint) for nm in names)
-    ypoint = dict(zip(names, y2))
+    y2 = _images_at(model, tpoint)
+    ypoint = dict(zip(model.problem.space.names, y2))
     floors = [g.eval(ypoint).order_floor() for g in model.problem.ideal_gens]
     residual_f = min(floors[i - 1] for i in model.problem.f_idx)
     residual_i = min(floors)
@@ -308,6 +306,12 @@ def _lift(model: SmoothModel, t_free: tuple, target: int | None, seed=None) -> L
         newton_iterations=hensel.iterations,
         k0=hensel.k0,
     )
+
+
+def _images_at(model: SmoothModel, tpoint: dict) -> tuple:
+    """The arc y = y' + d*G(y')*T at tpoint, in Y order; the point is checked once for all n."""
+    row = PolyMatrix([[model.images[nm] for nm in model.problem.space.names]])
+    return tuple(row.eval(tpoint)[0])
 
 
 def make_lift(model: SmoothModel, t_free=None, target: int | None = None) -> LiftResult:
@@ -369,11 +373,9 @@ def extract_t(model: SmoothModel, arc) -> tuple:
                 f"the arc does not solve the system: equation {i} evaluates "
                 f"to order {val.order()} at the extracted coordinates"
             )
-    for i, nm in enumerate(model.problem.space.names):
-        if model.images[nm].eval(tpoint) != arc[i]:
-            raise IdentityFailedError(
-                f"re-substitution does not reproduce arc component {i + 1}"
-            )
+    for i, (y, a) in enumerate(zip(_images_at(model, tpoint), arc), start=1):
+        if y != a:
+            raise IdentityFailedError(f"re-substitution does not reproduce arc component {i}")
     return tuple(t)
 
 
@@ -481,8 +483,7 @@ def find_strict_reference(
     return None
 
 
-@dataclass(frozen=True)
-class JetSet:
+class JetSet(Record):
     """All coefficient vectors mod x^m that extend the jet and kill the ideal.
 
     ordered holds them sorted.  candidates counts the vectors mod x^m that

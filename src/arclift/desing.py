@@ -34,7 +34,6 @@ was actually checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
@@ -47,11 +46,11 @@ from .errors import (
 )
 from .polyring import Poly, PolyMatrix, VarSpace, jacobian
 from .prng import SplitMix64, draw_series
+from .record import Record
 from .ring import Series, SeriesRing
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Multiplier N and cofactors with N * gen_j = sum_k cofactors[j][k] * f_k."""
 
     n_poly: Poly
@@ -73,15 +72,13 @@ def identity_certificate(ring: SeriesRing, space: VarSpace, count: int) -> Certi
     return Certificate(Poly.constant(ring, space, 1), rows)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     checks: tuple
     e: int | None
 
@@ -93,8 +90,7 @@ class ValidationReport:
         return tuple(ch for ch in self.checks if not ch.ok)
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Record):
     """A complete, structurally checked input; mathematical checks live in validate_problem."""
 
     ring: SeriesRing
@@ -165,8 +161,9 @@ class Problem:
                             "has an x-dependent coefficient"
                         )
 
-    @property
+    @cached_property
     def space(self) -> VarSpace:
+        """Y1..Yn, built and validated once per problem."""
         return VarSpace.ys(self.n)
 
     @property
@@ -291,8 +288,7 @@ def validate_problem(problem: Problem) -> ValidationReport:
     return ValidationReport(tuple(checks), e)
 
 
-@dataclass(frozen=True)
-class NormalizedCertificate:
+class NormalizedCertificate(Record):
     n_norm: Poly
     p_poly: Poly
     d: Series
@@ -432,8 +428,7 @@ def taylor_decompose(problem: Problem, d2: Series, dgy: tuple, perm: tuple, tspa
     return tuple(a), tuple(q), images
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothModel:
+class SmoothModel(Record, eq=False):
     """Everything the construction produces, immutable and safe to share.
 
     h_mat and g_mat are the r top rows [A | B] and [L | R] of H and G, columns

@@ -31,7 +31,6 @@ runs and read back as valid input for the same grammar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from operator import add, mul
 
@@ -43,6 +42,7 @@ from .errors import (
     StructureError,
     UnknownVariableError,
 )
+from .record import Record
 from .ring import Series, SeriesRing, product_precision, render_terms, x_power
 from . import linalg
 
@@ -208,8 +208,7 @@ def parse_poly(text: str, ring: SeriesRing, space: VarSpace) -> Poly:
     return Poly._make(ring, space, parser.parse())
 
 
-@dataclass(frozen=True)
-class VarSpace:
+class VarSpace(Record):
     """An ordered tuple of polynomial variable names (x is always implicit)."""
 
     names: tuple
@@ -413,7 +412,11 @@ class Poly:
 
     def eval(self, values: dict) -> Series:
         """Evaluate at a point given as {name: Series}; extra keys are ignored."""
-        return self._walk(lambda c: c, self._values(values), mul, self.ring.zero(), add)
+        return self._eval_checked(self._values(values))
+
+    def _eval_checked(self, vals: list) -> Series:
+        """Evaluate at a point already checked by _values, in variable order."""
+        return self._walk(lambda c: c, vals, mul, self.ring.zero(), add)
 
     def eval_prec(self, values: dict) -> int:
         """The eff_prec of eval(values), from the point's precisions and orders alone.
@@ -568,8 +571,12 @@ class PolyMatrix:
         return linalg.det(self.rows, Poly.constant(self.ring, self.space, 1))
 
     def eval(self, values: dict):
-        """Entrywise evaluation, returning a list of lists of Series."""
-        return [[p.eval(values) for p in r] for r in self.rows]
+        """Entrywise evaluation, returning a list of lists of Series.
+
+        The entries share one ring and space, so the point is checked once.
+        """
+        vals = self.rows[0][0]._values(values)
+        return [[p._eval_checked(vals) for p in r] for r in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import compress, count
@@ -73,6 +72,7 @@ from .errors import (
     PrecisionExhaustedError,
     StructureError,
 )
+from .record import Record
 
 DEFAULT_PRECISION = 40
 
@@ -203,8 +203,7 @@ class PrimeField:
 QQ = RationalField()
 
 
-@dataclass(frozen=True)
-class SeriesRing:
+class SeriesRing(Record):
     """Truncated power series ring over a scalar field at working precision n_work."""
 
     field: object

@@ -12,7 +12,6 @@ wording) with
     PYTHONPATH=src python tests/check_corpus.py
 """
 
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -47,14 +46,14 @@ def _cases():
     rows[2][1] = parse_poly("Y2", tcurve.ring, tcurve.space)
     validate(
         "tcurve wrong cofactor",
-        dataclasses.replace(tcurve, certificate=Certificate(tcurve.certificate.n_poly, rows)),
+        tcurve.replace(certificate=Certificate(tcurve.certificate.n_poly, rows)),
     )
 
     model = helpers.cusp_model()
     ring, tspace = model.ring, model.tspace
 
     def verify(label, **fields):
-        tampered = dataclasses.replace(model, **fields)
+        tampered = model.replace(**fields)
         cases.append((f"verify cusp {label}", lambda: verify_model(tampered)))
 
     def bump(text):
@@ -81,8 +80,8 @@ def _cases():
 
     tmodel = build_model(tcurve)
     extra = parse_poly("x^40*T3", tmodel.ring, tmodel.tspace)
-    tampered = dataclasses.replace(
-        tmodel, q=(tmodel.q[0], tmodel.q[1] + extra), g=(tmodel.g[0], tmodel.g[1] + extra)
+    tampered = tmodel.replace(
+        q=(tmodel.q[0], tmodel.q[1] + extra), g=(tmodel.g[0], tmodel.g[1] + extra)
     )
     cases.append(("verify tcurve linear term in q_2", lambda: verify_model(tampered)))
     return cases

@@ -5,7 +5,6 @@ conftest prints at the end of the session, then enforces its time budget.
 """
 
 import contextlib
-import dataclasses
 import json
 import time
 
@@ -220,5 +219,5 @@ def test_criterion_9(capsys, tmp_path):
         bump = Poly.variable(model.ring, model.tspace, "T1") * Poly.variable(
             model.ring, model.tspace, "T1"
         )
-        tampered = dataclasses.replace(model, q=(model.q[0] + bump.scale(model.ring.x()),))
+        tampered = model.replace(q=(model.q[0] + bump.scale(model.ring.x()),))
         assert not verify_model(tampered).ok

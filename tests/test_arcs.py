@@ -483,7 +483,7 @@ def test_a_residual_below_its_floor_fails_the_identity(cusp_q):
     ring = cusp_q.ring
     y1 = cusp_q.images["Y1"]
     moved = y1 + Poly.constant(ring, y1.space, ring.parse("x^12"))
-    tampered = dataclasses.replace(cusp_q, images={**cusp_q.images, "Y1": moved})
+    tampered = cusp_q.replace(images={**cusp_q.images, "Y1": moved})
     with pytest.raises(IdentityFailedError, match="subsystem residual"):
         make_lift(tampered)
 

@@ -1,6 +1,5 @@
 """Certificate validation, model construction, and the verification battery."""
 
-import dataclasses
 import json
 import time
 
@@ -279,7 +278,7 @@ def test_verify_reads_det_h_off_the_block_form(cusp_q):
     w = parse_poly("x*Y2", cusp_q.ring, cusp_q.problem.space)
     tampered = PolyMatrix([[a, b], [a * w, b * w + Poly.constant(cusp_q.ring, w.space, 1)]])
     assert tampered.det() == cusp_q.problem.minor
-    report = verify_model(dataclasses.replace(cusp_q, h_mat=tampered))
+    report = verify_model(cusp_q.replace(h_mat=tampered))
     check = next(c for c in report.checks if c.name == "border-determinant")
     assert (check.ok, check.detail) == (False, "det(H) != minor")
 
@@ -287,9 +286,7 @@ def test_verify_reads_det_h_off_the_block_form(cusp_q):
 def test_verify_catches_a_tampered_remainder(cusp_q):
     ring = cusp_q.ring
     bump = parse_poly("x^20*T1^2", ring, cusp_q.tspace)
-    tampered = dataclasses.replace(
-        cusp_q, q=(cusp_q.q[0] + bump,), g=(cusp_q.g[0] + bump,)
-    )
+    tampered = cusp_q.replace(q=(cusp_q.q[0] + bump,), g=(cusp_q.g[0] + bump,))
     report = verify_model(tampered)
     bad = {c.name for c in report.checks if not c.ok}
     assert "taylor-identity" in bad
@@ -298,15 +295,13 @@ def test_verify_catches_a_tampered_remainder(cusp_q):
 def test_verify_catches_a_linear_term_smuggled_into_q(cusp_q):
     ring = cusp_q.ring
     bump = parse_poly("x^20*T2", ring, cusp_q.tspace)
-    tampered = dataclasses.replace(
-        cusp_q, q=(cusp_q.q[0] + bump,), g=(cusp_q.g[0] + bump,)
-    )
+    tampered = cusp_q.replace(q=(cusp_q.q[0] + bump,), g=(cusp_q.g[0] + bump,))
     report = verify_model(tampered)
     assert "q-degree" in {c.name for c in report.checks if not c.ok}
 
 
 def test_verify_catches_inconsistent_evaluations(cusp_q):
-    swapped = dataclasses.replace(cusp_q, dgy=(tuple(reversed(cusp_q.dgy[0])),))
+    swapped = cusp_q.replace(dgy=(tuple(reversed(cusp_q.dgy[0])),))
     report = verify_model(swapped)
     assert "evaluation-consistency" in {c.name for c in report.checks if not c.ok}
 
@@ -336,7 +331,7 @@ def test_verify_reports_h_or_g_of_the_wrong_shape(fixture, shape, name, request)
     """
     model = request.getfixturevalue(fixture)
     rows = RESHAPE[shape](getattr(model, name).rows)
-    failed = _failed_checks(dataclasses.replace(model, **{name: PolyMatrix(rows)}))
+    failed = _failed_checks(model.replace(**{name: PolyMatrix(rows)}))
     assert "matrix-identity" in failed
     assert ("border-determinant" in failed) == (name == "h_mat" and shape.endswith("row"))
 
@@ -372,7 +367,7 @@ def test_the_top_row_identity_check_agrees_with_the_bordered_products(build):
         return PolyMatrix(rows)
 
     for g_mat, holds in ((model.g_mat, True), (moved(0), False), (moved(r), False)):
-        h_full, g_full = helpers.bordered(dataclasses.replace(model, g_mat=g_mat))
+        h_full, g_full = helpers.bordered(model.replace(g_mat=g_mat))
         full = g_full.mul(h_full) == p_id and h_full.mul(g_full) == p_id
         assert desing._inverts_up_to_p(g_mat, model.h_mat, model.p_poly, (r, n)) == full == holds
 
@@ -380,19 +375,19 @@ def test_the_top_row_identity_check_agrees_with_the_bordered_products(build):
 def test_verify_catches_tampered_images(cusp_q):
     y1 = cusp_q.images["Y1"]
     moved = y1 + Poly.constant(cusp_q.ring, y1.space, cusp_q.ring.parse("x^12"))
-    tampered = dataclasses.replace(cusp_q, images={**cusp_q.images, "Y1": moved})
+    tampered = cusp_q.replace(images={**cusp_q.images, "Y1": moved})
     assert _failed_checks(tampered) == {"evaluation-consistency"}
 
 
 def test_verify_catches_a_tampered_bound_jacobian(cusp_q):
     bump = parse_poly("x^20*T1", cusp_q.ring, cusp_q.tspace)
-    tampered = dataclasses.replace(cusp_q, t_jac=PolyMatrix([[cusp_q.t_jac.rows[0][0] + bump]]))
+    tampered = cusp_q.replace(t_jac=PolyMatrix([[cusp_q.t_jac.rows[0][0] + bump]]))
     assert _failed_checks(tampered) == {"localization-units"}
 
 
 def test_verify_catches_a_tampered_localization_unit(cusp_q):
     bump = parse_poly("x^20*T2", cusp_q.ring, cusp_q.tspace)
-    tampered = dataclasses.replace(cusp_q, loc_s=cusp_q.loc_s + bump)
+    tampered = cusp_q.replace(loc_s=cusp_q.loc_s + bump)
     assert _failed_checks(tampered) == {"localization-units"}
 
 
@@ -421,11 +416,7 @@ def test_monomial_curve_family_builds_and_verifies():
 def test_certificate_scaling_equivalence(cusp_q):
     """Scaling the certificate by x only rescales the chart coordinate."""
     base = helpers.cusp_problem()
-    scaled = dataclasses.replace(
-        base,
-        certificate=base.certificate.scale(base.ring.x()),
-        c=5,
-    )
+    scaled = base.replace(certificate=base.certificate.scale(base.ring.x()), c=5)
     m2 = build_model(scaled)
     assert m2.e == 4
     assert verify_model(m2).ok
@@ -495,7 +486,9 @@ def test_an_inferred_c_reuses_the_probe_minor(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "k, untouched", [(1, 14), (1, 78), (4, 0)], ids=["cusp-n16-r1", "cusp-n80-r1", "cusps4-n8-r4"]
+    "k, untouched",
+    [(1, 14), (1, 78), (1, 318), (4, 0)],
+    ids=["cusp-n16-r1", "cusp-n80-r1", "cusp-n320-r1", "cusps4-n8-r4"],
 )
 def test_wide_systems_build_verify_and_lift_in_under_a_second(k, untouched):
     problem = helpers.cusp_product_problem(k, untouched)
@@ -507,6 +500,23 @@ def test_wide_systems_build_verify_and_lift_in_under_a_second(k, untouched):
     assert (problem.n, problem.r) == (2 * k + untouched, k)
     assert report.ok and lift.strict
     assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+def test_build_and_verify_read_the_jet_point_a_bounded_number_of_times_per_variable(monkeypatch):
+    """Each evaluation at the jet checks the n-long point once, however many entries
+    it evaluates, so build + verify read O(n) point values, not one point per entry."""
+    reads = []
+
+    class CountingPoint(dict):
+        def __getitem__(self, name):
+            reads.append(name)
+            return super().__getitem__(name)
+
+    plain = desing.Problem.jet_point
+    monkeypatch.setattr(desing.Problem, "jet_point", lambda problem: CountingPoint(plain(problem)))
+    problem = helpers.cusp_product_problem(1, 318)
+    assert verify_model(build_model(problem)).ok
+    assert 0 < len(reads) <= 16 * problem.n
 
 
 def test_build_and_verify_take_adjugates_of_the_minor_block_only(monkeypatch):

@@ -164,6 +164,22 @@ def test_matrix_identity_and_mul():
     assert ident.mul(m) == m
 
 
+def test_matrix_eval_checks_the_point_once_with_entry_eval_errors():
+    m = PolyMatrix([[P("Y1*Y2"), P("x + Y2^2")], [P("Y1 - 3"), P("0")]])
+    good = {"Y1": R.parse("x^3"), "Y2": R.parse("1 + x"), "Z": 0}
+    assert m.eval(good) == [[p.eval(good) for p in row] for row in m.rows]
+    bad_points = (
+        ({"Y1": R.x()}, MissingVariableError, "no value supplied for 'Y2'"),
+        ({"Y1": R.x(), "Y2": R5.x()}, FieldMismatchError, "value for 'Y2' is not a series of this ring"),
+        ({"Y1": 1, "Y2": R.x()}, FieldMismatchError, "value for 'Y1' is not a series of this ring"),
+    )
+    for point, error, text in bad_points:
+        for call in (m.eval, m.rows[1][0].eval):
+            with pytest.raises(error) as info:
+                call(point)
+            assert str(info.value) == text
+
+
 def test_det_and_adjugate_golden():
     m = PolyMatrix([[P("Y1"), P("Y2")], [P("Y2"), P("Y1")]])
     assert m.det() == P("Y1^2 - Y2^2")
