@@ -151,6 +151,12 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
         raise NoProgressError(
             f"initial residual has order {k0}; Newton iteration needs positive order"
         )
+
+    def exhausted(k):
+        return PrecisionExhaustedError(
+            f"residual is certified zero only through x^{k - 1}, short of the target x^{target}"
+        )
+
     k = k0
     orders = [k0]
     iterations = 0
@@ -158,10 +164,7 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
     det_prev = inv_det = None
     while k < target:
         if all(v.is_zero() for v in res):
-            raise PrecisionExhaustedError(
-                f"residual is certified zero only through x^{k - 1}, "
-                f"short of the target x^{target}"
-            )
+            raise exhausted(k)
         if iterations >= 64:
             raise NoProgressError("Newton did not reach the target within 64 iterations")
         w = max(v.prec for v in res) - k
@@ -184,10 +187,7 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
         k_new = min(v.order_floor() for v in res)
         if k_new <= k:
             if all(v.is_zero() for v in res if v.order_floor() == k_new):
-                raise PrecisionExhaustedError(
-                    f"residual is certified zero only through x^{k_new - 1}, "
-                    f"short of the target x^{target}"
-                )
+                raise exhausted(k_new)
             raise NoProgressError(f"residual order stalled at x^{k}")
         k = k_new
         orders.append(k)
@@ -461,9 +461,9 @@ def find_strict_reference(
             probe = list(t_free)
             probe[u] = probe[u] + ring.monomial(layer)
             v_u, _ = _violation(model, make_lift(model, tuple(probe)))
-            cols.append([field.add(a, field.neg(b)) for a, b in zip(v_u, vbase)])
+            cols.append([a - b for a, b in zip(v_u, vbase)])
         rows = [[cols[u][row] for u in range(nfree)] for row in range(len(vbase))]
-        rhs = [field.neg(v) for v in vbase]
+        rhs = [-v for v in vbase]
         sol = linalg.solve_linear(field, rows, rhs)
         if sol is None or all(a == field.zero for a in sol[0]):
             continue
@@ -603,7 +603,7 @@ def oracle_enumerate(problem: Problem, m: int) -> JetSet:
         grown = []
         for u in members:
             top = [_evaluate(t, [y + (0,) for y in u], p)[k] for t in gens]
-            sol = linalg.solve_linear(field, j0, [field.neg(v) for v in top])
+            sol = linalg.solve_linear(field, j0, [-v for v in top])
             if sol is not None:
                 for v in kernel:
                     grown.append(tuple(y + ((d + w) % p,) for y, d, w in zip(u, sol[0], v)))

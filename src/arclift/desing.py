@@ -91,32 +91,52 @@ class ValidationReport(Record):
 
 
 class Problem(Record):
-    """A complete, structurally checked input; mathematical checks live in validate_problem."""
+    """A complete, structurally checked input; mathematical checks live in validate_problem.
+
+    With no certificate it takes the trivial one, which needs f to cover every
+    generator.  With no c it is checked as if c were 1, then takes the least
+    c, ord((N*M)(y')) + 1, and checks the jet's precision again against it.
+    """
 
     ring: SeriesRing
     n: int
     ideal_gens: tuple
     f_idx: tuple
     minor_cols: tuple
-    certificate: Certificate
-    c: int
     jet: tuple
+    certificate: Certificate | None = None
+    c: int | None = None
     mode: str = "dvr"
 
     def __post_init__(self):
         object.__setattr__(self, "ideal_gens", tuple(self.ideal_gens))
         object.__setattr__(self, "f_idx", tuple(self.f_idx))
+        if self.certificate is None:
+            if sorted(self.f_idx) != list(range(1, len(self.ideal_gens) + 1)):
+                raise StructureError(
+                    "a certificate is required when the subsystem f does not cover "
+                    "every ideal generator"
+                )
+            cert = identity_certificate(self.ring, self.space, len(self.ideal_gens))
+            object.__setattr__(self, "certificate", cert)
         object.__setattr__(self, "minor_cols", tuple(self.minor_cols))
         object.__setattr__(self, "jet", tuple(self.jet))
+        infer = self.c is None
+        if infer:
+            object.__setattr__(self, "c", 1)
         if not isinstance(self.ring, SeriesRing):
             raise StructureError("problem needs a SeriesRing")
         if not isinstance(self.n, int) or self.n < 1:
             raise StructureError(f"variable count must be a positive integer, got {self.n!r}")
         space = self.space
+
+        def foreign(p):
+            return not isinstance(p, Poly) or p.ring != self.ring or p.space != space
+
         if not self.ideal_gens:
             raise StructureError("no ideal generators")
         for j, g in enumerate(self.ideal_gens, start=1):
-            if not isinstance(g, Poly) or g.ring != self.ring or g.space != space:
+            if foreign(g):
                 raise StructureError(f"generator {j} is not a polynomial over this problem's ring")
         m = len(self.ideal_gens)
         r = len(self.f_idx)
@@ -129,27 +149,17 @@ class Problem(Record):
         if len(set(self.minor_cols)) != r or any(not (1 <= j <= self.n) for j in self.minor_cols):
             raise StructureError(f"minor columns must be distinct members of 1..{self.n}")
         cert = self.certificate
-        np = cert.n_poly
-        if not isinstance(np, Poly) or np.ring != self.ring or np.space != space:
+        if foreign(cert.n_poly):
             raise StructureError("certificate multiplier is not a polynomial over this ring")
         if len(cert.cofactors) != m or any(len(row) != r for row in cert.cofactors):
             raise StructureError(f"cofactor matrix must be {m}x{r}")
-        for row in cert.cofactors:
-            for p in row:
-                if not isinstance(p, Poly) or p.ring != self.ring or p.space != space:
-                    raise StructureError("cofactor entries must be polynomials over this ring")
+        if any(foreign(p) for row in cert.cofactors for p in row):
+            raise StructureError("cofactor entries must be polynomials over this ring")
         if not isinstance(self.c, int) or self.c < 1:
             raise StructureError(f"congruence level c must be a positive integer, got {self.c!r}")
         if len(self.jet) != self.n:
             raise StructureError(f"jet must have {self.n} components, got {len(self.jet)}")
-        need = self.window
-        for i, y in enumerate(self.jet, start=1):
-            if not isinstance(y, Series) or y.ring != self.ring:
-                raise StructureError(f"jet component {i} is not a series of this ring")
-            if y.prec < need:
-                raise StructureError(
-                    f"jet component {i} has precision {y.prec}, need at least 2c+1 = {need}"
-                )
+        self._check_jet()
         if self.mode not in ("dvr", "variety"):
             raise StructureError(f"mode must be 'dvr' or 'variety', got {self.mode!r}")
         if self.mode == "variety":
@@ -160,6 +170,26 @@ class Problem(Record):
                             f"variety mode forbids x in the system: generator {j} "
                             "has an x-dependent coefficient"
                         )
+        if infer:
+            v = (cert.n_poly * self.minor).eval(self.jet_point())
+            e = v.order()
+            if e is None:
+                raise StructureError(
+                    "cannot infer c: multiplier times minor vanishes at the jet "
+                    f"to the checked precision x^{v.prec}"
+                )
+            object.__setattr__(self, "c", e + 1)
+            self._check_jet()
+
+    def _check_jet(self):
+        need = self.window
+        for i, y in enumerate(self.jet, start=1):
+            if not isinstance(y, Series) or y.ring != self.ring:
+                raise StructureError(f"jet component {i} is not a series of this ring")
+            if y.prec < need:
+                raise StructureError(
+                    f"jet component {i} has precision {y.prec}, need at least 2c+1 = {need}"
+                )
 
     @cached_property
     def space(self) -> VarSpace:
@@ -192,43 +222,8 @@ class Problem(Record):
         return jacobian(self.f_polys, names).det()
 
 
-def make_problem(
-    ring: SeriesRing,
-    n: int,
-    ideal_gens,
-    f_idx,
-    minor_cols,
-    jet,
-    certificate: Certificate | None = None,
-    c: int | None = None,
-    mode: str = "dvr",
-) -> Problem:
-    """Assemble a Problem, filling in the trivial certificate and minimal c."""
-    ideal_gens = tuple(ideal_gens)
-    f_idx = tuple(f_idx)
-    if certificate is None:
-        if sorted(f_idx) != list(range(1, len(ideal_gens) + 1)):
-            raise StructureError(
-                "a certificate is required when the subsystem f does not cover "
-                "every ideal generator"
-            )
-        certificate = identity_certificate(ring, VarSpace.ys(n), len(ideal_gens))
-    probe = None
-    if c is None:
-        probe = Problem(ring, n, ideal_gens, f_idx, tuple(minor_cols), certificate, 1, tuple(jet), mode)
-        v = (certificate.n_poly * probe.minor).eval(probe.jet_point())
-        e = v.order()
-        if e is None:
-            raise StructureError(
-                "cannot infer c: multiplier times minor vanishes at the jet "
-                f"to the checked precision x^{v.prec}"
-            )
-        c = e + 1
-    problem = Problem(ring, n, ideal_gens, f_idx, tuple(minor_cols), certificate, c, tuple(jet), mode)
-    if probe is not None:
-        # M does not depend on c: the returned Problem keeps the probe's copy
-        vars(problem)["minor"] = probe.minor
-    return problem
+# the public name of the one constructor: make_problem(..., c=None) checks its input once
+make_problem = Problem
 
 
 def _cofactor_miss(problem: Problem, n_poly: Poly, cofactors) -> int | None:
@@ -242,49 +237,39 @@ def _cofactor_miss(problem: Problem, n_poly: Poly, cofactors) -> int | None:
     return None
 
 
-def _check(name: str, miss, passed: str, failed) -> CheckResult:
-    """A check with detail passed when miss is None, else failed with detail failed(miss)."""
-    if miss is None:
-        return CheckResult(name, True, passed)
-    return CheckResult(name, False, failed(miss))
+def _check(name: str, failure: str | None, passed: str) -> CheckResult:
+    """Passed with detail passed when failure is None, else failed with detail failure."""
+    return CheckResult(name, failure is None, passed if failure is None else failure)
 
 
 def validate_problem(problem: Problem) -> ValidationReport:
     """Run the three mathematical admission checks; failures are reported, not raised."""
-    cert = problem.certificate
+    cert, c = problem.certificate, problem.c
+    j = _cofactor_miss(problem, cert.n_poly, cert.cofactors)
     checks = [_check(
-        "certificate-cofactors", _cofactor_miss(problem, cert.n_poly, cert.cofactors),
+        "certificate-cofactors", j and f"N * generator {j} does not match its cofactor combination",
         "multiplier identity holds for every generator",
-        lambda j: f"N * generator {j} does not match its cofactor combination",
     )]
 
     need = problem.window
     point = problem.jet_point()
     orders = enumerate((gen.eval(point).order_floor() for gen in problem.ideal_gens), start=1)
+    low = next(((j, o) for j, o in orders if o < need), None)
     checks.append(_check(
-        "jet-kills-ideal", next(((j, o) for j, o in orders if o < need), None),
+        "jet-kills-ideal",
+        low and f"generator {low[0]} has order {low[1]} at the jet, below 2c+1 = {need}",
         f"every generator vanishes at the jet through x^{need - 1}",
-        lambda m: f"generator {m[0]} has order {m[1]} at the jet, below 2c+1 = {need}",
     ))
 
-    p_val = (problem.certificate.n_poly * problem.minor).eval(point)
+    p_val = (cert.n_poly * problem.minor).eval(point)
     window = p_val.truncate(min(need, p_val.prec))
     e = window.order()
     if e is None:
-        checks.append(
-            CheckResult(
-                "minor-order",
-                False,
-                "multiplier times minor vanishes at the jet through "
-                f"x^{window.prec - 1}; the construction needs a visible order below c = {problem.c}",
-            )
-        )
-    elif e >= problem.c:
-        checks.append(
-            CheckResult("minor-order", False, f"e = {e} is not below c = {problem.c}")
-        )
+        failure = ("multiplier times minor vanishes at the jet through "
+                   f"x^{window.prec - 1}; the construction needs a visible order below c = {c}")
     else:
-        checks.append(CheckResult("minor-order", True, f"e = {e} < c = {problem.c}"))
+        failure = f"e = {e} is not below c = {c}" if e >= c else None
+    checks.append(_check("minor-order", failure, f"e = {e} < c = {c}"))
     return ValidationReport(tuple(checks), e)
 
 
@@ -595,64 +580,63 @@ def _taylor_miss(model: SmoothModel, images: dict) -> str | None:
 def verify_model(model: SmoothModel) -> ValidationReport:
     """Re-check every identity the model claims, from its inputs, two ways where possible."""
     problem = model.problem
+    j = _cofactor_miss(problem, model.n_norm, model.cofactors)
     checks = [_check(
-        "certificate-normalized", _cofactor_miss(problem, model.n_norm, model.cofactors),
+        "certificate-normalized", j and f"scaled identity fails for generator {j}",
         "scaled multiplier identity holds for every generator",
-        lambda j: f"scaled identity fails for generator {j}",
     )]
 
     ok = _inverts_up_to_p(model.g_mat, model.h_mat, model.p_poly, (problem.r, problem.n))
-    checks.append(
-        CheckResult("matrix-identity", ok, "GH = HG = P * Id" if ok else "GH = HG = P * Id failed")
-    )
+    checks.append(_check(
+        "matrix-identity", None if ok else "GH = HG = P * Id failed", "GH = HG = P * Id"
+    ))
 
     ok = _border_is_minor(model.h_mat, problem.r, problem.minor)
-    checks.append(
-        CheckResult("border-determinant", ok, "det(H) equals the minor" if ok else "det(H) != minor")
-    )
+    checks.append(_check(
+        "border-determinant", None if ok else "det(H) != minor", "det(H) equals the minor"
+    ))
 
-    ok = model.d.order() == problem.c
-    checks.append(
-        CheckResult(
-            "d-order",
-            ok,
-            f"ord(d) = {model.d.order()}"
-            + ("" if ok else f", expected c = {problem.c}"),
-        )
-    )
+    o, c = model.d.order(), problem.c
+    checks.append(_check(
+        "d-order", None if o == c else f"ord(d) = {o}, expected c = {c}", f"ord(d) = {o}"
+    ))
 
     hy, gy, dgy = _jet_evaluations(problem, model.h_mat, model.g_mat, model.d)
     images = substitution_images(problem, dgy, model.d * model.d, model.perm, model.tspace)
     ok = hy == model.hy and gy == model.gy and dgy == model.dgy and images == model.images
-    passed = "H(y'), G(y'), d*G(y') match the stored evaluations"
-    failed = "a stored evaluation or substitution image does not match recomputation"
-    checks.append(CheckResult("evaluation-consistency", ok, passed if ok else failed))
+    checks.append(_check(
+        "evaluation-consistency",
+        None if ok else "a stored evaluation or substitution image does not match recomputation",
+        "H(y'), G(y'), d*G(y') match the stored evaluations",
+    ))
 
     checks.append(_check(
         "taylor-identity", _taylor_miss(model, images),
-        "f(y' + d*G(y')*T) = f(y') + d^2 * g, by polynomial identity and at random points", str,
+        "f(y' + d*G(y')*T) = f(y') + d^2 * g, by polynomial identity and at random points",
     ))
 
-    low = ((i, deg) for i, deg in enumerate(map(_low_degree, model.q), start=1) if deg is not None)
+    low = next(((i, deg) for i, deg in enumerate(map(_low_degree, model.q), start=1)
+                if deg is not None), None)
     checks.append(_check(
-        "q-degree", next(low, None), "every visible term of Q has T-degree >= 2",
-        lambda m: f"Q component {m[0]} has a visible term of T-degree {m[1]}",
+        "q-degree", low and f"Q component {low[0]} has a visible term of T-degree {low[1]}",
+        "every visible term of Q has T-degree >= 2",
     ))
 
-    orders = enumerate((ai.order_floor() for ai in model.a), start=1)
+    i = next((k for k, ai in enumerate(model.a, start=1) if ai.order_floor() < 1), None)
     checks.append(_check(
-        "a-order", next((i for i, o in orders if o < 1), None),
-        "every a component has order >= 1", lambda i: f"a component {i} has order 0",
+        "a-order", i and f"a component {i} has order 0", "every a component has order >= 1"
     ))
 
     if model.t_jac != jacobian(model.g, model.tspace.names[:problem.r]):
-        ok, detail = False, "t_jac is not dg/dT over the bound block"
+        failure = "t_jac is not dg/dT over the bound block"
     elif model.loc_s != model.t_jac.det():
-        ok, detail = False, "loc_s is not det(t_jac)"
+        failure = "loc_s is not det(t_jac)"
     elif not (_unit_constant(model.loc_s) and _unit_constant(model.loc_s_prime)):
-        ok, detail = False, "a localizing element lacks constant term 1"
+        failure = "a localizing element lacks constant term 1"
     else:
-        ok, detail = True, "both localizing elements have constant term 1"
-    checks.append(CheckResult("localization-units", ok, detail))
+        failure = None
+    checks.append(_check(
+        "localization-units", failure, "both localizing elements have constant term 1"
+    ))
 
     return ValidationReport(tuple(checks), model.e)

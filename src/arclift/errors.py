@@ -79,22 +79,21 @@ class IdentityFailedError(ArcliftError):
     exit_code = 2
 
 
-class NotStrictError(ArcliftError):
+class ArcDeviationError(ArcliftError):
+    """An arc departs from what it must match; .index and .order say where, when known."""
+
+    def __init__(self, message, index=None, order=None):
+        super().__init__(message)
+        self.index = index
+        self.order = order
+
+
+class NotStrictError(ArcDeviationError):
     """Arc does not agree with the jet to the required congruence depth."""
 
-    def __init__(self, message, index=None, order=None):
-        super().__init__(message)
-        self.index = index
-        self.order = order
 
-
-class OutOfFamilyError(ArcliftError):
+class OutOfFamilyError(ArcDeviationError):
     """Strict arc falls outside the offset family anchored at the reference."""
-
-    def __init__(self, message, index=None, order=None):
-        super().__init__(message)
-        self.index = index
-        self.order = order
 
 
 class NoProgressError(ArcliftError):

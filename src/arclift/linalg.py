@@ -12,10 +12,12 @@ rows * adjugate(rows), mat_vec of the first row with the adjugate's first
 column, is the first-row expansion of det(rows) with the same products,
 signs and order, so a caller that needs both builds one table.
 
-solve_linear is the one routine specialised to scalar fields; it performs
-plain Gaussian elimination with exact division, returns a particular
-solution with a basis of the homogeneous solutions, and reports
-unsolvable systems by returning None.
+solve_linear is the one routine specialised to scalar fields.  It reads
+every entry, product and difference through the field's coerce and inverts
+each pivot with its from_pair; those two readers are the only code that
+knows how a scalar is reduced, so one Gaussian elimination serves Q and
+F_p.  It returns a particular solution with a basis of the homogeneous
+solutions, and reports unsolvable systems by returning None.
 """
 
 from __future__ import annotations
@@ -87,33 +89,29 @@ def solve_linear(field, rows, rhs):
     particular solution is deterministic; basis holds one vector per free
     variable and spans the solutions of rows * x = 0.
     """
+    coerce = field.coerce
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    a = [[coerce(v) for v in r] + [coerce(b)] for r, b in zip(rows, rhs)]
     pivots = []
     row = 0
     for col in range(n):
-        sel = None
-        for r in range(row, m):
-            if not field.is_zero(a[r][col]):
-                sel = r
-                break
+        sel = next((r for r in range(row, m) if a[r][col]), None)
         if sel is None:
             continue
         a[row], a[sel] = a[sel], a[row]
-        inv = field.inv(a[row][col])
-        a[row] = [field.mul(inv, v) for v in a[row]]
+        inv = field.from_pair(1, a[row][col])
+        a[row] = [coerce(inv * v) for v in a[row]]
         for r in range(m):
-            if r != row and not field.is_zero(a[r][col]):
-                f = a[r][col]
-                a[r] = [field.add(v, field.neg(field.mul(f, w))) for v, w in zip(a[r], a[row])]
+            f = a[r][col]
+            if r != row and f:
+                a[r] = [coerce(v - f * w) for v, w in zip(a[r], a[row])]
         pivots.append(col)
         row += 1
         if row == m:
             break
-    for r in range(row, m):
-        if not field.is_zero(a[r][n]):
-            return None
+    if any(a[r][n] for r in range(row, m)):
+        return None
     x = [field.zero] * n
     for r, col in enumerate(pivots):
         x[col] = a[r][n]
@@ -122,6 +120,6 @@ def solve_linear(field, rows, rhs):
         v = [field.zero] * n
         v[free] = field.one
         for r, col in enumerate(pivots):
-            v[col] = field.neg(a[r][free])
+            v[col] = coerce(-a[r][free])
         basis.append(v)
     return x, basis

@@ -123,23 +123,6 @@ class RationalField:
             raise NotAUnitError("zero denominator")
         return Fraction(num, den)
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if not a:
-            raise NotAUnitError("division by zero in Q")
-        return 1 / a
-
-    def is_zero(self, a) -> bool:
-        return not a
-
     def __repr__(self):
         return "QQ"
 
@@ -170,25 +153,10 @@ class PrimeField:
         raise StructureError(f"cannot coerce {v!r} into F_{self.p}")
 
     def from_pair(self, num: int, den: int) -> int:
-        return num % self.p * self.inv(den % self.p) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
+        den %= self.p
+        if den == 0:
             raise NotAUnitError(f"division by zero in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
+        return num % self.p * pow(den, self.p - 2, self.p) % self.p
 
     def __repr__(self):
         return f"Fp({self.p})"

@@ -2,8 +2,12 @@
 
 This is the printing code the package used before Series and Poly text
 went through one term formatter, ring.render_terms.  The field classes'
-split_sign and render hooks it called are kept here as functions.
+split_sign, render and is_zero hooks it called are kept here as functions.
 """
+
+
+def is_zero(field, a) -> bool:
+    return a % field.p == 0 if field.p is not None else not a
 
 
 def split_sign(field, a):
@@ -21,7 +25,7 @@ def render_series(s, show_prec: bool = False) -> str:
     field = s.ring.field
     parts = []
     for k, v in enumerate(s.coeffs):
-        if field.is_zero(v):
+        if is_zero(field, v):
             continue
         neg, mag = split_sign(field, v)
         if k == 0:
@@ -46,7 +50,7 @@ def render_poly(p) -> str:
     items = []
     for exps, coeff in p.terms.items():
         for k, v in enumerate(coeff.coeffs):
-            if field.is_zero(v):
+            if is_zero(field, v):
                 continue
             items.append((tuple(reversed(exps)), k, exps, v))
     if not items:

@@ -466,8 +466,23 @@ def test_build_and_verify_compute_the_minor_once_on_every_shipped_problem(monkey
         assert calls.count(cols) == 1 + (problem.n == problem.r), path.name
 
 
-def test_an_inferred_c_reuses_the_probe_minor(monkeypatch):
-    """make_problem computes M on its c = 1 probe; the returned Problem keeps that copy."""
+def test_an_inferred_c_is_checked_once_and_equals_the_explicit_problem(monkeypatch):
+    """make_problem(..., c=None) runs Problem.__post_init__ once, not once per c."""
+    plain = desing.Problem.__post_init__
+    runs = []
+
+    def counting(problem):
+        runs.append(problem.c)
+        plain(problem)
+
+    monkeypatch.setattr(desing.Problem, "__post_init__", counting)
+    problem = helpers.cusp_problem(c=None)
+    assert runs == [None]
+    assert problem == helpers.cusp_problem(c=4)
+
+
+def test_an_inferred_c_builds_the_minor_once(monkeypatch):
+    """The minor that infers c is the one the returned Problem keeps."""
     plain = desing.jacobian
     calls = []
 

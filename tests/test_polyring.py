@@ -1,6 +1,7 @@
 """Multivariate polynomials over the series ring: parsing, calculus, matrices."""
 
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -259,23 +260,58 @@ def test_eval_prec_is_the_precision_eval_certifies(data):
 @settings(derandomize=True, max_examples=60)
 @given(st.data())
 def test_solve_linear_returns_every_solution(data):
-    """Over F3, x + span(basis) is exactly the brute-force solution set."""
+    """Over F3, x + span(basis) is exactly the brute-force solution set.
+
+    Entries may be negative or unreduced, as the oracle's J0 rows are; the
+    answer holds residues in [0, 3).
+    """
     n = data.draw(st.integers(1, 3))
-    entry = st.integers(0, 2)
+    entry = st.integers(0, 2) | st.integers(-10**20, 10**20)
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3))
     rhs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
     solutions = {
         v for v in product(range(3), repeat=n)
-        if all(sum(a * b for a, b in zip(row, v)) % 3 == r for row, r in zip(rows, rhs))
+        if all(sum(a * b for a, b in zip(row, v)) % 3 == r % 3 for row, r in zip(rows, rhs))
     }
     got = linalg.solve_linear(PrimeField(3), rows, rhs)
     if got is None:
         assert not solutions
         return
     x, basis = got
+    assert all(v in range(3) for v in x + [w for b in basis for w in b])
     span = {
         tuple((xi + sum(s * v[i] for s, v in zip(scales, basis))) % 3 for i, xi in enumerate(x))
         for scales in product(range(3), repeat=len(basis))
     }
     assert len(span) == 3 ** len(basis)
     assert span == solutions
+
+
+def _rank(rows) -> int:
+    """The size of the largest nonzero minor of rows."""
+    sizes = range(1, min(len(rows), len(rows[0])) + 1) if rows else ()
+    return max((
+        k for k in sizes
+        for rs in combinations(range(len(rows)), k)
+        for cs in combinations(range(len(rows[0])), k)
+        if linalg.det([[rows[i][j] for j in cs] for i in rs], 1)
+    ), default=0)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(st.data())
+def test_solve_linear_over_q_is_exact_on_integer_input(data):
+    """Over Q, integer rows give Fractions, never floats, and len(basis) = n - rank."""
+    n = data.draw(st.integers(1, 4))
+    entry = st.integers(-9, 9)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4))
+    rhs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    got = linalg.solve_linear(QQ, rows, rhs)
+    if got is None:
+        assert _rank([row + [b] for row, b in zip(rows, rhs)]) > _rank(rows)
+        return
+    x, basis = got
+    assert all(type(v) is Fraction for v in x + [w for b in basis for w in b])
+    assert [sum(a * v for a, v in zip(row, x)) for row in rows] == rhs
+    assert all(sum(a * w for a, w in zip(row, b)) == 0 for row in rows for b in basis)
+    assert len(basis) == n - _rank(rows) == _rank(basis)

@@ -33,6 +33,21 @@ def test_no_linear_algebra_routine_calls_itself():
     assert recursive == []
 
 
+def test_no_module_does_arithmetic_through_a_field():
+    """A field only reads scalars (coerce, from_pair); sums and products are the scalars' own."""
+    banned = {"add", "mul", "neg", "inv", "is_zero"}
+    found = []
+    for path in sorted((helpers.REPO / "src" / "arclift").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                name = getattr(owner, "id", None) or getattr(owner, "attr", None)
+                if node.func.attr in banned and name == "field":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_name_the_bench_tracer_wraps_exists():
     """perfbench/tracing.py patches arclift by (owner, attribute); a renamed stage fails here."""
     path = helpers.REPO / "perfbench" / "tracing.py"
