@@ -7,7 +7,8 @@ expansion along the first row, memoised on its blocks and built bottom-up,
 so Series entries keep the precisions of cofactor expansion at n * 2^n
 products, not n!; the package takes them of r x r blocks only.  Every sum
 starts from its first term, so the two take no zero, only the one that the
-empty determinant and the 1 x 1 adjugate are.  The first entry of
+empty determinant and the 1 x 1 adjugate are, and a Series product by that
+one returns the other factor with no work.  The first entry of
 rows * adjugate(rows), mat_vec of the first row with the adjugate's first
 column, is the first-row expansion of det(rows) with the same products,
 signs and order, so a caller that needs both builds one table.

@@ -15,6 +15,11 @@ rules:
 so multiplying by x^k gains k certified digits while dividing by x^k loses
 them.  A series that is zero at its precision has no visible order; its
 order is only known to be >= eff_prec, and `order_floor` returns that bound.
+Two of these results are an operand, and are returned as that very object
+with no work: a + 0 when the zero is certified at least to eff_prec(a), and
+a * 1 when the 1 is certified to N_work, whose eff_prec is then
+min(eff_prec(a), N_work + ord(a), N_work) = eff_prec(a).  A difference is
+one pass over both operands, never a sum with a negated copy.
 
 The working precision N_work caps every eff_prec and lives on the
 SeriesRing, the only shared context object.  Series are immutable after
@@ -62,7 +67,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 
 from .errors import (
     FieldMismatchError,
@@ -236,7 +241,9 @@ class Series:
         prec = min(prec, ring.n_work)
         if prec < 1:
             raise PrecisionExhaustedError("series would carry no certified coefficients")
-        nums = _trimmed(tuple(nums)[:prec])
+        nums = tuple(nums[:prec] if len(nums) > prec else nums)
+        if nums and not nums[-1]:
+            nums = _trimmed(nums)
         if den != 1:
             c = gcd(den, *nums)
             if c != 1:
@@ -293,10 +300,19 @@ class Series:
         if self.ring is not other.ring and self.ring != other.ring:
             raise FieldMismatchError(f"mixed series rings {self.ring} and {other.ring}")
 
-    def __add__(self, other):
+    def _plus(self, other, op):
+        """self + other (op add) or self - other (op sub), in one pass.
+
+        A zero that is certified at least as far as the other side adds
+        nothing, so that side is the exact result.
+        """
         if not isinstance(other, Series):
             return NotImplemented
         self._compat(other)
+        if not other.nums and other.prec >= self.prec:
+            return self
+        if op is add and not self.nums and self.prec >= other.prec:
+            return other
         prec = min(self.prec, other.prec)
         a, b = self.nums[:prec], other.nums[:prec]
         den = da = self.den
@@ -305,28 +321,35 @@ class Series:
             den = lcm(da, db)
             a = [v * (den // da) for v in a]
             b = [v * (den // db) for v in b]
-        if len(a) < len(b):
-            a, b = b, a
         p = self.ring.field.p
-        out = list(map(add, a, b)) if p is None else [v % p for v in map(add, a, b)]
-        out += a[len(b):]
+        out = list(map(op, a, b)) if p is None else [v % p for v in map(op, a, b)]
+        n = len(out)
+        if len(a) > n:
+            out += a[n:]
+        else:
+            out += b[n:] if op is add else _negated(b[n:], p)
         return Series._make(self.ring, out, prec, den)
 
-    def __neg__(self):
-        p = self.ring.field.p
-        nums = [-v for v in self.nums] if p is None else [v and p - v for v in self.nums]
-        return Series._make(self.ring, nums, self.prec, self.den)
+    def __add__(self, other):
+        return self._plus(other, add)
 
     def __sub__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, sub)
+
+    def __neg__(self):
+        return Series._make(self.ring, _negated(self.nums, self.ring.field.p), self.prec, self.den)
 
     def __mul__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         self._compat(other)
         ring = self.ring
+        # 1 certified to n_work: the product is the other factor (module docstring)
+        n = ring.n_work
+        if other.nums == (1,) and other.den == 1 and other.prec == n:
+            return self
+        if self.nums == (1,) and self.den == 1 and self.prec == n:
+            return other
         oa, ob = self.order(), other.order()
         fa = self.prec if oa is None else oa
         fb = other.prec if ob is None else ob
@@ -479,6 +502,11 @@ def product_precision(pa: int, fa: int, pb: int, fb: int, n_work: int) -> tuple[
     return prec, min(fa + fb, prec)
 
 
+def _negated(nums, p) -> list:
+    """-v for each v; over F_p (p not None) residues stay in [0, p)."""
+    return [-v for v in nums] if p is None else [v and p - v for v in nums]
+
+
 def _trimmed(nums: tuple) -> tuple:
     """nums without its trailing zeros."""
     n = len(nums)
@@ -553,8 +581,8 @@ def _kmul(a, b, m: int, p) -> list:
         out = [c * v for v in b] if p is None else [c * v % p for v in b]
         return out + [0] * (m - len(out))
     signed = p is None
-    # residues are non-negative, so only Q's signed numerators need abs
-    ta, tb = (max(map(abs, a)), max(map(abs, b))) if signed else (max(a), max(b))
+    # residues lie in [0, p), so p - 1 bounds them with no scan
+    ta, tb = (max(map(abs, a)), max(map(abs, b))) if signed else (p - 1, p - 1)
     bits = ta.bit_length() + tb.bit_length() + min(len(a), len(b)).bit_length() + signed
     w = (bits + 7) // 8
     if w <= 8:

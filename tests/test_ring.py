@@ -26,6 +26,8 @@ from arclift import (
 from arclift import ring as ring_module
 from arclift.ring import _kmul
 
+import series_reference as reference
+
 R = SeriesRing(QQ)
 R5 = SeriesRing(PrimeField(5))
 
@@ -484,6 +486,49 @@ def test_stored_form_is_canonical_after_every_operation(data):
     k = data.draw(st.integers(min_value=1, max_value=ring.n_work))
     _check_stored(a.truncate(k), (_stripped(wa[0][:k]), min(k, a.prec)))
     _check_stored(ring.parse(str(a)), wa)
+
+
+def _stored(s):
+    return s.nums, s.den, s.prec
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sums_and_unit_products_match_the_full_pipeline(data):
+    """Covering zeros, units at every precision, and differences either way round.
+
+    A zero certified at least to a.prec and 1 at full precision give a
+    itself; every other case must still give what the full pipeline gives.
+    """
+    ring = data.draw(st.sampled_from(RINGS))
+    n = ring.n_work
+    a = data.draw(_wide_series(ring))
+    b = data.draw(_wide_series(ring))
+    for s, t in ((a, b), (b, a), (a, a), (a, b.truncate(max(1, b.prec // 2)))):
+        assert _stored(s - t) == _stored(reference.minus(s, t))
+        assert _stored(s + t) == _stored(reference.plus(s, t))
+    qs = {a.prec - 1, a.prec, a.prec + 1, data.draw(st.integers(1, n))}
+    for z in [ring.zero(q) for q in qs if q >= 1]:
+        want = _stored(reference.plus(a, z))
+        assert _stored(a + z) == _stored(z + a) == want
+        assert (a + z is a) == (z.prec >= a.prec)
+    c = data.draw(_scalar(ring.field))
+    third = ring.scalar(ring.field.from_pair(1, 3))
+    units = [ring.one(), third, ring.scalar(c), ring.series([1], data.draw(st.integers(1, n - 1)))]
+    for u in units:
+        want = _stored(reference.times(a, u))
+        assert _stored(a * u) == _stored(u * a) == want
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=("Q", "F5", "Fbig"))
+def test_a_covering_zero_and_one_return_the_operand(ring):
+    a = ring.series([3, 0, 2, 1], 20)
+    assert a + ring.zero() is a and ring.zero() + a is a
+    assert a - ring.zero(a.prec) is a
+    assert ring.one() * a is a and a * ring.one() is a
+    cut = a + ring.zero(7)
+    assert cut is not a
+    assert _stored(cut) == _stored(a.truncate(7)) == (a.nums, a.den, 7)
 
 
 def test_a_monomial_beyond_the_working_precision_allocates_nothing():
