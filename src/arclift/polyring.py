@@ -315,7 +315,8 @@ class Poly:
         if self.space is not other.space and self.space != other.space:
             raise StructureError("mixed variable spaces in Poly arithmetic")
 
-    def __add__(self, other):
+    def _plus(self, other, negate: bool):
+        """self + other, or self - other when negate, in one pass."""
         if not isinstance(other, Poly):
             return NotImplemented
         self._compat(other)
@@ -323,20 +324,24 @@ class Poly:
         if not other.terms:
             return self
         if not self.terms:
-            return other
+            return -other if negate else other
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             prev = out.get(exps)
-            out[exps] = coeff if prev is None else prev + coeff
+            if prev is None:
+                out[exps] = -coeff if negate else coeff
+            else:
+                out[exps] = prev - coeff if negate else prev + coeff
         return Poly._make(self.ring, self.space, out)
+
+    def __add__(self, other):
+        return self._plus(other, False)
 
     def __neg__(self):
         return Poly._make(self.ring, self.space, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, True)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -395,35 +400,43 @@ class Poly:
             vals.append(v)
         return vals
 
-    def _walk(self, lift, points: list, times, acc, plus):
+    def _walk(self, lift, points: list, times, acc, plus, powers: dict | None):
         """Fold plus over the terms: each term is lift(coeff) times its variables' powers.
 
-        points holds one entry per variable; the powers of each are built once
-        per walk, by times, in the shared _power cache.
+        points holds one entry per variable.  powers is the power table of
+        the caller, who owns it and drops it with the point: every walk handed
+        one table shares the powers built in it, by times, through _power.
+        None gives a table for this walk alone.
         """
-        cache = {}
+        if powers is None:
+            powers = {}
         for exps, coeff in self.terms.items():
             prod = lift(coeff)
             for j, e in enumerate(exps):
                 if e:
-                    prod = times(prod, _power(cache, j, e, points[j], times))
+                    prod = times(prod, _power(powers, j, e, points[j], times))
             acc = plus(acc, prod)
         return acc
 
-    def eval(self, values: dict) -> Series:
-        """Evaluate at a point given as {name: Series}; extra keys are ignored."""
-        return self._eval_checked(self._values(values))
+    def eval(self, values: dict, powers: dict | None = None) -> Series:
+        """Evaluate at a point given as {name: Series}; extra keys are ignored.
 
-    def _eval_checked(self, vals: list) -> Series:
+        powers is a power table for this point (see _walk): evaluations at one
+        point handed one table build each power of its coordinates once.  The
+        table lives as long as its owner keeps it; None gives a fresh one.
+        """
+        return self._eval_checked(self._values(values), powers)
+
+    def _eval_checked(self, vals: list, powers: dict | None) -> Series:
         """Evaluate at a point already checked by _values, in variable order."""
-        return self._walk(lambda c: c, vals, mul, self.ring.zero(), add)
+        return self._walk(lambda c: c, vals, mul, self.ring.zero(), add, powers)
 
     def eval_prec(self, values: dict) -> int:
         """The eff_prec of eval(values), from the point's precisions and orders alone.
 
         eval's term walk, run on (eff_prec, order floor) marks with the rule
         Series multiplication uses; the sum's precision is the least of its
-        terms'.
+        terms'.  The marks get a power table of their own, dropped on return.
         """
         n_work = self.ring.n_work
 
@@ -434,10 +447,14 @@ class Poly:
             return (c.prec, c.order_floor())
 
         marks = [lift(v) for v in self._values(values)]
-        return self._walk(lift, marks, times, n_work, lambda prec, mark: min(prec, mark[0]))
+        return self._walk(lift, marks, times, n_work, lambda prec, mark: min(prec, mark[0]), None)
 
-    def subst(self, images: dict, space_out: VarSpace) -> Poly:
-        """Substitute every variable by a polynomial over space_out."""
+    def subst(self, images: dict, space_out: VarSpace, powers: dict | None = None) -> Poly:
+        """Substitute every variable by a polynomial over space_out.
+
+        powers is a power table for these images, as in eval; None gives a
+        fresh one.
+        """
         imgs = []
         for nm in self.space.names:
             if nm not in images:
@@ -448,7 +465,8 @@ class Poly:
             imgs.append(img)
         ring = self.ring
         return self._walk(
-            lambda c: Poly.constant(ring, space_out, c), imgs, mul, Poly.zero(ring, space_out), add
+            lambda c: Poly.constant(ring, space_out, c), imgs, mul, Poly.zero(ring, space_out), add,
+            powers,
         )
 
     # -- comparison and display ------------------------------------------
@@ -492,20 +510,20 @@ class Poly:
         return f"Poly({self.render()!r})"
 
 
-def _power(cache: dict, j: int, e: int, base, times):
+def _power(powers: dict, j: int, e: int, base, times):
     """base^e for variable j, built as base^(e-1) times base.
 
-    cache holds the powers of each variable already built, keyed (j, e); the
-    loop climbs from the highest one below e, storing each step.
+    powers[j] lists base, base^2, ... as built so far.  Its first entry is the
+    base object itself, and a list whose first entry is not base was built
+    for another point: it is started again from base, so a table handed the
+    wrong point only misses and never returns a power of another base.
     """
-    top = e
-    while top > 1 and (j, top) not in cache:
-        top -= 1
-    got = cache[j, top] if top > 1 else base
-    for i in range(top + 1, e + 1):
-        got = times(got, base)
-        cache[j, i] = got
-    return got
+    got = powers.get(j)
+    if got is None or got[0] is not base:
+        got = powers[j] = [base]
+    while len(got) < e:
+        got.append(times(got[-1], base))
+    return got[e - 1]
 
 
 def jacobian(polys, names=None) -> PolyMatrix:
@@ -570,13 +588,16 @@ class PolyMatrix:
             raise StructureError("determinant of a non-square matrix")
         return linalg.det(self.rows, Poly.constant(self.ring, self.space, 1))
 
-    def eval(self, values: dict):
+    def eval(self, values: dict, powers: dict | None = None):
         """Entrywise evaluation, returning a list of lists of Series.
 
-        The entries share one ring and space, so the point is checked once.
+        The entries share one ring and space, so the point is checked once
+        and every entry is walked with one power table: the caller's powers,
+        as in Poly.eval, or a fresh one dropped on return.
         """
         vals = self.rows[0][0]._values(values)
-        return [[p._eval_checked(vals) for p in r] for r in self.rows]
+        powers = {} if powers is None else powers
+        return [[p._eval_checked(vals, powers) for p in r] for r in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

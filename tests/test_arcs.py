@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import check_corpus
 import cofactor_reference as reference
 import helpers
+import power_reference
 from arclift import (
     ArcliftError,
     BudgetExceededError,
@@ -21,6 +23,7 @@ from arclift import (
     PrecisionExhaustedError,
     PrimeField,
     QQ,
+    Series,
     SeriesRing,
     SplitMix64,
     StructureError,
@@ -283,13 +286,13 @@ def test_newton_builds_one_block_table_per_step(k, links, monkeypatch):
 
 
 def _g_evaluations(monkeypatch):
-    """Record every Poly.eval call; returns the list of polynomials evaluated."""
+    """Record every Poly.eval call, power table or not; returns the list of polynomials evaluated."""
     evaluated = []
     plain = Poly.eval
 
-    def recording(self, values):
+    def recording(self, values, powers=None):
         evaluated.append(self)
-        return plain(self, values)
+        return plain(self, values, powers)
 
     monkeypatch.setattr(Poly, "eval", recording)
     return evaluated
@@ -899,3 +902,142 @@ def test_offset_roundtrip_on_random_offsets(cusp_q):
         shifted = offset_lift(cusp_q, ref, z)
         back = extract_params(cusp_q, shifted.y2, ref)
         assert back[0] == z[0].truncate(23)
+
+
+# -- power tables ----------------------------------------------------------
+
+
+def _field_copy(path, field):
+    """load_problem on path, its field replaced by field, through a copy in a temporary folder."""
+    def load(folder):
+        copy = folder / f"{path.stem}-{field}.json"
+        copy.write_text(json.dumps(dict(json.loads(path.read_text()), field=field)))
+        return load_problem(str(copy))
+
+    return load
+
+
+def _table_cases():
+    """folder -> Problem, one param each: every shipped problem, each Q one also over F5 and
+    F_(2^31-1), the dense r = 3 coupled cusps and the n = 16 wide cusp."""
+    cases = []
+    for path in helpers.shipped_problems():
+        field = json.loads(path.read_text())["field"]
+        for other in (field, "F5", "F2147483647") if field == "Q" else (field,):
+            cases.append((f"{path.stem}-{other}", _field_copy(path, other)))
+    links = [(2, 3), (4, 5), (6, 1)]
+    cases.append(("coupled-r3", lambda folder: helpers.coupled_cusp_problem(3, links)))
+    cases.append(("cusp-n16", lambda folder: helpers.cusp_product_problem(1, 14)))
+    return [pytest.param(load, id=name) for name, load in cases]
+
+
+def _pipeline(problem):
+    """Every result of a build, verify and lifts through the model, in stored form, errors included."""
+    out = []
+
+    def run(label, fn, *args):
+        try:
+            res = fn(*args)
+        except ArcliftError as exc:
+            out.append((label, type(exc).__name__, str(exc)))
+            return None
+        out.append((label, power_reference.stored(res)))
+        return res
+
+    model = run("build_model", build_model, problem)
+    if model is None:
+        return out
+    out.append(("verify_model", [(ch.name, ch.ok, ch.detail) for ch in verify_model(model).checks]))
+    ring = model.ring
+    rng = SplitMix64(model.n)
+    drawn = tuple(draw_series(rng, ring, 1, 6) for _ in range(model.param_count))
+    lifts = [run("make_lift", make_lift, model, t_free) for t_free in (None, drawn)]
+    ref = run("find_strict_reference", find_strict_reference, model)
+    if ref is not None:
+        z = tuple(draw_series(rng, ring, 0, 4) for _ in range(model.param_count))
+        moved = run("offset_lift", offset_lift, model, ref, z)
+        lifts.append(moved)
+        if moved is not None:
+            run("extract_params", extract_params, model, moved.y2, ref)
+    out.append(("precisions", [(res.newton_iterations, res.k0, res.eff_prec)
+                               for res in lifts if res is not None]))
+    out.append(("newton_tail", power_reference.stored(model.newton_tail)))
+    return out
+
+
+@pytest.mark.parametrize("load", _table_cases())
+def test_shared_power_tables_change_no_stored_digit(load, monkeypatch, tmp_path):
+    """build_model, verify_model's checks, make_lift, offset_lift and extract_params give
+    the nums, den and prec of every series and the term set of every Poly that a fresh
+    power table per walk gives, with the same newton_iterations, k0 and eff_prec."""
+    with monkeypatch.context() as patched:
+        patched.setattr(Poly, "_walk", power_reference.walk)
+        want = _pipeline(load(tmp_path))
+    got = _pipeline(load(tmp_path))
+    assert got[0][0] == "build_model"
+    assert got == want
+
+
+def _series_products(monkeypatch):
+    """Count every Series product from here on; returns the one-element counter."""
+    count = [0]
+    plain = Series.__mul__
+
+    def counting(a, b):
+        count[0] += 1
+        return plain(a, b)
+
+    monkeypatch.setattr(Series, "__mul__", counting)
+    return count
+
+
+def test_one_power_table_per_point_cuts_build_and_verify_products(monkeypatch):
+    """Building and verifying tcurve and the monomial curve (3, 6) at n_work 40 takes at
+    least 8 % fewer Series products than a fresh power table per walk, the package's
+    walk before the tables were shared.  There tcurve took 475 products (281 to build,
+    194 to verify) and the curve (3, 6) through the arc x + 2x^2 - x^3 took 226
+    (118 + 108); one table per point takes 432 and 188."""
+    ring = SeriesRing(QQ, 40)
+    builds = (
+        (lambda: helpers.tcurve_problem(40), 475),
+        (lambda: helpers.monomial_curve_problem(ring, 3, 6, ring.parse("x + 2*x^2 - x^3")), 226),
+    )
+    count = _series_products(monkeypatch)
+
+    def products(problem):
+        count[0] = 0
+        assert verify_model(build_model(problem)).ok
+        return count[0]
+
+    for build, before in builds:
+        with monkeypatch.context() as patched:
+            patched.setattr(Poly, "_walk", power_reference.walk)
+            assert products(build()) == before
+        assert products(build()) <= 0.92 * before
+
+
+def test_build_and_verify_keep_no_power_table_across_calls(monkeypatch):
+    """Two builds of one problem, and two verifications of one model, take the same products."""
+    problem = helpers.tcurve_problem(40)
+    problem.minor  # cached on the problem, so built before the counts start
+    count = _series_products(monkeypatch)
+    builds, verifies = [], []
+    for _ in range(2):
+        count[0] = 0
+        model = build_model(problem)
+        builds.append(count[0])
+    for _ in range(2):
+        count[0] = 0
+        assert verify_model(model).ok
+        verifies.append(count[0])
+    assert builds[0] == builds[1] > 0
+    assert verifies[0] == verifies[1] > 0
+
+
+def test_tampered_models_still_fail_verification():
+    """Every tampered model of the check corpus fails verify_model, each with its own tables."""
+    tampered = [(label, thunk) for label, thunk in check_corpus._cases()
+                if label.startswith(("verify cusp ", "verify tcurve "))]
+    assert len(tampered) >= 15
+    for label, thunk in tampered:
+        assert not thunk().ok, label

@@ -556,9 +556,9 @@ def test_build_and_verify_take_adjugates_of_the_minor_block_only(monkeypatch):
         monkeypatch.setattr(linalg, name, recording(getattr(linalg, name), sizes[name]))
     plain_eval = PolyMatrix.eval
 
-    def evaluating(mat, values):
+    def evaluating(mat, values, powers=None):
         sizes["eval"].append(len(mat.rows))
-        return plain_eval(mat, values)
+        return plain_eval(mat, values, powers)
 
     monkeypatch.setattr(PolyMatrix, "eval", evaluating)
     problems = (

@@ -22,6 +22,7 @@ from arclift import (
     parse_poly,
 )
 from arclift import linalg
+from power_reference import stored
 
 R = SeriesRing(QQ)
 R5 = SeriesRing(PrimeField(5))
@@ -255,6 +256,65 @@ def test_eval_prec_is_the_precision_eval_certifies(data):
     poly = Poly._make(ring, YS, terms)
     point = {"Y1": data.draw(_marked_series(ring)), "Y2": data.draw(_marked_series(ring))}
     assert poly.eval_prec(point) == poly.eval(point).prec
+
+
+_SUB_RINGS = (SeriesRing(QQ, 12), SeriesRing(PrimeField(5), 12), SeriesRing(PrimeField(2**31 - 1), 12))
+
+
+@st.composite
+def _scaled_series(draw, ring):
+    """A series at any precision up to n_work, its coefficients num/den with den in 1..3."""
+    prec = draw(st.integers(1, ring.n_work))
+    pairs = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=5))
+    return ring.series([ring.field.from_pair(num, den) for num, den in pairs], prec)
+
+
+@st.composite
+def _sub_operand(draw, ring, avoid=()):
+    """Zero, a constant, or terms in Y1, Y2 of degree <= 3 off the exponents in avoid."""
+    kind = draw(st.sampled_from(("zero", "constant", "terms")))
+    if kind == "zero":
+        return Poly.zero(ring, YS)
+    if kind == "constant":
+        return Poly.constant(ring, YS, draw(_scaled_series(ring)))
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: e not in avoid)
+    return Poly._make(ring, YS, draw(st.dictionaries(exps, _scaled_series(ring), max_size=5)))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.data())
+def test_difference_is_the_sum_with_the_negation_bit_for_bit(data):
+    """a - b in one pass has the terms, nums, den and prec of a + (-b), over Q, F5 and
+    F_(2^31-1), with zero, constant and disjoint-support operands on either side."""
+    ring = data.draw(st.sampled_from(_SUB_RINGS))
+    a = data.draw(_sub_operand(ring))
+    disjoint = data.draw(st.booleans())
+    b = data.draw(_sub_operand(ring, tuple(a.terms) if disjoint else ()))
+    assert stored(a - b) == stored(a + (-b))
+    assert stored(b - a) == stored(b + (-a))
+
+
+def test_a_power_table_handed_another_point_builds_fresh_powers():
+    """A table keeps each coordinate's powers with the base object they were built from,
+    so another point, even one of equal value, starts that coordinate's powers again."""
+    p = P("Y1^3 + Y1*Y2^2 + Y2^3")
+    a = {"Y1": R.parse("x - x^2"), "Y2": R.parse("2*x")}
+    b = {"Y1": R.parse("3*x + x^4"), "Y2": R.parse("2*x")}
+    powers = {}
+    assert stored(p.eval(a, powers)) == stored(p.eval(a))
+    assert stored(p.eval(b, powers)) == stored(p.eval(b))
+    assert powers[0][0] is b["Y1"] and powers[1][0] is b["Y2"]
+    kept = powers[0], powers[1]
+    assert stored(p.eval(b, powers)) == stored(p.eval(b))
+    assert powers[0] is kept[0] and powers[1] is kept[1]
+    y1 = b["Y1"]
+    assert [stored(v) for v in powers[0]] == [stored(y1), stored(y1 * y1), stored(y1 * y1 * y1)]
+    images = {"Y1": P("T1 + x*T2", space=TS), "Y2": P("T2^2", space=TS)}
+    other = {"Y1": P("T1 - T2", space=TS), "Y2": P("T2^2", space=TS)}
+    table = {}
+    assert p.subst(images, TS, table) == p.subst(images, TS)
+    assert p.subst(other, TS, table) == p.subst(other, TS)
+    assert table[0][0] is other["Y1"] and table[1][0] is other["Y2"]
 
 
 @settings(derandomize=True, max_examples=60)
