@@ -510,7 +510,10 @@ def cmd_oracle(args) -> int:
             skipped = f"precision cannot settle membership mod x^{args.prec}"
         else:
             containment = {"checked": samples, "hits": hits}
-    shown = [[str(ring.series(list(comp), jets.m)) for comp in key] for key in jets.ordered[:3]]
+    shown = [
+        [str(ring.series(list(comp), jets.m)) for comp in jets.member(i)]
+        for i in range(min(3, jets.count))
+    ]
     payload.update(
         window=args.prec, candidates=jets.candidates, count=jets.count,
         containment=containment, members_shown=shown,

@@ -27,12 +27,23 @@ PROBLEMS = REPO / "problems"
 F5 = PrimeField(5)
 
 
-def python(*argv):
-    """Run a fresh interpreter with this checkout's package first on the path."""
+def python(*argv, max_memory=None):
+    """Run a fresh interpreter with this checkout's package first on the path.
+
+    max_memory, when given, caps the child's address space in bytes, so a
+    run that tries to allocate without bound fails with MemoryError.
+    """
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+    def cap():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (max_memory, max_memory))
+
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=cap if max_memory else None,
     )
 
 

@@ -2,15 +2,17 @@
 
 import dataclasses
 import json
+import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 import check_corpus
 import cofactor_reference as reference
 import helpers
+import oracle_reference
 import power_reference
 from arclift import (
     ArcliftError,
@@ -792,6 +794,28 @@ def test_oracle_membership_and_determinism(cusp5):
     assert not first.contains((ring.parse("x^3 + x^4"), ring.parse("x^2")))
 
 
+def test_oracle_keys_are_the_members_base_p_digits_in_order(cusp5):
+    jets = oracle_enumerate(cusp5, 10)
+    assert list(jets.keys) == sorted(set(jets.keys))
+    for i, key in enumerate(jets.keys):
+        member = jets.member(i)
+        assert member == jets.ordered[i]
+        assert key == int("".join(str(d) for comp in member for d in comp), 5)
+
+
+def test_oracle_holds_each_member_in_at_most_100_bytes(cusp5):
+    """The tracemalloc peak over the 78 125 members at x^13, under a quarter
+    of the 420 bytes a member took as n tuples of m ints."""
+    tracemalloc.start()
+    try:
+        jets = oracle_enumerate(cusp5, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jets.count == 78125
+    assert peak <= 100 * jets.count
+
+
 def test_oracle_counts_its_candidates_and_finds_each_member(cusp5):
     jets = oracle_enumerate(cusp5, 11)
     assert jets.candidates == 5 ** (2 * (11 - 9))
@@ -830,12 +854,12 @@ def test_oracle_covers_every_strict_lift(cusp_f5):
 
 
 @st.composite
-def _jet_windows(draw):
+def _jet_windows(draw, min_width=1):
     """A random system over F2/F3/F5 with n <= 3, c = 1, a window of <= 2000
     candidates, a jet with a nonzero constant term and a nonzero Jacobian there."""
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 3))
-    width = draw(st.integers(1, 4).filter(lambda w: p ** (n * w) <= 2000))
+    width = draw(st.integers(min_width, 4).filter(lambda w: p ** (n * w) <= 2000))
     m = 3 + width
     ring = SeriesRing(PrimeField(p), m)
     space = VarSpace.ys(n)
@@ -876,6 +900,40 @@ def test_oracle_matches_brute_force_with_a_nonzero_jacobian(window):
         if all(g.eval(point).order_floor() >= m for g in problem.ideal_gens):
             found.append(key)
     assert oracle_enumerate(problem, m).ordered == tuple(sorted(found))
+
+
+def _same_as_reference(problem, m):
+    got = oracle_enumerate(problem, m)
+    want = oracle_reference.enumerate_jets(problem, m)
+    assert (got.ordered, got.count, got.candidates) == (want.ordered, want.count, want.candidates)
+
+
+@pytest.mark.parametrize(
+    "name, m", [("cusp_f5", m) for m in range(9, 13)] + [("cusp_offjet_f5", m) for m in range(9, 12)]
+)
+def test_oracle_matches_the_tuple_reference_on_the_shipped_cusps(name, m):
+    _same_as_reference(load_problem(str(helpers.PROBLEMS / f"{name}.json")), m)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_jet_windows(min_width=0))
+def test_oracle_matches_the_tuple_reference_on_random_windows(window):
+    _same_as_reference(*window)
+
+
+@pytest.mark.parametrize(
+    "case", ["the bare congruence window", "a parent with no extension"]
+)
+def test_the_random_windows_reach_both_edge_cases(case):
+    """m = 2c+1, where no layer is built, and a parent whose J0*delta = -top
+    has no solution, each the first such window the strategy draws."""
+    wanted = {
+        "the bare congruence window": lambda w: w[1] == 3,
+        "a parent with no extension": lambda w: oracle_reference.enumerate_jets(*w).dead_ends > 0,
+    }[case]
+    first = settings(derandomize=True, database=None, max_examples=500, phases=[Phase.generate])
+    window = find(_jet_windows(min_width=0), wanted, settings=first)
+    _same_as_reference(*window)
 
 
 # -- randomized confirmation ----------------------------------------------

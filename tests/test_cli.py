@@ -473,6 +473,21 @@ def test_oracle_refuses_a_huge_window_without_a_traceback(prec):
     assert "Traceback" not in proc.stderr
 
 
+def test_oracle_at_the_congruence_window_over_a_large_prime_builds_no_kernel(tmp_path):
+    """At --prec 2c+1 there is no layer to extend, so J0's kernel, here p^2
+    vectors over F_(2^31-1), is never built; the run needs no memory for it."""
+    path = tmp_path / "cusp_fbig.json"
+    payload = json.loads((helpers.PROBLEMS / "cusp_f5.json").read_text())
+    path.write_text(json.dumps(dict(payload, field="F2147483647")))
+    proc = helpers.python("-m", "arclift", "oracle", str(path), "--prec", "9", "--samples", "0",
+                          max_memory=1 << 30)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "candidates: 1" in lines and "members: 1" in lines
+    assert "member 1: y1 = x^3 + O(x^9) ; y2 = x^2 + O(x^9)" in lines
+    assert "Traceback" not in proc.stderr
+
+
 def test_oracle_refuses_generators_known_short_of_the_window(capsys, tmp_path):
     path = tmp_path / "cusp_f5_short.json"
     payload = json.loads((helpers.PROBLEMS / "cusp_f5.json").read_text())

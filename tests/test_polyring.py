@@ -322,8 +322,8 @@ def test_a_power_table_handed_another_point_builds_fresh_powers():
 def test_solve_linear_returns_every_solution(data):
     """Over F3, x + span(basis) is exactly the brute-force solution set.
 
-    Entries may be negative or unreduced, as the oracle's J0 rows are; the
-    answer holds residues in [0, 3).
+    Entries may be negative or unreduced, as the reference oracle's J0 rows
+    are (tests/oracle_reference.py); the answer holds residues in [0, 3).
     """
     n = data.draw(st.integers(1, 3))
     entry = st.integers(0, 2) | st.integers(-10**20, 10**20)

@@ -1,6 +1,7 @@
 """The example scripts run end to end and print what their docstrings promise."""
 
 import re
+import sys
 
 import helpers
 
@@ -19,3 +20,13 @@ def test_jet_census_counts_members_and_finds_every_sampled_lift():
     rows = re.findall(r"^\s+x\^(\d+)\s+(\d+)\s+\S+\s+(\d+/\d+)", proc.stdout, re.M)
     assert [(m, count) for m, count, _ in rows] == [("9", "1"), ("10", "25"), ("11", "625")]
     assert [sampled for _, _, sampled in rows] == ["3/3"] * 3
+
+
+def test_max_rss_passes_a_command_under_its_limit_and_fails_one_over_it():
+    script = str(SCRIPTS / "max_rss.py")
+    ok = helpers.python(script, "1000", sys.executable, "-c", "print('hi')")
+    assert (ok.returncode, ok.stdout) == (0, "hi\n")
+    assert re.fullmatch(r"peak RSS: \d+\.\d MB \(limit 1000 MB\)\n", ok.stderr)
+    assert helpers.python(script, "1", sys.executable, "-c", "pass").returncode == 1
+    failed = helpers.python(script, "1000", sys.executable, "-c", "raise SystemExit(3)")
+    assert failed.returncode == 3
