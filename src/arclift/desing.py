@@ -44,7 +44,7 @@ from .errors import (
     StructureError,
     ValidationError,
 )
-from .polyring import Poly, PolyMatrix, VarSpace, jacobian
+from .polyring import Poly, PolyMatrix, VarSpace, jacobian, shared_powers
 from .prng import SplitMix64, draw_series
 from .record import Record
 from .ring import Series, SeriesRing
@@ -242,12 +242,8 @@ def _check(name: str, failure: str | None, passed: str) -> CheckResult:
     return CheckResult(name, failure is None, passed if failure is None else failure)
 
 
-def validate_problem(problem: Problem, powers: dict | None = None) -> ValidationReport:
-    """Run the three mathematical admission checks; failures are reported, not raised.
-
-    powers is the caller's power table for the jet point (Poly.eval); None
-    gives one that lives for this call.
-    """
+def validate_problem(problem: Problem) -> ValidationReport:
+    """Run the three mathematical admission checks; failures are reported, not raised."""
     cert, c = problem.certificate, problem.c
     j = _cofactor_miss(problem, cert.n_poly, cert.cofactors)
     checks = [_check(
@@ -257,10 +253,7 @@ def validate_problem(problem: Problem, powers: dict | None = None) -> Validation
 
     need = problem.window
     point = problem.jet_point()
-    powers = {} if powers is None else powers
-    orders = enumerate(
-        (gen.eval(point, powers).order_floor() for gen in problem.ideal_gens), start=1
-    )
+    orders = enumerate((gen.eval(point).order_floor() for gen in problem.ideal_gens), start=1)
     low = next(((j, o) for j, o in orders if o < need), None)
     checks.append(_check(
         "jet-kills-ideal",
@@ -268,7 +261,7 @@ def validate_problem(problem: Problem, powers: dict | None = None) -> Validation
         f"every generator vanishes at the jet through x^{need - 1}",
     ))
 
-    p_val = (cert.n_poly * problem.minor).eval(point, powers)
+    p_val = (cert.n_poly * problem.minor).eval(point)
     window = p_val.truncate(min(need, p_val.prec))
     e = window.order()
     if e is None:
@@ -350,11 +343,10 @@ def _inverts_up_to_p(g_mat: PolyMatrix, h_mat: PolyMatrix, p_poly: Poly, shape: 
     return gh == p_id and hg == p_id
 
 
-def _jet_evaluations(problem: Problem, h_mat: PolyMatrix, g_mat: PolyMatrix, d: Series,
-                     powers: dict) -> tuple:
-    """H(y'), G(y') and d*G(y') on the top rows, each a tuple of rows; powers is the jet's table."""
+def _jet_evaluations(problem: Problem, h_mat: PolyMatrix, g_mat: PolyMatrix, d: Series) -> tuple:
+    """H(y'), G(y') and d*G(y') on the top rows, each a tuple of rows."""
     point = problem.jet_point()
-    hy, gy = (tuple(tuple(row) for row in mat.eval(point, powers)) for mat in (h_mat, g_mat))
+    hy, gy = (tuple(tuple(row) for row in mat.eval(point)) for mat in (h_mat, g_mat))
     return hy, gy, tuple(tuple(d * entry for entry in row) for row in gy)
 
 
@@ -391,27 +383,22 @@ def _g_component(ring: SeriesRing, tspace: VarSpace, i: int, ai: Series, qi: Pol
     return Poly.constant(ring, tspace, ai) + Poly.variable(ring, tspace, tspace.names[i]) + qi
 
 
-def taylor_decompose(problem: Problem, d2: Series, dgy: tuple, perm: tuple, tspace: VarSpace,
-                     jet_powers: dict, image_powers: dict):
-    """Split f(y' + d*G(y')*T) = d^2 * (a + T + Q) = f(y') + d^2 * (T + Q), Q of T-degree >= 2.
-
-    jet_powers and image_powers are the caller's power tables for the jet
-    and for the substitution images.
-    """
+def taylor_decompose(problem: Problem, d2: Series, dgy: tuple, perm: tuple, tspace: VarSpace):
+    """Split f(y' + d*G(y')*T) = d^2 * (a + T + Q) = f(y') + d^2 * (T + Q), Q of T-degree >= 2."""
     ring = problem.ring
     point = problem.jet_point()
     images = substitution_images(problem, dgy, d2, perm, tspace)
     a = []
     q = []
     for i, f in enumerate(problem.f_polys, start=1):
-        fy = f.eval(point, jet_powers)
+        fy = f.eval(point)
         ai = fy.div_exact(d2)
         if ai.order() == 0:
             raise OrderViolationError(
                 f"f component {i} gives a unit after division by d^2; "
                 "the jet does not solve the system deeply enough"
             )
-        full = f.subst(images, tspace, image_powers)
+        full = f.subst(images, tspace)
         num = full - Poly.constant(ring, tspace, full.constant_term())
         reduced = _divided(num, d2)
         ti = Poly.variable(ring, tspace, tspace.names[i - 1])
@@ -514,30 +501,29 @@ def _unit_constant(poly: Poly) -> bool:
 def build_model(problem: Problem) -> SmoothModel:
     """Validate, then run the whole construction; raises on any failed check.
 
-    Two power tables live while it runs: one for the jet, walked by the
-    admission checks, H(y'), G(y') and f(y'), and one for the
-    substitution images, walked by every f_i and by P.  Both are dropped
-    once P has been substituted, and the model keeps neither.
+    Validation through P's substitution runs in one shared_powers block of
+    its own, never an outer one: the jet's powers, walked by the admission
+    checks, P(y'), H(y'), G(y') and f(y'), and the substitution images',
+    walked by every f_i and by P, are built once and dropped with the
+    block, and the model keeps none.
     """
-    jet_powers = {}
-    report = validate_problem(problem, jet_powers)
-    if not report.ok:
-        names = ", ".join(ch.name for ch in report.failures())
-        raise ValidationError(f"validation failed: {names}", report)
-    e = report.e
-    norm = normalize_certificate(problem, e)
-    h_mat, perm = build_border(problem)
-    g_mat = compute_g(h_mat, norm.n_norm, norm.p_poly)
+    with shared_powers():
+        report = validate_problem(problem)
+        if not report.ok:
+            names = ", ".join(ch.name for ch in report.failures())
+            raise ValidationError(f"validation failed: {names}", report)
+        e = report.e
+        norm = normalize_certificate(problem, e)
+        h_mat, perm = build_border(problem)
+        g_mat = compute_g(h_mat, norm.n_norm, norm.p_poly)
 
-    d = norm.d
-    d2 = d * d
-    hy, gy, dgy = _jet_evaluations(problem, h_mat, g_mat, d, jet_powers)
+        d = norm.d
+        d2 = d * d
+        hy, gy, dgy = _jet_evaluations(problem, h_mat, g_mat, d)
 
-    tspace = VarSpace.ts(problem.n)
-    image_powers = {}
-    a, q, images = taylor_decompose(problem, d2, dgy, perm, tspace, jet_powers, image_powers)
-    p_at_images = norm.p_poly.subst(images, tspace, image_powers)
-    del jet_powers, image_powers
+        tspace = VarSpace.ts(problem.n)
+        a, q, images = taylor_decompose(problem, d2, dgy, perm, tspace)
+        p_at_images = norm.p_poly.subst(images, tspace)
     g = tuple(_g_component(problem.ring, tspace, i, a[i], q[i]) for i in range(problem.r))
 
     t_jac = jacobian(g, tspace.names[:problem.r])
@@ -577,29 +563,25 @@ def build_model(problem: Problem) -> SmoothModel:
 _VERIFY_SEED = 0x5EED0FA0
 
 
-def _taylor_miss(model: SmoothModel, images: dict, jet_powers: dict) -> str | None:
+def _taylor_miss(model: SmoothModel, images: dict) -> str | None:
     """How f(y' + d*G(y')*T) = d^2 * g = f(y') + d^2 * (T + Q) first fails, as polynomials or at a point.
 
     The check's printed detail still reads f(y') + d^2 * g; it is hashed into recorded goldens.
-    f(y') is walked with the caller's jet table; the images and each sample
-    point get a power table of their own, dropped on return.
     """
     problem, ring, tspace = model.problem, model.ring, model.tspace
     point = problem.jet_point()
     rng = SplitMix64(_VERIFY_SEED)
     samples = [{nm: draw_series(rng, ring, 1, 4) for nm in tspace.names} for _ in range(3)]
-    sample_powers = [{} for _ in samples]
-    image_powers = {}
     for i, f in enumerate(problem.f_polys):
         gi, ai = model.g[i], model.a[i]
         if gi != _g_component(ring, tspace, i, ai, model.q[i]):
             return f"g component {i + 1} is not a_{i + 1} + T_{i + 1} + Q_{i + 1}"
-        lhs = f.subst(images, tspace, image_powers)
-        fy = f.eval(point, jet_powers)
+        lhs = f.subst(images, tspace)
+        fy = f.eval(point)
         if lhs != gi.scale(model.d2) + Poly.constant(ring, tspace, fy - ai * model.d2):
             return f"Taylor identity fails as polynomials for f component {i + 1}"
-        for pt, powers in zip(samples, sample_powers):
-            if lhs.eval(pt, powers) != fy + (gi.eval(pt, powers) - ai) * model.d2:
+        for pt in samples:
+            if lhs.eval(pt) != fy + (gi.eval(pt) - ai) * model.d2:
                 return f"Taylor identity fails at a sample point for f component {i + 1}"
     return None
 
@@ -607,8 +589,8 @@ def _taylor_miss(model: SmoothModel, images: dict, jet_powers: dict) -> str | No
 def verify_model(model: SmoothModel) -> ValidationReport:
     """Re-check every identity the model claims, from its inputs, two ways where possible.
 
-    Its power tables are its own, never the build's, so every evaluation is
-    recomputed from the model's inputs.
+    Its evaluations run in a shared_powers block of its own, never the
+    build's or an outer one, so each is recomputed from the model's inputs.
     """
     problem = model.problem
     j = _cofactor_miss(problem, model.n_norm, model.cofactors)
@@ -632,20 +614,20 @@ def verify_model(model: SmoothModel) -> ValidationReport:
         "d-order", None if o == c else f"ord(d) = {o}, expected c = {c}", f"ord(d) = {o}"
     ))
 
-    jet_powers = {}
-    hy, gy, dgy = _jet_evaluations(problem, model.h_mat, model.g_mat, model.d, jet_powers)
-    images = substitution_images(problem, dgy, model.d * model.d, model.perm, model.tspace)
-    ok = hy == model.hy and gy == model.gy and dgy == model.dgy and images == model.images
-    checks.append(_check(
-        "evaluation-consistency",
-        None if ok else "a stored evaluation or substitution image does not match recomputation",
-        "H(y'), G(y'), d*G(y') match the stored evaluations",
-    ))
+    with shared_powers():
+        hy, gy, dgy = _jet_evaluations(problem, model.h_mat, model.g_mat, model.d)
+        images = substitution_images(problem, dgy, model.d * model.d, model.perm, model.tspace)
+        ok = hy == model.hy and gy == model.gy and dgy == model.dgy and images == model.images
+        checks.append(_check(
+            "evaluation-consistency",
+            None if ok else "a stored evaluation or substitution image does not match recomputation",
+            "H(y'), G(y'), d*G(y') match the stored evaluations",
+        ))
 
-    checks.append(_check(
-        "taylor-identity", _taylor_miss(model, images, jet_powers),
-        "f(y' + d*G(y')*T) = f(y') + d^2 * g, by polynomial identity and at random points",
-    ))
+        checks.append(_check(
+            "taylor-identity", _taylor_miss(model, images),
+            "f(y' + d*G(y')*T) = f(y') + d^2 * g, by polynomial identity and at random points",
+        ))
 
     low = next(((i, deg) for i, deg in enumerate(map(_low_degree, model.q), start=1)
                 if deg is not None), None)

@@ -31,6 +31,8 @@ runs and read back as valid input for the same grammar.
 from __future__ import annotations
 
 import re
+import threading
+from contextlib import contextmanager
 from decimal import Decimal
 from operator import add, mul
 
@@ -299,14 +301,6 @@ class Poly:
     def constant_term(self) -> Series:
         return self.coeff((0,) * self.space.dim)
 
-    def total_degree(self) -> int:
-        """Largest total variable degree among visible terms, -1 for zero."""
-        deg = -1
-        for exps, coeff in self.terms.items():
-            if not coeff.is_zero():
-                deg = max(deg, sum(exps))
-        return deg
-
     # -- arithmetic -----------------------------------------------------
 
     def _compat(self, other: Poly):
@@ -360,14 +354,6 @@ class Poly:
                 out[key] = prod if prev is None else prev + prod
         return Poly._make(self.ring, self.space, out)
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise StructureError("polynomial powers take a nonnegative integer")
-        acc = Poly.constant(self.ring, self.space, 1)
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
     def scale(self, s: Series) -> Poly:
         """Multiply every coefficient by a series."""
         return Poly._make(self.ring, self.space, {e: c * s for e, c in self.terms.items()})
@@ -400,34 +386,32 @@ class Poly:
             vals.append(v)
         return vals
 
-    def _walk(self, lift, points: list, times, acc, plus, powers: dict | None):
+    def _walk(self, lift, points: list, times, acc, plus, powers: dict):
         """Fold plus over the terms: each term is lift(coeff) times its variables' powers.
 
-        points holds one entry per variable.  powers is the power table of
-        the caller, who owns it and drops it with the point: every walk handed
-        one table shares the powers built in it, by times, through _power.
-        None gives a table for this walk alone.
+        points holds one entry per variable, and every power of one is built
+        by times, through _power, in the table powers.  eval, subst and
+        PolyMatrix.eval hand it the open shared_powers block's table, so
+        every walk in the block shares the powers of each point it meets,
+        or with no block open a table for that call alone.
         """
-        if powers is None:
-            powers = {}
         for exps, coeff in self.terms.items():
             prod = lift(coeff)
             for j, e in enumerate(exps):
                 if e:
-                    prod = times(prod, _power(powers, j, e, points[j], times))
+                    prod = times(prod, _power(powers, points[j], e, times))
             acc = plus(acc, prod)
         return acc
 
-    def eval(self, values: dict, powers: dict | None = None) -> Series:
+    def eval(self, values: dict) -> Series:
         """Evaluate at a point given as {name: Series}; extra keys are ignored.
 
-        powers is a power table for this point (see _walk): evaluations at one
-        point handed one table build each power of its coordinates once.  The
-        table lives as long as its owner keeps it; None gives a fresh one.
+        Inside a shared_powers block, evaluations at one point build each
+        power of its coordinates once (see _walk).
         """
-        return self._eval_checked(self._values(values), powers)
+        return self._eval_checked(self._values(values), _table())
 
-    def _eval_checked(self, vals: list, powers: dict | None) -> Series:
+    def _eval_checked(self, vals: list, powers: dict) -> Series:
         """Evaluate at a point already checked by _values, in variable order."""
         return self._walk(lambda c: c, vals, mul, self.ring.zero(), add, powers)
 
@@ -447,13 +431,13 @@ class Poly:
             return (c.prec, c.order_floor())
 
         marks = [lift(v) for v in self._values(values)]
-        return self._walk(lift, marks, times, n_work, lambda prec, mark: min(prec, mark[0]), None)
+        return self._walk(lift, marks, times, n_work, lambda prec, mark: min(prec, mark[0]), {})
 
-    def subst(self, images: dict, space_out: VarSpace, powers: dict | None = None) -> Poly:
+    def subst(self, images: dict, space_out: VarSpace) -> Poly:
         """Substitute every variable by a polynomial over space_out.
 
-        powers is a power table for these images, as in eval; None gives a
-        fresh one.
+        Inside a shared_powers block, substitutions of one set of image
+        objects build each power of an image once, as in eval.
         """
         imgs = []
         for nm in self.space.names:
@@ -466,7 +450,7 @@ class Poly:
         ring = self.ring
         return self._walk(
             lambda c: Poly.constant(ring, space_out, c), imgs, mul, Poly.zero(ring, space_out), add,
-            powers,
+            _table(),
         )
 
     # -- comparison and display ------------------------------------------
@@ -510,17 +494,48 @@ class Poly:
         return f"Poly({self.render()!r})"
 
 
-def _power(powers: dict, j: int, e: int, base, times):
-    """base^e for variable j, built as base^(e-1) times base.
+class _Active(threading.local):
+    """The power table of this thread's open shared_powers block; None when none is open."""
 
-    powers[j] lists base, base^2, ... as built so far.  Its first entry is the
-    base object itself, and a list whose first entry is not base was built
-    for another point: it is started again from base, so a table handed the
-    wrong point only misses and never returns a power of another base.
+    powers = None
+
+
+_active = _Active()
+
+
+@contextmanager
+def shared_powers():
+    """Share powers across every eval and subst inside the block, then drop them.
+
+    The block installs a fresh table, so nothing built outside it is read,
+    and restores the outer block's table (or none) on exit.  The table is
+    per thread: a threading.local, since threading is loaded anyway while
+    contextvars would add its own import to every CLI run.
     """
-    got = powers.get(j)
-    if got is None or got[0] is not base:
-        got = powers[j] = [base]
+    outer = _active.powers
+    _active.powers = {}
+    try:
+        yield
+    finally:
+        _active.powers = outer
+
+
+def _table() -> dict:
+    """The open block's power table, or a fresh one for a single call."""
+    powers = _active.powers
+    return {} if powers is None else powers
+
+
+def _power(powers: dict, base, e: int, times):
+    """base^e, built as base^(e-1) times base.
+
+    powers[id(base)] lists base, base^2, ... as built so far.  The list
+    holds base itself, so no other object can take its id while the table
+    lives: a point of equal value but another object gets a list of its own.
+    """
+    got = powers.get(id(base))
+    if got is None:
+        got = powers[id(base)] = [base]
     while len(got) < e:
         got.append(times(got[-1], base))
     return got[e - 1]
@@ -588,15 +603,15 @@ class PolyMatrix:
             raise StructureError("determinant of a non-square matrix")
         return linalg.det(self.rows, Poly.constant(self.ring, self.space, 1))
 
-    def eval(self, values: dict, powers: dict | None = None):
+    def eval(self, values: dict):
         """Entrywise evaluation, returning a list of lists of Series.
 
         The entries share one ring and space, so the point is checked once
-        and every entry is walked with one power table: the caller's powers,
+        and every entry is walked with one power table: the open block's,
         as in Poly.eval, or a fresh one dropped on return.
         """
         vals = self.rows[0][0]._values(values)
-        powers = {} if powers is None else powers
+        powers = _table()
         return [[p._eval_checked(vals, powers) for p in r] for r in self.rows]
 
     def __eq__(self, other):

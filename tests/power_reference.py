@@ -1,8 +1,8 @@
 """Term walks with a fresh power table per walk, kept as a test reference.
 
 This is how the package evaluated and substituted before the walks at one
-point shared their caller's power table: each walk built the powers of the
-point's coordinates again, in a cache of its own.  `walk` has the signature
+point shared a power table: each walk built the powers of the point's
+coordinates again, in a cache of its own.  `walk` has the signature
 of `Poly._walk` and ignores the table it is handed, so a test can patch it
 in and compare every result with the shared-table run.  `stored` gives any
 result in stored form, for a field-by-field comparison.

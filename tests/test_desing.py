@@ -1,6 +1,8 @@
 """Certificate validation, model construction, and the verification battery."""
 
 import json
+import sys
+import threading
 import time
 
 import pytest
@@ -29,10 +31,11 @@ from arclift import (
     validate_problem,
     verify_model,
 )
-from arclift import desing
+from arclift import desing, polyring
 from arclift import ring as ring_module
 from arclift.cli import load_problem
 from arclift.desing import normalize_certificate
+from arclift.polyring import shared_powers
 
 
 # -- validation ---------------------------------------------------------
@@ -556,9 +559,9 @@ def test_build_and_verify_take_adjugates_of_the_minor_block_only(monkeypatch):
         monkeypatch.setattr(linalg, name, recording(getattr(linalg, name), sizes[name]))
     plain_eval = PolyMatrix.eval
 
-    def evaluating(mat, values, powers=None):
+    def evaluating(mat, values):
         sizes["eval"].append(len(mat.rows))
-        return plain_eval(mat, values, powers)
+        return plain_eval(mat, values)
 
     monkeypatch.setattr(PolyMatrix, "eval", evaluating)
     problems = (
@@ -578,3 +581,61 @@ def test_build_and_verify_take_adjugates_of_the_minor_block_only(monkeypatch):
         assert sizes["det"] and set(sizes["det"]) == {problem.r}
         assert sizes["mat_mul"] and max(sizes["mat_mul"]) <= problem.r
         assert sizes["eval"] and max(sizes["eval"]) <= problem.r
+
+
+def test_verify_in_an_open_block_touches_no_power_table_the_build_used(monkeypatch):
+    """Inside one open block, build_model walks one table of its own and verify_model
+    another, and neither touches the outer block's table."""
+    tables = []  # the tables themselves, so no id is reused while they are compared
+    plain = polyring._power
+
+    def recording(powers, *args):
+        tables.append(powers)
+        return plain(powers, *args)
+
+    monkeypatch.setattr(polyring, "_power", recording)
+    problem = helpers.tcurve_problem(40)
+    with shared_powers():
+        outer = polyring._active.powers
+        model = build_model(problem)
+        built = {id(t) for t in tables}
+        del tables[:]
+        assert verify_model(model).ok
+        verified = {id(t) for t in tables}
+    assert len(built) == len(verified) == 1
+    assert built.isdisjoint(verified) and id(outer) not in built | verified
+    assert outer == {}
+
+
+def _built_and_checked(path):
+    """The rendered g, a and loc_s of a shipped problem's model, and its check rows."""
+    model = build_model(load_problem(str(path)))
+    rows = [(ch.name, ch.ok, ch.detail) for ch in verify_model(model).checks]
+    return [gi.render() for gi in model.g], [ai.render() for ai in model.a], model.loc_s.render(), rows
+
+
+def test_two_threads_build_and_verify_as_sequential_runs_do():
+    """Two threads released together each build and verify a shipped problem, each in
+    its own blocks, render what sequential builds render and end with no block open,
+    as does the main thread."""
+    paths = (helpers.PROBLEMS / "tcurve.json", helpers.PROBLEMS / "node.json")
+    want = [(_built_and_checked(path), None) for path in paths]
+    got = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def run(i):
+        start.wait()
+        got[i] = (_built_and_checked(paths[i]), polyring._active.powers)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch often, so the two threads' blocks interleave
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want and polyring._active.powers is None

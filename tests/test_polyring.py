@@ -21,7 +21,8 @@ from arclift import (
     jacobian,
     parse_poly,
 )
-from arclift import linalg
+from arclift import linalg, polyring
+from arclift.polyring import shared_powers
 from power_reference import stored
 
 R = SeriesRing(QQ)
@@ -76,7 +77,6 @@ def test_parse_rejects_unknown_variable():
 def test_series_coefficients_inside_polynomials():
     p = P("Y1 + x*Y1")
     assert p.coeff((1, 0)) == R.parse("1 + x")
-    assert p.total_degree() == 1
 
 
 def test_zero_retention_in_equality():
@@ -294,27 +294,38 @@ def test_difference_is_the_sum_with_the_negation_bit_for_bit(data):
     assert stored(b - a) == stored(b + (-a))
 
 
-def test_a_power_table_handed_another_point_builds_fresh_powers():
-    """A table keeps each coordinate's powers with the base object they were built from,
-    so another point, even one of equal value, starts that coordinate's powers again."""
+def test_a_shared_powers_block_keeps_one_power_list_per_object():
+    """Inside a block each base object gets a list of its own, even beside an equal-valued
+    one, and a point walked again reuses its lists; a nested block starts empty and gives
+    the outer table back on exit, also on an exception; outside any block none is active."""
     p = P("Y1^3 + Y1*Y2^2 + Y2^3")
     a = {"Y1": R.parse("x - x^2"), "Y2": R.parse("2*x")}
     b = {"Y1": R.parse("3*x + x^4"), "Y2": R.parse("2*x")}
-    powers = {}
-    assert stored(p.eval(a, powers)) == stored(p.eval(a))
-    assert stored(p.eval(b, powers)) == stored(p.eval(b))
-    assert powers[0][0] is b["Y1"] and powers[1][0] is b["Y2"]
-    kept = powers[0], powers[1]
-    assert stored(p.eval(b, powers)) == stored(p.eval(b))
-    assert powers[0] is kept[0] and powers[1] is kept[1]
-    y1 = b["Y1"]
-    assert [stored(v) for v in powers[0]] == [stored(y1), stored(y1 * y1), stored(y1 * y1 * y1)]
     images = {"Y1": P("T1 + x*T2", space=TS), "Y2": P("T2^2", space=TS)}
     other = {"Y1": P("T1 - T2", space=TS), "Y2": P("T2^2", space=TS)}
-    table = {}
-    assert p.subst(images, TS, table) == p.subst(images, TS)
-    assert p.subst(other, TS, table) == p.subst(other, TS)
-    assert table[0][0] is other["Y1"] and table[1][0] is other["Y2"]
+    fresh = [stored(p.eval(pt)) for pt in (a, b)] + [stored(p.subst(im, TS)) for im in (images, other)]
+    assert polyring._active.powers is None
+    with shared_powers():
+        table = polyring._active.powers
+        assert [stored(p.eval(pt)) for pt in (a, b)] == fresh[:2]
+        assert [stored(p.subst(im, TS)) for im in (images, other)] == fresh[2:]
+        bases = [v for pt in (a, b, images, other) for v in pt.values()]
+        assert sorted(table) == sorted(map(id, bases))
+        assert all(table[id(v)][0] is v for v in bases)
+        kept = dict(table)
+        assert stored(p.eval(b)) == fresh[1]
+        assert table == kept and all(table[k] is kept[k] for k in kept)
+        y1 = b["Y1"]
+        assert [stored(v) for v in table[id(y1)]] == [stored(y1), stored(y1 * y1), stored(y1 * y1 * y1)]
+        with shared_powers():
+            assert polyring._active.powers == {}
+            assert stored(p.eval(a)) == fresh[0]
+            assert sorted(polyring._active.powers) == sorted(map(id, a.values()))
+        assert polyring._active.powers is table and table == kept
+        with pytest.raises(ZeroDivisionError), shared_powers():
+            1 / 0
+        assert polyring._active.powers is table
+    assert polyring._active.powers is None
 
 
 @settings(derandomize=True, max_examples=60)

@@ -61,3 +61,37 @@ def test_every_name_the_bench_tracer_wraps_exists():
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+def test_the_jet_oracle_loads_no_name_from_the_construction():
+    """The oracle cross-checks the construction from below, so the bodies of its parts
+    load no name arcs.py imports from linalg, desing, polyring or ring.  Annotations
+    are skipped: under `from __future__ import annotations` they are never evaluated."""
+    path = helpers.REPO / "src" / "arclift" / "arcs.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    construction = {"linalg", "desing", "polyring", "ring"}
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module in construction or (node.module is None and alias.name in construction):
+                    imported.add(alias.asname or alias.name)
+    assert {"linalg", "Problem", "PolyMatrix", "Series"} <= imported
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            node.annotation = None
+        elif isinstance(node, ast.FunctionDef):
+            node.returns = None
+        elif isinstance(node, ast.AnnAssign):
+            node.annotation = ast.Constant(None)
+    parts = {"JetSet", "_key", "_digits", "_times", "_tops", "_row_reduce", "oracle_enumerate"}
+    defs = [node for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in parts]
+    assert {node.name for node in defs} == parts
+    loaded = sorted(
+        f"{d.name}:{node.lineno}:{node.id}"
+        for d in defs
+        for node in ast.walk(d)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in imported
+    )
+    assert loaded == []
