@@ -93,9 +93,10 @@ class ValidationReport(Record):
 class Problem(Record):
     """A complete, structurally checked input; mathematical checks live in validate_problem.
 
-    With no certificate it takes the trivial one, which needs f to cover every
-    generator.  With no c it is checked as if c were 1, then takes the least
-    c, ord((N*M)(y')) + 1, and checks the jet's precision again against it.
+    Every shape and type is checked before anything is built from them.  With
+    no certificate it then takes the trivial one, which needs f to cover every
+    generator; with no c it takes the least c, ord((N*M)(y')) + 1.  The jet's
+    precision is checked last, once, against the final c.
     """
 
     ring: SeriesRing
@@ -109,21 +110,8 @@ class Problem(Record):
     mode: str = "dvr"
 
     def __post_init__(self):
-        object.__setattr__(self, "ideal_gens", tuple(self.ideal_gens))
-        object.__setattr__(self, "f_idx", tuple(self.f_idx))
-        if self.certificate is None:
-            if sorted(self.f_idx) != list(range(1, len(self.ideal_gens) + 1)):
-                raise StructureError(
-                    "a certificate is required when the subsystem f does not cover "
-                    "every ideal generator"
-                )
-            cert = identity_certificate(self.ring, self.space, len(self.ideal_gens))
-            object.__setattr__(self, "certificate", cert)
-        object.__setattr__(self, "minor_cols", tuple(self.minor_cols))
-        object.__setattr__(self, "jet", tuple(self.jet))
-        infer = self.c is None
-        if infer:
-            object.__setattr__(self, "c", 1)
+        for name in ("ideal_gens", "f_idx", "minor_cols", "jet"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not isinstance(self.ring, SeriesRing):
             raise StructureError("problem needs a SeriesRing")
         if not isinstance(self.n, int) or self.n < 1:
@@ -148,18 +136,13 @@ class Problem(Record):
             raise StructureError(f"need exactly {r} minor columns, got {len(self.minor_cols)}")
         if len(set(self.minor_cols)) != r or any(not (1 <= j <= self.n) for j in self.minor_cols):
             raise StructureError(f"minor columns must be distinct members of 1..{self.n}")
-        cert = self.certificate
-        if foreign(cert.n_poly):
-            raise StructureError("certificate multiplier is not a polynomial over this ring")
-        if len(cert.cofactors) != m or any(len(row) != r for row in cert.cofactors):
-            raise StructureError(f"cofactor matrix must be {m}x{r}")
-        if any(foreign(p) for row in cert.cofactors for p in row):
-            raise StructureError("cofactor entries must be polynomials over this ring")
-        if not isinstance(self.c, int) or self.c < 1:
+        if self.c is not None and (not isinstance(self.c, int) or self.c < 1):
             raise StructureError(f"congruence level c must be a positive integer, got {self.c!r}")
         if len(self.jet) != self.n:
             raise StructureError(f"jet must have {self.n} components, got {len(self.jet)}")
-        self._check_jet()
+        for i, y in enumerate(self.jet, start=1):
+            if not isinstance(y, Series) or y.ring != self.ring:
+                raise StructureError(f"jet component {i} is not a series of this ring")
         if self.mode not in ("dvr", "variety"):
             raise StructureError(f"mode must be 'dvr' or 'variety', got {self.mode!r}")
         if self.mode == "variety":
@@ -170,7 +153,21 @@ class Problem(Record):
                             f"variety mode forbids x in the system: generator {j} "
                             "has an x-dependent coefficient"
                         )
-        if infer:
+        if self.certificate is None:
+            if sorted(self.f_idx) != list(range(1, m + 1)):
+                raise StructureError(
+                    "a certificate is required when the subsystem f does not cover "
+                    "every ideal generator"
+                )
+            object.__setattr__(self, "certificate", identity_certificate(self.ring, space, m))
+        cert = self.certificate
+        if foreign(cert.n_poly):
+            raise StructureError("certificate multiplier is not a polynomial over this ring")
+        if len(cert.cofactors) != m or any(len(row) != r for row in cert.cofactors):
+            raise StructureError(f"cofactor matrix must be {m}x{r}")
+        if any(foreign(p) for row in cert.cofactors for p in row):
+            raise StructureError("cofactor entries must be polynomials over this ring")
+        if self.c is None:
             v = (cert.n_poly * self.minor).eval(self.jet_point())
             e = v.order()
             if e is None:
@@ -179,13 +176,8 @@ class Problem(Record):
                     f"to the checked precision x^{v.prec}"
                 )
             object.__setattr__(self, "c", e + 1)
-            self._check_jet()
-
-    def _check_jet(self):
         need = self.window
         for i, y in enumerate(self.jet, start=1):
-            if not isinstance(y, Series) or y.ring != self.ring:
-                raise StructureError(f"jet component {i} is not a series of this ring")
             if y.prec < need:
                 raise StructureError(
                     f"jet component {i} has precision {y.prec}, need at least 2c+1 = {need}"
@@ -213,13 +205,19 @@ class Problem(Record):
         return {nm: y for nm, y in zip(self.space.names, self.jet)}
 
     @cached_property
+    def border(self) -> tuple:
+        """H's top rows [A | B], the one Jacobian of f, minor columns first, and perm; kept."""
+        lead = tuple(j - 1 for j in self.minor_cols)
+        perm = lead + tuple(j for j in range(self.n) if j not in lead)
+        return jacobian(self.f_polys, tuple(self.space.names[j] for j in perm)), perm
+
+    @cached_property
     def minor(self) -> Poly:
         """Determinant of the selected r x r Jacobian block, columns in the listed order.
 
-        Computed on first use and kept; every stage that needs M reads it here.
+        det(A), read off the border and kept; every stage that needs M reads it here.
         """
-        names = tuple(self.space.names[j - 1] for j in self.minor_cols)
-        return jacobian(self.f_polys, names).det()
+        return PolyMatrix([row[:self.r] for row in self.border[0].rows]).det()
 
 
 # the public name of the one constructor: make_problem(..., c=None) checks its input once
@@ -299,13 +297,8 @@ def normalize_certificate(problem: Problem, e: int | None) -> NormalizedCertific
 
 
 def build_border(problem: Problem) -> tuple:
-    """H's top rows [A | B], the Jacobian with minor columns first, and perm; det(A) must be M."""
-    lead = tuple(j - 1 for j in problem.minor_cols)
-    perm = lead + tuple(j for j in range(problem.n) if j not in lead)
-    h_mat = jacobian(problem.f_polys, tuple(problem.space.names[j] for j in perm))
-    if not _border_is_minor(h_mat, problem.r, problem.minor):
-        raise IdentityFailedError("border determinant does not equal the selected minor")
-    return h_mat, perm
+    """H's top rows [A | B] and perm, as the problem keeps them; M is det(A) by construction."""
+    return problem.border
 
 
 def _border_is_minor(h_mat: PolyMatrix, r: int, minor: Poly) -> bool:
@@ -352,16 +345,16 @@ def _jet_evaluations(problem: Problem, h_mat: PolyMatrix, g_mat: PolyMatrix, d: 
 
 def substitution_images(problem: Problem, dgy: tuple, d2: Series, perm: tuple, tspace: VarSpace) -> dict:
     """Y_perm[j] -> y'_perm[j] + (d*G(y')*T)_j, that is dgy[j] * T for j < r and d^2 * T_j below."""
-    ring = problem.ring
+    width = tspace.dim
     names = problem.space.names
     top = dgy[:problem.r]
     images = {}
     for j in range(problem.n):
-        img = Poly.constant(ring, tspace, problem.jet[perm[j]])
-        row = zip(tspace.names, top[j]) if j < len(top) else [(tspace.names[j], d2)]
-        for name, coeff in row:
-            img = img + Poly.variable(ring, tspace, name).scale(coeff)
-        images[names[perm[j]]] = img
+        terms = {(0,) * width: problem.jet[perm[j]]}
+        row = enumerate(top[j][:width]) if j < len(top) else [(j, d2)]
+        for k, coeff in row:
+            terms[(0,) * k + (1,) + (0,) * (width - k - 1)] = coeff
+        images[names[perm[j]]] = Poly._make(problem.ring, tspace, terms)
     return images
 
 
@@ -386,20 +379,19 @@ def _g_component(ring: SeriesRing, tspace: VarSpace, i: int, ai: Series, qi: Pol
 def taylor_decompose(problem: Problem, d2: Series, dgy: tuple, perm: tuple, tspace: VarSpace):
     """Split f(y' + d*G(y')*T) = d^2 * (a + T + Q) = f(y') + d^2 * (T + Q), Q of T-degree >= 2."""
     ring = problem.ring
-    point = problem.jet_point()
     images = substitution_images(problem, dgy, d2, perm, tspace)
     a = []
     q = []
     for i, f in enumerate(problem.f_polys, start=1):
-        fy = f.eval(point)
+        full = f.subst(images, tspace)
+        fy = full.constant_term()  # f(y'), since the images' constant terms are the jet
         ai = fy.div_exact(d2)
         if ai.order() == 0:
             raise OrderViolationError(
                 f"f component {i} gives a unit after division by d^2; "
                 "the jet does not solve the system deeply enough"
             )
-        full = f.subst(images, tspace)
-        num = full - Poly.constant(ring, tspace, full.constant_term())
+        num = full - Poly.constant(ring, tspace, fy)
         reduced = _divided(num, d2)
         ti = Poly.variable(ring, tspace, tspace.names[i - 1])
         qi = reduced - ti
@@ -503,9 +495,9 @@ def build_model(problem: Problem) -> SmoothModel:
 
     Validation through P's substitution runs in one shared_powers block of
     its own, never an outer one: the jet's powers, walked by the admission
-    checks, P(y'), H(y'), G(y') and f(y'), and the substitution images',
-    walked by every f_i and by P, are built once and dropped with the
-    block, and the model keeps none.
+    checks, P(y'), H(y') and G(y'), and the substitution images', walked by
+    every f_i and by P, are built once and dropped with the block, and the
+    model keeps none.  f(y') is read off each f_i's substitution.
     """
     with shared_powers():
         report = validate_problem(problem)

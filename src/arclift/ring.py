@@ -400,9 +400,8 @@ class Series:
             return Series._make(ring, (), qprec)
         if oa < ob:
             raise NotDivisibleError(f"dividend order {oa} below divisor order {ob}")
+        # ob <= oa < prec(a) and ob < prec(b), so qprec >= 1
         qprec = min(self.prec - ob, other.prec - 2 * ob + oa, ring.n_work)
-        if qprec < 1:
-            raise PrecisionExhaustedError("quotient would carry no certified coefficients")
         shift = oa - ob
         m = qprec - shift
         p = ring.field.p

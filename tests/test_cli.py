@@ -329,6 +329,19 @@ def test_a_field_of_composite_order_is_a_parse_error(capsys, tmp_path):
              "validate", _cusp_with(tmp_path, field="F4"))
 
 
+def test_a_strong_pseudoprime_field_order_is_a_parse_error(capsys, tmp_path):
+    """2047 = 23 * 89 passes the base-2 Miller-Rabin round; the base-3 round refuses it."""
+    _refused(capsys, 4, "parse error: bad field 'F2047': modulus 2047 is not prime",
+             "validate", _cusp_with(tmp_path, field="F2047"))
+
+
+def test_an_f_index_past_the_generators_is_refused_before_the_certificate_is_defaulted(
+    capsys, tmp_path
+):
+    _refused(capsys, 1, "f indices must be distinct members of 1..1",
+             "validate", _cusp_with(tmp_path, f=[2]))
+
+
 def test_c_cannot_be_inferred_where_multiplier_times_minor_vanishes_at_the_jet(capsys, tmp_path):
     payload = json.loads((helpers.PROBLEMS / "cusp.json").read_text())
     del payload["c"]

@@ -98,7 +98,7 @@ def test_identity_certificate_requires_full_coverage():
         parse_poly("Y1^2 - Y2^3", ring, space),
         parse_poly("Y1^2 - Y2^3", ring, space),
     ]
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="a certificate is required"):
         make_problem(
             ring, n=2, ideal_gens=gens, f_idx=[1], minor_cols=[1],
             jet=(ring.parse("x^3"), ring.parse("x^2")),
@@ -217,7 +217,7 @@ def test_f5_model_matches_the_rational_one_mod_5(cusp_f5):
 def test_problem_rejects_short_jets():
     ring = SeriesRing(QQ)
     space = VarSpace.ys(2)
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="jet component 1 has precision 5"):
         make_problem(
             ring, n=2,
             ideal_gens=[parse_poly("Y1^2 - Y2^3", ring, space)],
@@ -228,23 +228,19 @@ def test_problem_rejects_short_jets():
 
 
 def test_problem_rejects_bad_minor_columns():
-    with pytest.raises(StructureError):
-        helpers.cusp_problem(jet=("x^3", "x^2"), c=4).__class__(
-            ring=helpers.cusp_problem().ring,
-            n=2,
-            ideal_gens=helpers.cusp_problem().ideal_gens,
-            f_idx=(0,),
-            minor_cols=(0, 1),
-            certificate=helpers.cusp_problem().certificate,
-            c=4,
-            jet=helpers.cusp_problem().jet,
-        )
+    """A valid f, so the refusal is the minor columns': their count, then their range."""
+    base = helpers.cusp_problem()
+    for cols, message in [((0, 1), "need exactly 1 minor columns, got 2"),
+                          ((0,), r"minor columns must be distinct members of 1\.\.2"),
+                          ((3,), r"minor columns must be distinct members of 1\.\.2")]:
+        with pytest.raises(StructureError, match=message):
+            base.replace(minor_cols=cols)
 
 
 def test_variety_mode_requires_constant_generators():
     ring = SeriesRing(QQ)
     space = VarSpace.ys(2)
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="variety mode forbids x in the system"):
         make_problem(
             ring, n=2,
             ideal_gens=[parse_poly("Y1*Y2 - x^6", ring, space)],
@@ -252,6 +248,85 @@ def test_variety_mode_requires_constant_generators():
             jet=(ring.parse("x^2"), ring.parse("x^4")),
             c=5, mode="variety",
         )
+
+
+def _cusp_fields(**changes):
+    """The cusp problem's constructor arguments, c = 4, with the given ones replaced."""
+    base = helpers.cusp_problem()
+    fields = {name: getattr(base, name) for name in base._fields}
+    return dict(fields, **changes)
+
+
+OTHER_RING = SeriesRing(QQ, 20)
+CUSP_SPACE = VarSpace.ys(2)
+# every refusal that precedes the certificate, as (changes, message)
+SHAPE_REFUSALS = {
+    "ring": ({"ring": QQ}, "problem needs a SeriesRing"),
+    "n-zero": ({"n": 0}, "variable count must be a positive integer, got 0"),
+    "n-text": ({"n": "2"}, "variable count must be a positive integer, got '2'"),
+    "no-generators": ({"ideal_gens": ()}, "no ideal generators"),
+    "generator-text": ({"ideal_gens": ("Y1",)}, "generator 1 is not a polynomial over"),
+    "generator-ring": (
+        {"ideal_gens": (parse_poly("Y1 - Y2", OTHER_RING, CUSP_SPACE),)},
+        "generator 1 is not a polynomial over",
+    ),
+    "no-f": ({"f_idx": ()}, "subsystem size must be between 1 and n=2, got 0"),
+    "f-wider-than-n": ({"f_idx": (1, 1, 1)}, "subsystem size must be between 1 and n=2, got 3"),
+    "f-past-m": ({"f_idx": (2,)}, r"f indices must be distinct members of 1\.\.1"),
+    "f-repeated": ({"f_idx": (1, 1)}, r"f indices must be distinct members of 1\.\.1"),
+    "minor-count": ({"minor_cols": (1, 2)}, "need exactly 1 minor columns, got 2"),
+    "minor-range": ({"minor_cols": (3,)}, r"minor columns must be distinct members of 1\.\.2"),
+    "c-zero": ({"c": 0}, "congruence level c must be a positive integer, got 0"),
+    "c-text": ({"c": "4"}, "congruence level c must be a positive integer, got '4'"),
+    "jet-length": ({"jet": ()}, "jet must have 2 components, got 0"),
+    "jet-ring": (
+        {"jet": (OTHER_RING.parse("x^3"), OTHER_RING.parse("x^2"))},
+        "jet component 1 is not a series of this ring",
+    ),
+    "mode": ({"mode": "arc"}, "mode must be 'dvr' or 'variety', got 'arc'"),
+}
+
+
+@pytest.mark.parametrize("certified", [False, True], ids=["defaulted", "given"])
+@pytest.mark.parametrize("case", sorted(SHAPE_REFUSALS))
+def test_every_shape_refusal_precedes_the_certificate(case, certified):
+    """A bad ring, n, generator, f, minor column, c, jet or mode is refused with its own
+    message whether the certificate is given or defaulted, before the certificate is read."""
+    changes, message = SHAPE_REFUSALS[case]
+    fields = _cusp_fields(**changes)
+    if not certified:
+        fields["certificate"] = None
+    with pytest.raises(StructureError, match=message):
+        make_problem(**fields)
+
+
+def _poly(text, ring=SeriesRing(QQ)):
+    return parse_poly(text, ring, CUSP_SPACE)
+
+
+@pytest.mark.parametrize(
+    "certificate, message",
+    [
+        (desing.Certificate(_poly("1", OTHER_RING), [[_poly("1")]]),
+         "certificate multiplier is not a polynomial over this ring"),
+        (desing.Certificate(_poly("1"), [[_poly("1"), _poly("1")]]), "cofactor matrix must be 1x1"),
+        (desing.Certificate(_poly("1"), []), "cofactor matrix must be 1x1"),
+        (desing.Certificate(_poly("1"), [["1"]]),
+         "cofactor entries must be polynomials over this ring"),
+    ],
+    ids=["multiplier", "wide-row", "no-rows", "entry"],
+)
+def test_problem_rejects_a_certificate_of_the_wrong_shape(certificate, message):
+    with pytest.raises(StructureError, match=message):
+        make_problem(**_cusp_fields(certificate=certificate))
+
+
+def test_an_inferred_c_checks_the_jet_precision_against_itself():
+    """x^3 + O(x^7) gives e = 3, so c is inferred as 4 and the jet must reach x^9."""
+    ring = helpers.cusp_problem().ring
+    jet = (ring.parse("x^3 + O(x^7)"), ring.parse("x^2"))
+    with pytest.raises(StructureError, match=r"jet component 1 has precision 7, need at least 2c\+1 = 9"):
+        make_problem(**_cusp_fields(jet=jet, c=None))
 
 
 # -- verification battery ------------------------------------------------
@@ -447,26 +522,30 @@ def test_build_model_inverts_only_d2_and_d_on_every_shipped_problem(monkeypatch)
         assert len(lengths) == 2, (path.name, lengths)
 
 
-def test_build_and_verify_compute_the_minor_once_on_every_shipped_problem(monkeypatch):
-    """Problem.minor is the one copy of M; only build_border builds another Jacobian.
-
-    The border's Jacobian takes the minor columns first and then the rest,
-    so when n = r it is the minor's block again.
-    """
+def _f_jacobians(monkeypatch):
+    """Record the polynomials of every desing.jacobian call from here on; returns the list."""
     plain = desing.jacobian
+    calls = []
+
+    def counting(polys, names=None):
+        calls.append(tuple(polys))
+        return plain(polys, names)
+
+    monkeypatch.setattr(desing, "jacobian", counting)
+    return calls
+
+
+def test_build_and_verify_compute_the_minor_once_on_every_shipped_problem(monkeypatch):
+    """Problem.border is the one Jacobian of f, from loading through build and verify,
+    and M is det(A) read off it; the other Jacobians taken are g's."""
     for path in helpers.shipped_problems():
-        problem = load_problem(str(path))
-        cols = tuple(problem.space.names[j - 1] for j in problem.minor_cols)
-        calls = []
-
-        def counting(polys, names=None):
-            calls.append(tuple(names))
-            return plain(polys, names)
-
         with monkeypatch.context() as patch:
-            patch.setattr(desing, "jacobian", counting)
+            calls = _f_jacobians(patch)
+            problem = load_problem(str(path))
             assert verify_model(build_model(problem)).ok
-        assert calls.count(cols) == 1 + (problem.n == problem.r), path.name
+        assert calls.count(problem.f_polys) == 1, path.name
+        cols = tuple(problem.space.names[j - 1] for j in problem.minor_cols)
+        assert problem.minor == desing.jacobian(problem.f_polys, cols).det(), path.name
 
 
 def test_an_inferred_c_is_checked_once_and_equals_the_explicit_problem(monkeypatch):
@@ -485,19 +564,13 @@ def test_an_inferred_c_is_checked_once_and_equals_the_explicit_problem(monkeypat
 
 
 def test_an_inferred_c_builds_the_minor_once(monkeypatch):
-    """The minor that infers c is the one the returned Problem keeps."""
-    plain = desing.jacobian
-    calls = []
-
-    def counting(polys, names=None):
-        calls.append(tuple(names))
-        return plain(polys, names)
-
-    monkeypatch.setattr(desing, "jacobian", counting)
+    """The border and minor that infer c are the ones the returned Problem keeps:
+    one Jacobian of f from construction through build and verify."""
+    calls = _f_jacobians(monkeypatch)
     problem = helpers.cusp_problem(c=None)
     assert problem.c == 4
     assert verify_model(build_model(problem)).ok
-    assert calls.count(("Y1",)) == 1
+    assert calls.count(problem.f_polys) == 1
 
 
 # -- scaling in n and r ---------------------------------------------------

@@ -83,6 +83,30 @@ def test_prime_field_validation():
     assert PrimeField(2147483647).p == 2147483647
 
 
+def _sieve(limit: int) -> list:
+    """The primes below limit, by the sieve of Eratosthenes."""
+    marks = bytearray([1]) * limit
+    marks[:2] = b"\0\0"
+    for i in range(2, int(limit ** 0.5) + 1):
+        if marks[i]:
+            marks[i * i::i] = bytes(len(range(i * i, limit, i)))
+    return [p for p in range(limit) if marks[p]]
+
+
+def test_is_prime_agrees_with_a_sieve():
+    limit = 2 * 10**5
+    assert [p for p in range(limit) if ring_module._is_prime(p)] == _sieve(limit)
+
+
+@pytest.mark.parametrize("p", [2047, 1373653, 25326001])
+def test_strong_pseudoprimes_to_the_first_bases_are_refused(p):
+    """2047 passes base 2, 1373653 bases 2 and 3, 25326001 bases 2, 3 and 5; base 7 or
+    an earlier one refuses each."""
+    assert not ring_module._is_prime(p)
+    with pytest.raises(StructureError, match=f"modulus {p} is not prime"):
+        PrimeField(p)
+
+
 def test_field_mismatch_is_refused():
     with pytest.raises(FieldMismatchError):
         R.parse("x") + R5.parse("x")
@@ -131,6 +155,11 @@ def test_div_exact_refuses_insufficient_order():
 def test_div_exact_refuses_invisible_divisor():
     with pytest.raises(NotDivisibleError):
         R.x().div_exact(R.zero(10))
+
+
+def test_div_exact_of_a_zero_known_only_below_the_divisor_order():
+    with pytest.raises(PrecisionExhaustedError, match="quotient would carry no certified coefficients"):
+        R.zero(2).div_exact(R.parse("x^2"))
 
 
 def test_div_exact_of_certified_zero():
