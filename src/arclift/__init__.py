@@ -12,7 +12,6 @@ every claim an operation makes is certified at the precision it reports.
 
 from .arcs import (
     HenselResult,
-    JetSet,
     LiftResult,
     default_target,
     extract_params,
@@ -21,7 +20,6 @@ from .arcs import (
     hensel_solve,
     make_lift,
     offset_lift,
-    oracle_enumerate,
 )
 from .desing import (
     Certificate,
@@ -55,6 +53,7 @@ from .errors import (
     UnknownVariableError,
     ValidationError,
 )
+from .oracle import JetSet, oracle_enumerate
 from .polyring import Poly, PolyMatrix, VarSpace, jacobian, parse_poly, parse_series
 from .prng import SplitMix64, draw_scalar, draw_series
 from .ring import DEFAULT_PRECISION, PrimeField, QQ, RationalField, Series, SeriesRing

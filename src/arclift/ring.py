@@ -496,9 +496,13 @@ def product_precision(pa: int, fa: int, pb: int, fb: int, n_work: int) -> tuple[
     The mul rule of the module docstring.  The product of two series visible
     at their precisions has order fa + fb, since the field has no zero
     divisors; it is zero at its precision when fa + fb reaches that precision.
+    The floor needs no clamp at prec: pa >= fa and pb >= fb, so fa + fb > prec
+    only when prec = n_work.  Series.__mul__ then returns zero (shift >= prec
+    either way), and in Poly.eval_prec a mark with floor >= n_work, clamped or
+    not, gives each product it enters precision n_work and such a floor again.
     """
     prec = min(pa + fb, pb + fa, n_work)
-    return prec, min(fa + fb, prec)
+    return prec, fa + fb
 
 
 def _negated(nums, p) -> list:

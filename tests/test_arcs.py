@@ -494,6 +494,27 @@ def test_a_residual_below_its_floor_fails_the_identity(cusp_q):
         make_lift(tampered)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_strictness_reads_the_free_coordinates_only_mod_x_to_the_c_plus_1(shipped_models, data):
+    """y'' - y' = d*G(y')*T with ord d = c, and T_bound is a power series in T_free, so moving
+    T_free by x^(c+1)*z moves the arc only from x^(2c+1) on: the two lifts agree through
+    x^(2c) and are strict together.  The free coordinates start at the reference's or at
+    random ones."""
+    model, ref = data.draw(st.sampled_from([pair for pair in shipped_models if pair[0].param_count]))
+    ring = model.ring
+    rng = SplitMix64(data.draw(st.integers(0, 2**32)))
+    if data.draw(st.booleans()):
+        t_free = ref.t[model.r:]
+    else:
+        t_free = tuple(draw_series(rng, ring, 1, 6) for _ in range(model.param_count))
+    shift = ring.monomial(model.c + 1)
+    moved = tuple(t + shift * draw_series(rng, ring, 0, 6) for t in t_free)
+    a, b = make_lift(model, t_free), make_lift(model, moved)
+    assert all((y - w).order_floor() >= model.problem.window for y, w in zip(a.y2, b.y2))
+    assert a.strict == b.strict
+
+
 # -- argument errors -------------------------------------------------------
 
 
@@ -620,6 +641,17 @@ def test_extract_rejects_arcs_off_the_model(cusp_q):
     arc = (ring.parse("x^3 + x^9"), ring.parse("x^2 + x^9"))
     with pytest.raises(IdentityFailedError):
         extract_t(cusp_q, arc)
+
+
+def test_extract_refuses_an_arc_the_images_do_not_reproduce(cusp_q):
+    """Y1's image moved by x^12, as in tests/check_corpus.py: g, H and the jet are the model's
+    own, so a strict lift passes every check before re-substitution, and fails there."""
+    ring = cusp_q.ring
+    lift = make_lift(cusp_q, (ring.parse("x^9"),))
+    moved = cusp_q.images["Y1"] + Poly.constant(ring, cusp_q.tspace, ring.parse("x^12"))
+    tampered = cusp_q.replace(images={**cusp_q.images, "Y1": moved})
+    with pytest.raises(IdentityFailedError, match="re-substitution does not reproduce arc component 1"):
+        extract_t(tampered, lift.y2)
 
 
 # -- offsets and the inverse family map ----------------------------------

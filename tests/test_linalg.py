@@ -1,5 +1,6 @@
 """Memoised cofactor determinants and adjugates against the recursive cofactor reference."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,6 +122,12 @@ def test_mat_mul_and_mat_vec_equal_zero_started_sums(data):
     )
     p, q = data.draw(_poly_matrix(ring, n)), data.draw(_poly_matrix(ring, n))
     assert linalg.mat_mul(p, q) == _zero_started(p, q, Poly.zero(ring, YS))
+
+
+def test_mat_mul_refuses_mismatched_inner_dimensions():
+    one = RINGS[0].one()
+    with pytest.raises(ValueError, match="inner dimensions do not match"):
+        linalg.mat_mul([[one, one]], [[one, one]])
 
 
 def test_the_empty_determinant_is_one():

@@ -128,6 +128,16 @@ def test_subst_composes_with_eval():
     assert q.eval(point) == direct
 
 
+def test_subst_refuses_a_missing_image_and_an_image_over_another_space():
+    p = P("Y1*Y2")
+    t1 = parse_poly("T1", R, TS)
+    with pytest.raises(MissingVariableError, match="no image supplied for 'Y2'"):
+        p.subst({"Y1": t1}, TS)
+    for other in (P("Y1"), parse_poly("T1", R5, TS)):
+        with pytest.raises(StructureError, match="image of 'Y2' is not a polynomial over the target space"):
+            p.subst({"Y1": t1, "Y2": other}, TS)
+
+
 def test_a_zero_side_gives_the_other_side_or_zero():
     p = P("Y1^2 - x*Y2 + 3")
     low_zero = Poly.constant(R, YS, R.zero(7))
@@ -191,6 +201,19 @@ def test_det_and_adjugate_golden():
     prod = m.mul(adj)
     assert prod.rows[0][0] == m.det()
     assert prod.rows[0][1].is_zero()
+
+
+def test_matrix_constructors_refuse_empty_ragged_and_mixed_entries():
+    with pytest.raises(StructureError, match="jacobian of an empty family"):
+        jacobian([])
+    for rows in ([], [[]]):
+        with pytest.raises(StructureError, match="matrix must be nonempty"):
+            PolyMatrix(rows)
+    with pytest.raises(StructureError, match="ragged matrix"):
+        PolyMatrix([[P("Y1"), P("Y2")], [P("1")]])
+    for other in (P("Y1", R5), parse_poly("T1", R, TS), R.x()):
+        with pytest.raises(StructureError, match="matrix entries must share one ring and space"):
+            PolyMatrix([[P("Y1"), other]])
 
 
 def test_det_rejects_non_square():

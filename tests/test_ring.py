@@ -20,8 +20,10 @@ from arclift import (
     PrimeField,
     QQ,
     SeriesRing,
+    SplitMix64,
     StructureError,
     UnknownVariableError,
+    draw_series,
 )
 from arclift import ring as ring_module
 from arclift.ring import _kmul
@@ -105,6 +107,34 @@ def test_strong_pseudoprimes_to_the_first_bases_are_refused(p):
     assert not ring_module._is_prime(p)
     with pytest.raises(StructureError, match=f"modulus {p} is not prime"):
         PrimeField(p)
+
+
+def test_fields_coerce_only_integers_and_fractions():
+    f5 = PrimeField(5)
+    assert f5.coerce(Fraction(1, 2)) == 3
+    with pytest.raises(NotAUnitError, match="division by zero in F_5"):
+        f5.coerce(Fraction(1, 5))
+    for field, name in ((QQ, "Q"), (f5, "F_5")):
+        with pytest.raises(StructureError, match=f"cannot coerce 1.5 into {name}"):
+            field.coerce(1.5)
+
+
+def test_ring_monomial_and_div_exact_refuse_bad_arguments():
+    with pytest.raises(StructureError, match="working precision must be a positive integer, got 0"):
+        SeriesRing(QQ, 0)
+    with pytest.raises(StructureError, match="negative exponent"):
+        R.monomial(-1)
+    with pytest.raises(TypeError, match="div_exact expects a Series"):
+        R.parse("x").div_exact(2)
+
+
+def test_random_draws_refuse_empty_ranges():
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError, match=r"below\(\) needs a positive bound"):
+        rng.below(0)
+    for low, high in ((-1, 3), (4, 3)):
+        with pytest.raises(ValueError, match="bad degree window"):
+            draw_series(rng, R, low, high)
 
 
 def test_field_mismatch_is_refused():
