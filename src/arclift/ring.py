@@ -55,8 +55,11 @@ Brent and H. T. Kung, "Fast algorithms for manipulating formal power
 series", J. ACM 1978).  A divisor's inverse is computed once, to
 eff_prec(b) - ord(b), the most any quotient by b can use, and kept on b for
 every later division by it; a quotient mod x^m is unique and the stored form
-is canonical, so the reuse changes no result.  The results are exact, so
-they agree coefficient for coefficient with the schoolbook recurrences.
+is canonical, so the reuse changes no result.  A divisor that serves one
+dividend (det(J) in Newton) is inverted only to half the quotient's length,
+and `div_unit` ends the quotient with one correction.  The results are
+exact, so they agree coefficient for coefficient with the schoolbook
+recurrences.
 """
 
 from __future__ import annotations
@@ -383,6 +386,32 @@ class Series:
             g = [v * self.den for v in g]
         return Series._make(self.ring, g, self.prec, dg)
 
+    def div_unit(self, unit: Series, inv: Series) -> Series:
+        """self / unit, stored as self * unit.inv_unit() stores it, from inv = 1/unit
+        mod x^h, h = ceil(m/2), for the m digits of the quotient past ord(self)."""
+        self._compat(unit)
+        self._compat(inv)
+        if unit.order() != 0:
+            raise NotAUnitError("divisor has positive order, cannot divide by it as a unit")
+        ring = self.ring
+        oa = self.order()
+        fa = self.prec if oa is None else oa
+        prec, shift = product_precision(self.prec, fa, unit.prec, 0, ring.n_work)
+        if shift >= prec:
+            return Series._make(ring, (), prec)
+        m = prec - shift
+        if not inv.nums:
+            raise IdentityFailedError("the divisor's inverse is zero")
+        if 2 * inv.prec < m:
+            raise PrecisionExhaustedError(
+                f"the quotient needs the divisor's inverse mod x^{(m + 1) // 2}, not x^{inv.prec}"
+            )
+        # 1/(b/db) = (i/di) mod x^h, so 1/b = i / (di*db) there
+        q, dq = _quotient(self.nums[fa:fa + m], unit.nums, inv.nums, inv.den * unit.den, m, ring.field.p)
+        if unit.den != 1:
+            q = [v * unit.den for v in q]
+        return Series._make(ring, [0] * shift + q, prec, self.den * dq)
+
     def div_exact(self, other: Series) -> Series:
         """Exact quotient self / other; dividing by x^k costs k digits of precision."""
         if not isinstance(other, Series):
@@ -628,8 +657,9 @@ def _inverse(b, n: int, p, start=None) -> tuple[list, int]:
     1/b[0].  The precisions run top-down: the targets n, ceil(n/2),
     ceil(n/4), ... that exceed the start's length are taken in rising order,
     so each step at most doubles and the last lands on n (never 128 -> 132
-    after 64 -> 128).  The first product must show b*g = den mod x^h; a
-    start that does not raises IdentityFailedError.  The inverse mod x^n is
+    after 64 -> 128).  The first product must show b*g = den mod x^h, and a
+    start that already covers n is checked by one product b*g mod x^n; a
+    start that fails raises IdentityFailedError.  The inverse mod x^n is
     unique, so start and schedule change no result.  Over Q (p None) den > 0
     and the content is divided out at every step, or den would square the
     denominators of all of b's coefficients at each doubling.  Over F_p den
@@ -649,6 +679,8 @@ def _inverse(b, n: int, p, start=None) -> tuple[list, int]:
     while k > h:
         targets.append(k)
         k = (k + 1) // 2
+    if start is not None and not targets and _kmul(b, g, n, p) != [den] + [0] * (n - 1):
+        raise IdentityFailedError(f"the start of a Newton inverse is not exact mod x^{n}")
     for k in reversed(targets):
         bg = _kmul(b, g, k, p)
         if k == targets[-1] and bg[:h] != [den] + [0] * (h - 1):
@@ -663,3 +695,30 @@ def _inverse(b, n: int, p, start=None) -> tuple[list, int]:
             g += [v and p - v for v in t]
         h = k
     return g, den
+
+
+def _quotient(a, b, g, den: int, m: int, p) -> tuple[list, int]:
+    """(q, dq) with q/dq = a/b mod x^m, from g/den = 1/b mod x^h, h = ceil(m/2).
+
+    a[0] and b[0] are nonzero.  One Karp-Markstein correction (A. H. Karp and
+    P. Markstein, "High-precision division and square root", ACM TOMS 23(4),
+    1997): q0 = a*g/den mod x^h leaves a remainder e/den = a - b*q0 that
+    vanishes mod x^h, and a/b = q0 + x^h * (g/den) * (e/den)/x^h mod x^m needs
+    g only mod x^(m-h), m - h <= h.  As a is a unit, e vanishes mod x^h exactly
+    when b*g = den there; otherwise IdentityFailedError.  Over F_p den is 1.
+    """
+    h = (m + 1) // 2
+    q = _kmul(a, g, h, p)
+    bq = _kmul(b, q, m, p)
+    a = list(a[:m]) + [0] * (m - len(a))
+    if den != 1:
+        a = [den * v for v in a]
+    if a[:h] != bq[:h]:
+        raise IdentityFailedError(f"the inverse of a quotient's divisor is not exact mod x^{h}")
+    if m == h:
+        return q, den
+    e = list(map(sub, a[h:], bq[h:]))
+    t = _kmul(g, e if p is None else [v % p for v in e], m - h, p)
+    if den != 1:
+        q = [v * den for v in q]
+    return q + t, den * den

@@ -302,34 +302,44 @@ def _g_evaluations(monkeypatch):
 
 
 def test_newton_inverts_det_from_the_previous_inverse(monkeypatch, tmp_path):
-    """The products of Newton's inverses on the F5 offjet lift at n_work 320.
+    """Newton's inverses and products on the F5 offjet lift at n_work 320.
 
-    Each inverse starts from the previous step's 1/det(J) and runs the
-    top-down schedule; inverting every det(J) from x^0 bottom-up took 102.
+    Each step inverts det(J), known mod x^w, from the previous step's
+    inverse, but only to half the digits of its longest quotient, so to
+    ceil(w/2) at most, and divides by one Karp-Markstein correction.
+    Inverting det(J) to all w digits and multiplying by that inverse took
+    a product volume (the sum of len(a) * len(b) over the vectors _kmul
+    multiplies, each cut to the m coefficients it asks for) of 1 219 824.
     """
     raw = json.loads((helpers.PROBLEMS / "cusp_offjet_f5.json").read_text())
     path = tmp_path / "offjet.json"
     path.write_text(json.dumps(dict(raw, n_work=320)))
     model = build_model(load_problem(str(path)))
-    inside, calls = [False], []
+    volume, lengths, quotients = [0], [], []
     plain_kmul, plain_inverse = ring_module._kmul, ring_module._inverse
+    plain_div_unit = Series.div_unit
 
-    def kmul(*args):
-        if inside[0]:
-            calls.append(args[2])
-        return plain_kmul(*args)
+    def kmul(a, b, m, p):
+        volume[0] += min(len(a), m) * min(len(b), m)
+        return plain_kmul(a, b, m, p)
 
-    def inverse(*args, **kw):
-        inside[0] = True
-        try:
-            return plain_inverse(*args, **kw)
-        finally:
-            inside[0] = False
+    def inverse(b, n, p, start=None):
+        lengths.append(n)
+        return plain_inverse(b, n, p, start=start)
+
+    def div_unit(self, unit, inv):
+        quotients.append((unit.prec, inv.prec))
+        return plain_div_unit(self, unit, inv)
 
     monkeypatch.setattr(ring_module, "_kmul", kmul)
     monkeypatch.setattr(ring_module, "_inverse", inverse)
+    monkeypatch.setattr(Series, "div_unit", div_unit)
     make_lift(model)
-    assert len(calls) == 52
+    # r = 1: one quotient per step, by det(J) known mod x^w
+    assert [w for w, _ in quotients] == [312, 310, 304, 292, 268, 220, 124]
+    assert lengths == [h for _, h in quotients] == [156, 154, 151, 145, 133, 109, 61]
+    assert all(2 * h <= w + 1 for w, h in quotients)
+    assert volume[0] <= 923_245 < 0.8 * 1_219_824
 
 
 def test_newton_evaluates_g_only_at_its_start_on_every_shipped_problem(monkeypatch):

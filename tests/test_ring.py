@@ -198,6 +198,52 @@ def test_div_exact_of_certified_zero():
     assert q.prec == 8
 
 
+@pytest.mark.parametrize(
+    "a, b, prec",
+    [
+        # eff_prec(a) - ord(b) = 12 - 2 binds; the divisor's term is 40 - 4 + 3
+        ("x^3 + x^5 + O(x^12)", "x^2 + x^3", 10),
+        # eff_prec(b) - 2*ord(b) + ord(a) = 10 - 4 + 3 binds; eff_prec(a) - ord(b)
+        # and the over-claim eff_prec(b) - ord(b) + ord(a) are both 11
+        ("x^3 + O(x^13)", "x^2 + x^3 + O(x^10)", 9),
+        # N_work binds, tied with eff_prec(a) - ord(b), which never exceeds it
+        ("x^5 + x^7", "1 + x", 40),
+    ],
+    ids=["dividend", "divisor", "n_work"],
+)
+def test_div_precision_rule_examples(a, b, prec):
+    q = R.parse(a).div_exact(R.parse(b))
+    assert q.prec == prec
+
+
+@pytest.mark.parametrize("ring", [R, R5], ids=["Q", "F5"])
+@pytest.mark.parametrize(
+    "a, b, prec",
+    [
+        # eff_prec(a) binds: m = 9 - 2, odd
+        ("x^2 + x^3 + O(x^9)", "1 + 2*x", 9),
+        # eff_prec(b) + ord(a) = 10 + 2 binds: m = 10, even
+        ("x^2 + 3*x^4", "1 + 2*x + O(x^10)", 12),
+        # N_work binds, tied with eff_prec(a), which never exceeds it
+        ("x^3 + x^4", "1 + 2*x", 40),
+        # m = 1
+        ("x^3 + O(x^4)", "1 + 2*x", 4),
+    ],
+    ids=["dividend", "divisor", "n_work", "m1"],
+)
+def test_div_unit_precision_rule_examples(ring, a, b, prec):
+    """The mul rule of a * b.inv_unit(), from an inverse of exactly ceil(m/2) digits."""
+    a, b = ring.parse(a), ring.parse(b)
+    h = (prec - a.order() + 1) // 2
+    q = a.div_unit(b, b.truncate(h).inv_unit())
+    want = a * b.inv_unit()
+    assert q.prec == prec
+    assert (q.nums, q.den, q.prec) == (want.nums, want.den, want.prec)
+    if h > 1:
+        with pytest.raises(PrecisionExhaustedError):
+            a.div_unit(b, b.truncate(h - 1).inv_unit())
+
+
 def test_inv_unit_golden():
     u = R.parse("1 + x")
     v = u.inv_unit()
@@ -677,11 +723,53 @@ def test_a_warm_inverse_is_the_cold_one(data):
 
 @pytest.mark.parametrize("ring", [R, R5], ids=["Q", "F5"])
 def test_a_tampered_warm_inverse_fails_the_identity(ring):
+    """Also a start that already covers u.prec, from which Newton takes no step."""
     u = ring.series([2, 1, 3, 1, 4, 1, 3, 2, 2])
-    warm = u.inv_unit().truncate(6)
-    for k in (0, 3, 5):
-        with pytest.raises(IdentityFailedError):
-            u.inv_unit(warm + ring.monomial(k).truncate(6))
+    inv = u.inv_unit()
+    for n in (6, 20, u.prec):
+        for k in (0, 3, 5):
+            with pytest.raises(IdentityFailedError):
+                u.inv_unit(inv.truncate(n) + ring.monomial(k).truncate(n))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_div_unit_stores_the_product_by_the_inverse(data):
+    """a.div_unit(b, inv) against _school_div and a * b.inv_unit(), from half an inverse.
+
+    inv reaches h = ceil(m/2) digits or a few more, and is made as Newton
+    makes it: b cut to that length and inverted from the inverse of a unit
+    that agrees with b through x^(j-1), cut to x^j.  The draws cover odd and
+    even m and m = 1, dividends shorter than h and zero, divisors with fewer
+    stored coefficients than m, and over Q denominators on both sides.  An
+    inverse tampered below x^h fails the identity.
+    """
+    ring = data.draw(st.sampled_from(BOUNDARY_RINGS + WARM_RINGS))
+    n = ring.n_work
+    b = data.draw(_boundary_series(ring, unit=True))
+    oa = data.draw(st.integers(0, 3))
+    prec = data.draw(st.integers(oa + 1, n))
+    if data.draw(st.booleans()):
+        a = (ring.monomial(oa) * data.draw(_boundary_series(ring, unit=True))).truncate(prec)
+    else:
+        a = ring.zero(prec)
+    if ring.field.p is None:
+        a = a * ring.scalar(Fraction(1, data.draw(st.integers(1, 12))))
+        b = b * ring.scalar(Fraction(1, data.draw(st.integers(1, 12))))
+    want = a * b.inv_unit()
+    h = max(1, (want.prec - a.order_floor() + 1) // 2)
+    length = min(b.prec, h + data.draw(st.integers(0, 2)))
+    j = data.draw(st.integers(1, b.prec))
+    near = ring.series(b.coeffs[:j]) + ring.monomial(j) * data.draw(_boundary_series(ring))
+    inv = b.truncate(length).inv_unit(near.inv_unit().truncate(j))
+    got = a.div_unit(b, inv)
+    assert (got.nums, got.den, got.prec) == (want.nums, want.den, want.prec)
+    if a.is_zero():
+        return
+    _assert_same(got, _school_div(a, b))
+    k = data.draw(st.integers(0, h - 1))
+    with pytest.raises(IdentityFailedError):
+        a.div_unit(b, inv + ring.monomial(k).truncate(inv.prec))
 
 
 @settings(max_examples=60, deadline=None)
