@@ -103,15 +103,9 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
       (det(J) is a unit, so every row of adj(J) holds one), hence delta
       needs J only mod x^(R-k): J, det(J) and adj(J) are computed at u
       truncated to R - k.
-    - A component c of adj(J)*g(u) has a quotient by det(J) of at most
-      prec(c) - ord(c) <= R - k digits, and Series.div_unit needs 1/det(J)
-      only to half of them, h.  det(J) at the new iterate agrees with the
-      previous step's det(J) mod x^h0, h0 the order floor of their
-      difference (about k, since delta vanishes mod x^k).  Units that agree
-      mod x^h0 have inverses that agree mod x^h0, so the previous inverse,
-      cut to x^h0, is an exact start for the next, and Newton inverts only
-      from x^h0 to h.  Inverse and quotient are unique, so neither the start
-      nor the half length changes a digit.
+    - Successive det(J) agree mod x^h0, h0 about k since delta vanishes mod
+      x^k, and Series.div_unit, handed the previous one as near, does the
+      rest; the quotient is unique, so no digit changes.
     - g(u - delta) = g(u) - J(u)*delta + tail(u, -delta), with tail the
       Taylor tail of Q (model.newton_tail), and g(u) - J(u)*delta vanishes
       through the least precision of the residuals and of delta.  So the
@@ -157,7 +151,7 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
     orders = [k0]
     iterations = 0
     one = ring.one()
-    det_prev = inv_det = None
+    det_prev = None
     while k < target:
         if all(v.is_zero() for v in res):
             raise exhausted(k)
@@ -167,12 +161,8 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
         jac = model.t_jac.eval({nm: s.truncate(w) for nm, s in point.items()})
         adj = linalg.adjugate(jac, one)
         det = linalg.mat_vec([jac[0]], [row[0] for row in adj])[0]
-        correction = linalg.mat_vec(adj, res)
-        half = max(c.prec - c.order_floor() + 1 for c in correction) // 2
-        h0 = 0 if inv_det is None else (det - det_prev).order_floor()
-        inv_det = det.truncate(max(half, 1)).inv_unit(inv_det.truncate(h0) if h0 else None)
+        delta = [c.div_unit(det, det_prev) for c in linalg.mat_vec(adj, res)]
         det_prev = det
-        delta = [c.div_unit(det, inv_det) for c in correction]
         tails = model.newton_tail
         tail_point = dict(zip(tails[0].space.names, t_bound + t_free + tuple(-d for d in delta)))
         t_bound = tuple(u - d for u, d in zip(t_bound, delta))

@@ -52,14 +52,14 @@ is not packed, so a packed vector always has at least two coefficients.
 The inverse of a unit is Newton doubling g <- g*(2 - a*g) on top of that
 product, and an exact quotient is a/x^oa times the inverse of b/x^ob (R. P.
 Brent and H. T. Kung, "Fast algorithms for manipulating formal power
-series", J. ACM 1978).  A divisor's inverse is computed once, to
-eff_prec(b) - ord(b), the most any quotient by b can use, and kept on b for
-every later division by it; a quotient mod x^m is unique and the stored form
-is canonical, so the reuse changes no result.  A divisor that serves one
-dividend (det(J) in Newton) is inverted only to half the quotient's length,
-and `div_unit` ends the quotient with one correction.  The results are
-exact, so they agree coefficient for coefficient with the schoolbook
-recurrences.
+series", J. ACM 1978).  A divisor keeps the longest inverse that a quotient
+has asked of it, and Newton goes on from there: `div_exact` asks for
+eff_prec(b) - ord(b) digits, the most any quotient by b can use, and
+`div_unit` for half the quotient's, which one Karp-Markstein correction
+finishes; a unit with none kept may start from a nearby unit's (det(J) of
+the previous Newton step).  A quotient mod x^m is unique and the stored
+form canonical, so the results agree coefficient for coefficient with the
+schoolbook recurrences.
 """
 
 from __future__ import annotations
@@ -365,34 +365,58 @@ class Series:
         out = _kmul(a, b, m, ring.field.p)
         return Series._make(ring, [0] * shift + out, prec, self.den * other.den)
 
-    def inv_unit(self, warm: Series | None = None) -> Series:
-        """Inverse of a unit (order exactly 0); precision is preserved.
-
-        warm, when given, must be the inverse of self mod x^warm.prec, such
-        as the inverse of a unit that agrees with self that far; Newton then
-        starts from it instead of from one term.  The inverse mod x^prec is
-        unique, so the result is the same either way.
-        """
+    def inv_unit(self) -> Series:
+        """Inverse of a unit (order exactly 0), to its precision; never kept on self."""
         if self.order() != 0:
             raise NotAUnitError("series has positive order, cannot invert")
-        # 1 / (a/da) = da * g/dg with g/dg = 1/a, and 1/a = w / (dw*da) for warm = w/dw
-        start = None
-        if warm is not None:
-            self._compat(warm)
-            w = warm.nums
-            start = (w + (0,) * (warm.prec - len(w)), warm.den * self.den)
-        g, dg = _inverse(self.nums, self.prec, self.ring.field.p, start=start)
+        # 1 / (a/da) = da * g/dg with g/dg = 1/a
+        g, dg = _inverse(self.nums, self.prec, self.ring.field.p)
         if self.den != 1:
             g = [v * self.den for v in g]
         return Series._make(self.ring, g, self.prec, dg)
 
-    def div_unit(self, unit: Series, inv: Series) -> Series:
-        """self / unit, stored as self * unit.inv_unit() stores it, from inv = 1/unit
-        mod x^h, h = ceil(m/2), for the m digits of the quotient past ord(self)."""
-        self._compat(unit)
-        self._compat(inv)
-        if unit.order() != 0:
-            raise NotAUnitError("divisor has positive order, cannot divide by it as a unit")
+    def _kept_inverse(self, n: int, ob: int = 0, near: Series | None = None) -> tuple[list, int]:
+        """(g, den) with g/den = 1/nums[ob:] mod x^n, ob = ord(self).
+
+        self keeps the longest inverse asked of it, as (g, den, length), and
+        Newton goes on from it.  With none kept, the unit near lends its own,
+        cut to h0 = ord(self - near); a cut that covers n is not kept, so
+        every kept inverse was built by _inverse, which checks its start.
+        """
+        p = self.ring.field.p
+        start = getattr(self, "_inv", None)
+        if start is not None and start[2] >= n:
+            return start[:2]
+        if start is None and getattr(near, "_inv", None) is not None:
+            g, den, length = near._inv
+            h0 = min((self - near).order_floor(), length, n)
+            if h0:
+                g = _trimmed(g[:h0])
+                if p is None:
+                    # 1/(U/du) = 1/(N/dn) mod x^h0, so 1/U = dn * (g/den) / du there
+                    g, den = [v * near.den for v in g], den * self.den
+                    c = gcd(den, *g)
+                    g, den = [v // c for v in g], den // c
+                if h0 == n:
+                    return g, den
+                start = (g, den, h0)
+        g, den = _inverse(_trimmed(self.nums[ob:ob + n]), n, p, start)
+        object.__setattr__(self, "_inv", (g, den, n))
+        return g, den
+
+    def div_unit(self, unit: Series, near: Series | None = None) -> Series:
+        """self / unit, stored as self * unit.inv_unit() stores it.
+
+        The m digits past ord(self) need 1/unit mod x^ceil(m/2) and one
+        correction (_quotient).  near, a unit that has served as a divisor,
+        lends its inverse as a start (see _kept_inverse).
+        """
+        for u in (unit,) if near is None else (unit, near):
+            if not isinstance(u, Series):
+                raise TypeError("div_unit expects a Series unit and near")
+            self._compat(u)
+            if u.order() != 0:
+                raise NotAUnitError("a divisor or near of positive order is not a unit")
         ring = self.ring
         oa = self.order()
         fa = self.prec if oa is None else oa
@@ -400,14 +424,8 @@ class Series:
         if shift >= prec:
             return Series._make(ring, (), prec)
         m = prec - shift
-        if not inv.nums:
-            raise IdentityFailedError("the divisor's inverse is zero")
-        if 2 * inv.prec < m:
-            raise PrecisionExhaustedError(
-                f"the quotient needs the divisor's inverse mod x^{(m + 1) // 2}, not x^{inv.prec}"
-            )
-        # 1/(b/db) = (i/di) mod x^h, so 1/b = i / (di*db) there
-        q, dq = _quotient(self.nums[fa:fa + m], unit.nums, inv.nums, inv.den * unit.den, m, ring.field.p)
+        g, den = unit._kept_inverse((m + 1) // 2, near=near)
+        q, dq = _quotient(self.nums[fa:fa + m], unit.nums, g, den, m, ring.field.p)
         if unit.den != 1:
             q = [v * unit.den for v in q]
         return Series._make(ring, [0] * shift + q, prec, self.den * dq)
@@ -433,16 +451,9 @@ class Series:
         qprec = min(self.prec - ob, other.prec - 2 * ob + oa, ring.n_work)
         shift = oa - ob
         m = qprec - shift
-        p = ring.field.p
-        # (a/da) / (b/db) = a * g * db / (da * dg) with g/dg = 1/b.  No
-        # dividend uses more than prec(b) - ord(b) digits of g, so g is
-        # computed to that once and kept for every later division by b.
-        inv = getattr(other, "_inv", None)
-        if inv is None:
-            inv = _inverse(other.nums[ob:], other.prec - ob, p)
-            object.__setattr__(other, "_inv", inv)
-        g, dg = inv
-        q = _kmul(self.nums[oa:oa + m], g, m, p)
+        # (a/da) / (b/db) = a * g * db / (da * dg) with g/dg = 1/b
+        g, dg = other._kept_inverse(other.prec - ob, ob)
+        q = _kmul(self.nums[oa:oa + m], g, m, ring.field.p)
         if other.den != 1:
             q = [v * other.den for v in q]
         return Series._make(ring, [0] * shift + q, qprec, self.den * dg)
@@ -652,35 +663,33 @@ def _inverse(b, n: int, p, start=None) -> tuple[list, int]:
 
     Newton doubling: from b*g = den + x^h*r (mod x^k), h < k <= 2h, the next
     iterate g*(2 - b*g/den) is (den*g - x^h*g*r) / den^2, exact mod x^k.
-    start = (g, den), g non-empty, is an exact inverse mod x^len(g), for
-    instance that of a unit agreeing with b that far; without one, g/den =
-    1/b[0].  The precisions run top-down: the targets n, ceil(n/2),
-    ceil(n/4), ... that exceed the start's length are taken in rising order,
-    so each step at most doubles and the last lands on n (never 128 -> 132
-    after 64 -> 128).  The first product must show b*g = den mod x^h, and a
-    start that already covers n is checked by one product b*g mod x^n; a
-    start that fails raises IdentityFailedError.  The inverse mod x^n is
-    unique, so start and schedule change no result.  Over Q (p None) den > 0
-    and the content is divided out at every step, or den would square the
-    denominators of all of b's coefficients at each doubling.  Over F_p den
-    is 1 from the start and every vector holds residues.  A one-term b with
-    no start is inverted by its first iterate, which stays one term, so a
-    product by it is a scaling.
+    start = (g, den, h), 0 < h < n, is an exact inverse mod x^h (g may stop
+    short of h): a shorter inverse of b, or that of a unit agreeing with b
+    that far; without one, g/den = 1/b[0].  The precisions run top-down: the
+    targets n, ceil(n/2), ceil(n/4), ... that exceed the start's length are
+    taken in rising order, so each step at most doubles and the last lands on
+    n (never 128 -> 132 after 64 -> 128).  The first product must show b*g =
+    den mod x^h, or IdentityFailedError.  The inverse mod x^n is unique, so
+    start and schedule change no result, and g comes back without trailing
+    zeros.  Over Q (p None) den > 0 and the content is divided out at every
+    step, or den would square the denominators of all of b's coefficients at
+    each doubling.  Over F_p den is 1 from the start and every vector holds
+    residues.  A one-term b with no start is inverted by its first iterate,
+    which stays one term, so a product by it is a scaling.
     """
+    h = n if len(b) == 1 else 1
     if start is not None:
-        g, den = list(start[0][:n]), start[1]
+        g, den, h = start
+        g = g + [0] * (h - len(g))
     elif p is not None:
         g, den = [pow(b[0], -1, p)], 1
     else:
         g, den = ([1], b[0]) if b[0] > 0 else ([-1], -b[0])
-    h = n if len(b) == 1 and start is None else len(g)
     targets = []
     k = n
     while k > h:
         targets.append(k)
         k = (k + 1) // 2
-    if start is not None and not targets and _kmul(b, g, n, p) != [den] + [0] * (n - 1):
-        raise IdentityFailedError(f"the start of a Newton inverse is not exact mod x^{n}")
     for k in reversed(targets):
         bg = _kmul(b, g, k, p)
         if k == targets[-1] and bg[:h] != [den] + [0] * (h - 1):
@@ -694,7 +703,7 @@ def _inverse(b, n: int, p, start=None) -> tuple[list, int]:
         else:
             g += [v and p - v for v in t]
         h = k
-    return g, den
+    return _trimmed(g), den
 
 
 def _quotient(a, b, g, den: int, m: int, p) -> tuple[list, int]:

@@ -304,18 +304,22 @@ def _g_evaluations(monkeypatch):
 def test_newton_inverts_det_from_the_previous_inverse(monkeypatch, tmp_path):
     """Newton's inverses and products on the F5 offjet lift at n_work 320.
 
-    Each step inverts det(J), known mod x^w, from the previous step's
-    inverse, but only to half the digits of its longest quotient, so to
-    ceil(w/2) at most, and divides by one Karp-Markstein correction.
-    Inverting det(J) to all w digits and multiplying by that inverse took
-    a product volume (the sum of len(a) * len(b) over the vectors _kmul
-    multiplies, each cut to the m coefficients it asks for) of 1 219 824.
+    Each step divides by det(J), known mod x^w, with div_unit, handing it
+    the previous step's det(J) as near.  det(J) is inverted only to half the
+    digits of its quotient, so to ceil(w/2) at most, from the previous
+    inverse cut where the two det(J) agree, and one Karp-Markstein
+    correction ends the quotient.  In the last step that cut covers the half
+    length, so no Newton inverse runs and only the quotient checks it.  The
+    product volume (the sum of len(a) * len(b) over the vectors _kmul
+    multiplies, each cut to the m coefficients it asks for) was 1 219 824
+    when det(J) was inverted to all w digits, and 923 245 when a covering
+    start was checked once more inside the inverse.
     """
     raw = json.loads((helpers.PROBLEMS / "cusp_offjet_f5.json").read_text())
     path = tmp_path / "offjet.json"
     path.write_text(json.dumps(dict(raw, n_work=320)))
     model = build_model(load_problem(str(path)))
-    volume, lengths, quotients = [0], [], []
+    volume, inverses, quotients = [0], [], []
     plain_kmul, plain_inverse = ring_module._kmul, ring_module._inverse
     plain_div_unit = Series.div_unit
 
@@ -324,22 +328,28 @@ def test_newton_inverts_det_from_the_previous_inverse(monkeypatch, tmp_path):
         return plain_kmul(a, b, m, p)
 
     def inverse(b, n, p, start=None):
-        lengths.append(n)
-        return plain_inverse(b, n, p, start=start)
+        inverses.append((n, 0 if start is None else start[2]))
+        return plain_inverse(b, n, p, start)
 
-    def div_unit(self, unit, inv):
-        quotients.append((unit.prec, inv.prec))
-        return plain_div_unit(self, unit, inv)
+    def div_unit(self, unit, near=None):
+        seed = 0 if near is None else min((unit - near).order_floor(), near._inv[2])
+        out = plain_div_unit(self, unit, near)
+        h = (out.prec - self.order_floor() + 1) // 2
+        quotients.append((h, seed, getattr(unit, "_inv", None)))
+        return out
 
     monkeypatch.setattr(ring_module, "_kmul", kmul)
     monkeypatch.setattr(ring_module, "_inverse", inverse)
     monkeypatch.setattr(Series, "div_unit", div_unit)
     make_lift(model)
     # r = 1: one quotient per step, by det(J) known mod x^w
-    assert [w for w, _ in quotients] == [312, 310, 304, 292, 268, 220, 124]
-    assert lengths == [h for _, h in quotients] == [156, 154, 151, 145, 133, 109, 61]
-    assert all(2 * h <= w + 1 for w, h in quotients)
-    assert volume[0] <= 923_245 < 0.8 * 1_219_824
+    assert [(h, seed) for h, seed, _ in quotients] == [
+        (156, 0), (154, 3), (151, 6), (145, 12), (133, 24), (109, 48), (61, 96)
+    ]
+    assert inverses == [(h, seed) for h, seed, _ in quotients[:-1]]
+    assert all(seed < n for n, seed in inverses)
+    assert quotients[-1][2] is None
+    assert volume[0] <= 919_524 == 923_245 - 61 * 61
 
 
 def test_newton_evaluates_g_only_at_its_start_on_every_shipped_problem(monkeypatch):

@@ -510,9 +510,9 @@ def test_build_model_inverts_only_d2_and_d_on_every_shipped_problem(monkeypatch)
     lengths = []
     plain = ring_module._inverse
 
-    def counting(b, n, p):
+    def counting(b, n, p, start=None):
         lengths.append(n)
-        return plain(b, n, p)
+        return plain(b, n, p, start)
 
     monkeypatch.setattr(ring_module, "_inverse", counting)
     for path in helpers.shipped_problems():

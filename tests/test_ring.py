@@ -232,16 +232,30 @@ def test_div_precision_rule_examples(a, b, prec):
     ids=["dividend", "divisor", "n_work", "m1"],
 )
 def test_div_unit_precision_rule_examples(ring, a, b, prec):
-    """The mul rule of a * b.inv_unit(), from an inverse of exactly ceil(m/2) digits."""
+    """The mul rule of a * b.inv_unit(), from a kept inverse of exactly ceil(m/2) digits."""
     a, b = ring.parse(a), ring.parse(b)
-    h = (prec - a.order() + 1) // 2
-    q = a.div_unit(b, b.truncate(h).inv_unit())
+    q = a.div_unit(b)
     want = a * b.inv_unit()
     assert q.prec == prec
     assert (q.nums, q.den, q.prec) == (want.nums, want.den, want.prec)
-    if h > 1:
-        with pytest.raises(PrecisionExhaustedError):
-            a.div_unit(b, b.truncate(h - 1).inv_unit())
+    assert b._inv[2] == (prec - a.order() + 1) // 2
+
+
+@pytest.mark.parametrize("ring", [R, R5], ids=["Q", "F5"])
+def test_div_unit_refuses_bad_arguments(ring):
+    """As div_exact does; a kept inverse of a non-unit inverts nums[ord:], so it seeds nothing."""
+    a, u = ring.parse("1 + x"), ring.parse("2 + x")
+    for args in ((3,), (u, 3)):
+        with pytest.raises(TypeError, match="div_unit expects a Series"):
+            a.div_unit(*args)
+    with pytest.raises(FieldMismatchError):
+        a.div_unit(u, (R5 if ring is R else R).parse("1 + x"))
+    near = ring.parse("x + x^2")
+    ring.parse("x^2").div_exact(near)
+    assert near._inv is not None
+    with pytest.raises(NotAUnitError):
+        a.div_unit(u, near)
+    assert getattr(u, "_inv", None) is None
 
 
 def test_inv_unit_golden():
@@ -700,14 +714,30 @@ WARM_RINGS = (
 )
 
 
+def _fresh(s):
+    """A series equal to s that keeps no inverse."""
+    return s.ring.series(s.coeffs, s.prec)
+
+
+def _tampered(s, k):
+    """A series equal to s that keeps s's inverse, made wrong at x^k."""
+    g, den, length = s._inv
+    g = list(g) + [0] * (k + 1 - len(g))
+    p = s.ring.field.p
+    g[k] = g[k] + 1 if p is None else (g[k] + 1) % p
+    out = _fresh(s)
+    object.__setattr__(out, "_inv", (g, den, length))
+    return out
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.data())
 def test_a_warm_inverse_is_the_cold_one(data):
-    """inv_unit(warm) stores what inv_unit() stores, from any warm precision.
+    """An inverse started from near's kept one stores what inv_unit() stores.
 
-    The warm start is the inverse of another unit that agrees with u
-    through x^(j-1), cut to x^j: what Newton hands from one step to the next.
-    Over Q, u also gets a denominator.
+    near agrees with u through x^(j-1), from any j, and keeps its inverse:
+    what Newton hands from one step to the next.  Over Q, u also gets a
+    denominator.
     """
     ring = data.draw(st.sampled_from(WARM_RINGS))
     u = data.draw(_boundary_series(ring, unit=True))
@@ -716,32 +746,39 @@ def test_a_warm_inverse_is_the_cold_one(data):
     j = data.draw(st.integers(1, u.prec))
     tail = data.draw(_boundary_series(ring))
     near = ring.series(u.coeffs[:j]) + ring.monomial(j) * tail
-    warm = near.inv_unit().truncate(j)
-    cold, got = u.inv_unit(), u.inv_unit(warm)
-    assert (got.nums, got.den, got.prec) == (cold.nums, cold.den, cold.prec)
+    near._kept_inverse(near.prec)
+    cold = u.inv_unit()
+    g, den = _fresh(u)._kept_inverse(u.prec, near=near)
+    warm = ring_module.Series._make(ring, [v * u.den for v in g], u.prec, den)
+    assert _stored(warm) == _stored(cold)
+    one = ring.series([1], u.prec)
+    assert _stored(one.div_unit(_fresh(u), near)) == _stored(cold)
 
 
 @pytest.mark.parametrize("ring", [R, R5], ids=["Q", "F5"])
 def test_a_tampered_warm_inverse_fails_the_identity(ring):
-    """Also a start that already covers u.prec, from which Newton takes no step."""
+    """Also a start that already covers the half length, from which Newton takes no step."""
     u = ring.series([2, 1, 3, 1, 4, 1, 3, 2, 2])
-    inv = u.inv_unit()
+    one = ring.series([1], u.prec)
+    one.div_exact(u)
     for n in (6, 20, u.prec):
         for k in (0, 3, 5):
+            near = _tampered(u, k)
+            g, den, _ = near._inv
+            object.__setattr__(near, "_inv", (g[:n], den, n))
             with pytest.raises(IdentityFailedError):
-                u.inv_unit(inv.truncate(n) + ring.monomial(k).truncate(n))
+                one.div_unit(_fresh(u), near)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.data())
 def test_div_unit_stores_the_product_by_the_inverse(data):
-    """a.div_unit(b, inv) against _school_div and a * b.inv_unit(), from half an inverse.
+    """a.div_unit(b) against _school_div and a * b.inv_unit(), from half an inverse.
 
-    inv reaches h = ceil(m/2) digits or a few more, and is made as Newton
-    makes it: b cut to that length and inverted from the inverse of a unit
-    that agrees with b through x^(j-1), cut to x^j.  The draws cover odd and
-    even m and m = 1, dividends shorter than h and zero, divisors with fewer
-    stored coefficients than m, and over Q denominators on both sides.  An
+    b keeps its inverse to h = ceil(m/2) digits, or already keeps a few more
+    from an earlier request.  The draws cover odd and even m and m = 1,
+    dividends shorter than h and zero, divisors with fewer stored
+    coefficients than m, and over Q denominators on both sides.  A kept
     inverse tampered below x^h fails the identity.
     """
     ring = data.draw(st.sampled_from(BOUNDARY_RINGS + WARM_RINGS))
@@ -759,17 +796,68 @@ def test_div_unit_stores_the_product_by_the_inverse(data):
     want = a * b.inv_unit()
     h = max(1, (want.prec - a.order_floor() + 1) // 2)
     length = min(b.prec, h + data.draw(st.integers(0, 2)))
-    j = data.draw(st.integers(1, b.prec))
-    near = ring.series(b.coeffs[:j]) + ring.monomial(j) * data.draw(_boundary_series(ring))
-    inv = b.truncate(length).inv_unit(near.inv_unit().truncate(j))
-    got = a.div_unit(b, inv)
+    b._kept_inverse(length)
+    got = a.div_unit(b)
     assert (got.nums, got.den, got.prec) == (want.nums, want.den, want.prec)
     if a.is_zero():
         return
+    assert b._inv[2] == max(h, length)
     _assert_same(got, _school_div(a, b))
     k = data.draw(st.integers(0, h - 1))
     with pytest.raises(IdentityFailedError):
-        a.div_unit(b, inv + ring.monomial(k).truncate(inv.prec))
+        a.div_unit(_tampered(b, k))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_kept_and_seeded_inverses_store_the_product_by_the_inverse(data):
+    """Quotients by a unit u that keeps its inverse or starts it from near's.
+
+    near agrees with u through x^(j-1), j = 0, below or past the half length
+    h, and keeps an inverse from a div_unit, from a div_exact, or none; over
+    Q it has a denominator of its own.  A second, longer quotient by u goes
+    on from u's kept inverse, as on an r = 2 Newton step, and a div_exact
+    after div_unit, or a div_unit after div_exact, stores what it stores by
+    a fresh equal divisor.  A tampered kept inverse on near fails the
+    identity, whether its cut is shorter than h or covers it, and u keeps
+    nothing from it.
+    """
+    ring = data.draw(st.sampled_from(BOUNDARY_RINGS + WARM_RINGS))
+    p = ring.field.p
+
+    def scaled(s):
+        return s if p is not None else s * ring.scalar(Fraction(1, data.draw(st.integers(1, 12))))
+
+    u = scaled(data.draw(_boundary_series(ring, unit=True)))
+    j = data.draw(st.integers(0, u.prec))
+    tail = scaled(data.draw(_boundary_series(ring, unit=j == 0)))
+    near = ring.series(u.coeffs[:j]) + ring.monomial(j) * tail
+    keep = data.draw(st.sampled_from(("div_unit", "div_exact", None)))
+    if keep == "div_unit":
+        ring.one().truncate(data.draw(st.integers(1, ring.n_work))).div_unit(near)
+    elif keep == "div_exact":
+        ring.one().div_exact(near)
+    oa = data.draw(st.integers(0, 3))
+    unit = data.draw(_boundary_series(ring, unit=True))
+    a = scaled((ring.monomial(oa) * unit).truncate(data.draw(st.integers(oa + 1, ring.n_work))))
+    first = a.truncate(data.draw(st.integers(oa + 1, a.prec)))
+    h = ((first * u.inv_unit()).prec - oa + 1) // 2
+    h0 = (u - near).order_floor()
+    if keep and h0:
+        k = data.draw(st.integers(0, min(h0, near._inv[2], h) - 1))
+        v = _fresh(u)
+        with pytest.raises(IdentityFailedError):
+            first.div_unit(v, _tampered(near, k))
+        assert getattr(v, "_inv", None) is None
+    for b in (first, a):
+        got = b.div_unit(u, near)
+        assert _stored(got) == _stored(b * u.inv_unit())
+        _assert_same(got, _school_div(b, u))
+    assert _stored(a.div_exact(u)) == _stored(a.div_exact(_fresh(u)))
+    v = _fresh(u)
+    a.div_exact(v)
+    for b in (first, a):
+        assert _stored(b.div_unit(v, near)) == _stored(b.div_unit(_fresh(u), near))
 
 
 @settings(max_examples=60, deadline=None)
