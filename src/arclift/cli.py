@@ -30,7 +30,7 @@ Exit codes:
     0  success
     1  structural failure: wrong shapes or fields, precision too low to
        decide, arcs outside the strict window or the parametrized family,
-       Newton stall, enumeration budget
+       Newton stall, enumeration budget, stdout closed before the output
     2  mathematical validation failure
     3  no strict reference lift found within the search depth (NoReferenceError)
     4  unparsable input: problem file, series text, or command usage
@@ -262,7 +262,7 @@ def _check_rows(report) -> list:
 def _emit(args, payload, view) -> None:
     """Print the payload as JSON, or its problem header and the lines view reads off it."""
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
         return
     p = payload["problem"]
     header = [
@@ -270,7 +270,7 @@ def _emit(args, payload, view) -> None:
         f"field: {p['field']}",
         f"n: {p['n']}  r: {p['r']}  c: {p['c']}  mode: {p['mode']}",
     ]
-    print("\n".join(header + list(view(payload))))
+    print("\n".join(header + list(view(payload))), flush=True)
 
 
 def _numbered(prefix: str, texts) -> list:
@@ -594,6 +594,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:
+        # stdout was closed before _emit's flush; the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ArcliftError as exc:
         if isinstance(exc, ValidationError) and exc.report is not None:
             for ch in exc.report.failures():

@@ -9,17 +9,18 @@ rules:
 
     add/sub:  eff_prec = min(eff_prec(a), eff_prec(b))
     mul:      eff_prec = min(eff_prec(a) + ord(b), eff_prec(b) + ord(a), N_work)
-    div:      eff_prec = min(eff_prec(a) - ord(b),
-                             eff_prec(b) - 2*ord(b) + ord(a), N_work)
 
-so multiplying by x^k gains k certified digits while dividing by x^k loses
-them.  A series that is zero at its precision has no visible order; its
-order is only known to be >= eff_prec, and `order_floor` returns that bound.
-Two of these results are an operand, and are returned as that very object
-with no work: a + 0 when the zero is certified at least to eff_prec(a), and
-a * 1 when the 1 is certified to N_work, whose eff_prec is then
-min(eff_prec(a), N_work + ord(a), N_work) = eff_prec(a).  A difference is
-one pass over both operands, never a sum with a negated copy.
+and one fact: 1/u is known to eff_prec(u) for a unit u.  So a / b with
+b = x^k * u is a / x^k, known to eff_prec(a) - k, times 1/u, known to
+eff_prec(b) - k, and the mul rule certifies it to min(eff_prec(a) - k,
+eff_prec(b) - 2k + ord(a), N_work): dividing by x^k loses the k digits that
+multiplying by it gains.  A series that is zero at its precision has no
+visible order; its order is only known to be >= eff_prec, and `order_floor`
+returns that bound.  Two of these results are an operand, and are returned
+as that very object with no work: a + 0 when the zero is certified at least
+to eff_prec(a), and a * 1 when the 1 is certified to N_work, whose eff_prec
+is then min(eff_prec(a), N_work + ord(a), N_work) = eff_prec(a).  A
+difference is one pass over both operands, never a sum with a negated copy.
 
 The working precision N_work caps every eff_prec and lives on the
 SeriesRing, the only shared context object.  Series are immutable after
@@ -353,9 +354,7 @@ class Series:
             return self
         if self.nums == (1,) and self.den == 1 and self.prec == n:
             return other
-        oa, ob = self.order(), other.order()
-        fa = self.prec if oa is None else oa
-        fb = other.prec if ob is None else ob
+        fa, fb = self.order_floor(), other.order_floor()
         prec, shift = product_precision(self.prec, fa, other.prec, fb, ring.n_work)
         if shift >= prec:
             return Series._make(ring, (), prec)
@@ -418,8 +417,7 @@ class Series:
             if u.order() != 0:
                 raise NotAUnitError("a divisor or near of positive order is not a unit")
         ring = self.ring
-        oa = self.order()
-        fa = self.prec if oa is None else oa
+        fa = self.order_floor()
         prec, shift = product_precision(self.prec, fa, unit.prec, 0, ring.n_work)
         if shift >= prec:
             return Series._make(ring, (), prec)
@@ -431,7 +429,7 @@ class Series:
         return Series._make(ring, [0] * shift + q, prec, self.den * dq)
 
     def div_exact(self, other: Series) -> Series:
-        """Exact quotient self / other; dividing by x^k costs k digits of precision."""
+        """Exact quotient self / other = (self / x^ob) * (1/u) for other = x^ob * u, by the mul rule."""
         if not isinstance(other, Series):
             raise TypeError("div_exact expects a Series")
         self._compat(other)
@@ -439,24 +437,21 @@ class Series:
         ob = other.order()
         if ob is None:
             raise NotDivisibleError("divisor vanishes at its precision")
-        oa = self.order()
-        if oa is None:
-            qprec = min(self.prec - ob, ring.n_work)
-            if qprec < 1:
-                raise PrecisionExhaustedError("quotient would carry no certified coefficients")
-            return Series._make(ring, (), qprec)
-        if oa < ob:
-            raise NotDivisibleError(f"dividend order {oa} below divisor order {ob}")
-        # ob <= oa < prec(a) and ob < prec(b), so qprec >= 1
-        qprec = min(self.prec - ob, other.prec - 2 * ob + oa, ring.n_work)
-        shift = oa - ob
-        m = qprec - shift
-        # (a/da) / (b/db) = a * g * db / (da * dg) with g/dg = 1/b
+        fa = self.order_floor()
+        if self.nums and fa < ob:
+            raise NotDivisibleError(f"dividend order {fa} below divisor order {ob}")
+        prec, shift = product_precision(self.prec - ob, fa - ob, other.prec - ob, 0, ring.n_work)
+        if prec < 1:
+            raise PrecisionExhaustedError("quotient would carry no certified coefficients")
+        if shift >= prec:
+            return Series._make(ring, (), prec)
+        m = prec - shift
+        # (a/da) / (b/db) = a * g * db / (da * dg) with g/dg = 1/u
         g, dg = other._kept_inverse(other.prec - ob, ob)
-        q = _kmul(self.nums[oa:oa + m], g, m, ring.field.p)
+        q = _kmul(self.nums[fa:fa + m], g, m, ring.field.p)
         if other.den != 1:
             q = [v * other.den for v in q]
-        return Series._make(ring, [0] * shift + q, qprec, self.den * dg)
+        return Series._make(ring, [0] * shift + q, prec, self.den * dg)
 
     def truncate(self, prec: int) -> Series:
         """View of the series at lower precision (display / congruence checks)."""

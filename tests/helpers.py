@@ -27,11 +27,12 @@ PROBLEMS = REPO / "problems"
 F5 = PrimeField(5)
 
 
-def python(*argv, max_memory=None):
+def python(*argv, max_memory=None, stdout=subprocess.PIPE):
     """Run a fresh interpreter with this checkout's package first on the path.
 
     max_memory, when given, caps the child's address space in bytes, so a
-    run that tries to allocate without bound fails with MemoryError.
+    run that tries to allocate without bound fails with MemoryError.  stdout,
+    when given, is where the child writes instead of a captured pipe.
     """
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
@@ -42,7 +43,7 @@ def python(*argv, max_memory=None):
         resource.setrlimit(resource.RLIMIT_AS, (max_memory, max_memory))
 
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
         preexec_fn=cap if max_memory else None,
     )
 

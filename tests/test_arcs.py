@@ -428,6 +428,27 @@ def test_a_stall_at_a_residual_precision_is_precision_exhaustion(tcurve):
         hensel_solve(tcurve, (ring.zero(),), 8, seed)
 
 
+def _with_tail(model, text):
+    """A copy of model whose Newton tail of g_1 is the polynomial text in T1, T2, D1."""
+    tampered = model.replace()
+    vars(tampered)["newton_tail"] = (parse_poly(text, model.ring, model.newton_tail[0].space),)
+    return tampered
+
+
+def test_newton_that_gains_one_order_a_step_stops_at_64_iterations():
+    """A tail of x*D1 makes each residual x * (-delta): orders 12, 13, ... never reach 92."""
+    model = _with_tail(helpers.cusp_model(field=helpers.F5, n_work=100), "x*D1")
+    with pytest.raises(NoProgressError, match="did not reach the target within 64 iterations"):
+        hensel_solve(model, (model.ring.x(),), 92)
+
+
+def test_newton_whose_residual_order_does_not_rise_stalls(cusp_f5):
+    """A tail of D1 makes the residual -delta, of the order x^12 it had."""
+    model = _with_tail(cusp_f5, "D1")
+    with pytest.raises(NoProgressError, match=r"residual order stalled at x\^12"):
+        hensel_solve(model, (cusp_f5.ring.x(),), 30)
+
+
 def test_make_lift_evaluates_each_ideal_generator_once_on_every_shipped_problem(monkeypatch):
     """The subsystem residual is read off the ideal's evaluations at y2."""
     evaluated = _g_evaluations(monkeypatch)
@@ -698,6 +719,29 @@ def test_offset_lift_that_loses_strictness_fails_the_identity(cusp_q, monkeypatc
     monkeypatch.setattr(arcs, "_is_strict", lambda model, y2: False)
     with pytest.raises(IdentityFailedError, match="lost strictness"):
         offset_lift(cusp_q, ref, (cusp_q.ring.x(),))
+
+
+def test_offset_lift_refuses_to_drift_from_a_reference_claimed_strict(cusp_q):
+    """A reference whose y2 is moved by x^5 but still says strict: the offset lift, strict
+    itself, differs from it at order 5."""
+    ring = cusp_q.ring
+    ref = make_lift(cusp_q)
+    moved = ref.replace(y2=(ref.y2[0] + ring.parse("x^5"), ref.y2[1]))
+    with pytest.raises(IdentityFailedError, match="drifted from the reference inside the congruence window"):
+        offset_lift(cusp_q, moved, (ring.x(),))
+
+
+def test_a_lift_refuses_an_ideal_residual_below_its_floor(cusp_q):
+    """Y1 - x^3 joins the ideal with a zero cofactor row, though N * (Y1 - x^3) is no
+    multiple of f: at the arc it is y2_1 - x^3, of order 10 < eff_prec - c = 33."""
+    problem = cusp_q.problem
+    space, cert = problem.space, problem.certificate
+    extra = parse_poly("Y1 - x^3", cusp_q.ring, space)
+    certificate = cert.replace(cofactors=(*cert.cofactors, (Poly.zero(cusp_q.ring, space),)))
+    wider = problem.replace(ideal_gens=(*problem.ideal_gens, extra), certificate=certificate)
+    tampered = cusp_q.replace(problem=wider)
+    with pytest.raises(IdentityFailedError, match="ideal residual dipped below its guaranteed floor"):
+        make_lift(tampered, (cusp_q.ring.x(),))
 
 
 def test_a_relift_that_misses_the_arc_fails_the_identity(cusp_q, monkeypatch):

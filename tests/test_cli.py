@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, determinism, JSON mode."""
 
 import json
+import os
 import re
 import time
 import tracemalloc
@@ -365,6 +366,25 @@ def test_a_working_precision_above_the_cap_in_the_environment_exits_4(monkeypatc
     assert proc.returncode == 4
     assert f"exceeds the cap {MAX_NWORK}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["validate", CUSP], ["lift", "--json", CUSP]],
+                         ids=["validate", "lift-json"])
+def test_a_closed_stdout_exits_1_with_an_empty_stderr(monkeypatch, argv, unbuffered):
+    """The pipe's read end is closed before the child starts, so its output fails to
+    reach stdout whether print writes at once or the interpreter flushes at exit."""
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = helpers.python("-m", "arclift", *argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 @pytest.mark.parametrize("value, message", [

@@ -130,6 +130,58 @@ def test_normalization_rejects_an_overdeep_minor():
         normalize_certificate(prob, e=4)
 
 
+def test_normalization_refuses_an_e_that_is_not_the_minor_order():
+    """e = 2 scales by x^2, so d = 2*x^5 misses c = 4."""
+    with pytest.raises(IdentityFailedError, match="normalized denominator has order 5, expected c = 4"):
+        normalize_certificate(helpers.cusp_problem(), e=2)
+
+
+def test_compute_g_refuses_a_p_that_g_does_not_invert_up_to(cusp_q):
+    p_twice = cusp_q.p_poly + cusp_q.p_poly
+    with pytest.raises(IdentityFailedError, match="GH = HG = P \\* Id failed"):
+        desing.compute_g(cusp_q.h_mat, cusp_q.n_norm, p_twice)
+
+
+def test_taylor_decompose_refuses_a_jet_that_leaves_a_unit(cusp_q):
+    """f(x^3, x^2 + x^4) = -3*x^8 + ... has the order of d^2, so a_1 is a unit."""
+    shallow = helpers.cusp_problem(jet=("x^3", "x^2 + x^4"))
+    with pytest.raises(OrderViolationError, match="f component 1 gives a unit after division by d\\^2"):
+        desing.taylor_decompose(shallow, cusp_q.d2, cusp_q.dgy, cusp_q.perm, cusp_q.tspace)
+
+
+def test_taylor_decompose_refuses_a_linear_remainder(cusp_q):
+    """d*G(y') doubled makes f's linear part 2 * d^2 * T_1, so Q_1 keeps a T_1."""
+    doubled = tuple(tuple(v + v for v in row) for row in cusp_q.dgy)
+    with pytest.raises(IdentityFailedError, match="f component 1 has a visible term of T-degree 1"):
+        desing.taylor_decompose(cusp_q.problem, cusp_q.d2, doubled, cusp_q.perm, cusp_q.tspace)
+
+
+def _build_with_taylor(monkeypatch, change):
+    """build_model on the cusp, with taylor_decompose's (a, q, images) passed through change."""
+    real = desing.taylor_decompose
+    monkeypatch.setattr(desing, "taylor_decompose", lambda *args: change(*real(*args)))
+    return build_model(helpers.cusp_problem())
+
+
+def test_build_model_refuses_a_bound_jacobian_without_constant_term_1(monkeypatch):
+    """No input reaches this: Q of T-degree >= 2 leaves det(Id + dQ/dT) = 1 at T = 0."""
+    def linear_q(a, q, images):
+        return a, (q[0] + Poly.variable(q[0].ring, q[0].space, "T1"),), images
+
+    with pytest.raises(IdentityFailedError, match="from the bound Jacobian lacks constant term 1"):
+        _build_with_taylor(monkeypatch, linear_q)
+
+
+def test_build_model_refuses_a_p_unit_without_constant_term_1(monkeypatch):
+    """No input reaches this: P's image has constant term P(y') = d.  Y1 -> 2*x^3 + ... makes it 2*d."""
+    def moved(a, q, images):
+        y1 = images["Y1"]
+        return a, q, {**images, "Y1": y1 + Poly.constant(y1.ring, y1.space, y1.ring.parse("x^3"))}
+
+    with pytest.raises(IdentityFailedError, match="localization unit from P lacks constant term 1"):
+        _build_with_taylor(monkeypatch, moved)
+
+
 # -- construction goldens ------------------------------------------------
 
 

@@ -79,6 +79,12 @@ def test_series_coefficients_inside_polynomials():
     assert p.coeff((1, 0)) == R.parse("1 + x")
 
 
+def test_make_refuses_an_exponent_vector_of_the_wrong_width():
+    for exps in ((1,), (1, 0, 0)):
+        with pytest.raises(StructureError, match="exponent vector width does not match the variable space"):
+            Poly._make(R, YS, {exps: R.one()})
+
+
 def test_zero_retention_in_equality():
     explicit = P("Y1 - Y1 + Y2")
     assert explicit == P("Y2")
