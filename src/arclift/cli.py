@@ -85,6 +85,10 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise ParseError(message)
 
+    def print_help(self, file=None):
+        # flushed at once, so a closed stdout raises BrokenPipeError inside main
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
 
 def _expect(cond, message):
     if not cond:

@@ -36,27 +36,14 @@ scalar; Fractions appear only when coefficients are read out, and
 
 A product is one big-integer multiplication by Kronecker substitution (D.
 Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", J. Symbolic Comput. 2009): each vector becomes one integer
-with a slot per coefficient wide enough for any product coefficient.  A
-slot is one of three kinds.  One of at most 8 bytes is rounded up to 1, 2, 4
-or 8 bytes and is one cell of an array buffer.  A wider F_p slot is exactly
-as many bytes as it needs and is moved by strided copies with no call per
-coefficient: residues (p < 2^31) go in as 4-byte cells spread to the slot
-width, and each product slot comes out as two 8-byte cells, lo + hi * 2^64,
-reduced mod p.  A wider Q slot is plain bytes, written by int.to_bytes and
-read back by int.from_bytes.  Q numerators are signed, so they are packed
-as two's complement digits and corrected by one subtraction, and the
-product's slots carry an offset of half their range so that they unpack
-without borrows; F_p residues are non-negative and need neither.  A
-product with a one-coefficient factor is a scaling of the other vector and
-is not packed, so a packed vector always has at least two coefficients.
-The inverse of a unit is Newton doubling g <- g*(2 - a*g) on top of that
-product, and an exact quotient is a/x^oa times the inverse of b/x^ob (R. P.
-Brent and H. T. Kung, "Fast algorithms for manipulating formal power
-series", J. ACM 1978).  A divisor keeps the longest inverse that a quotient
-has asked of it, and Newton goes on from there: `div_exact` asks for
-eff_prec(b) - ord(b) digits, the most any quotient by b can use, and
-`div_unit` for half the quotient's, which one Karp-Markstein correction
+substitution", J. Symbolic Comput. 2009), in the slot layout that `_kmul`
+describes.  On top of it runs one Newton step, `_quotient`'s: an inverse
+doubles by it on a = 1, and an exact quotient is a/x^oa times the inverse
+of b/x^ob (R. P. Brent and H. T. Kung, "Fast algorithms for manipulating
+formal power series", J. ACM 1978).  A divisor keeps the longest inverse
+that a quotient has asked of it, and Newton goes on from there:
+`div_exact` asks for eff_prec(b) - ord(b) digits, the most any quotient by
+b can use, and `div_unit` for half the quotient's, which one more step
 finishes; a unit with none kept may start from a nearby unit's (det(J) of
 the previous Newton step).  A quotient mod x^m is unique and the stored
 form canonical, so the results agree coefficient for coefficient with the
@@ -422,8 +409,10 @@ class Series:
         if shift >= prec:
             return Series._make(ring, (), prec)
         m = prec - shift
-        g, den = unit._kept_inverse((m + 1) // 2, near=near)
-        q, dq = _quotient(self.nums[fa:fa + m], unit.nums, g, den, m, ring.field.p)
+        h, p = (m + 1) // 2, ring.field.p
+        g, den = unit._kept_inverse(h, near=near)
+        a = self.nums[fa:fa + m]
+        q, dq = _quotient(a, unit.nums, _kmul(a, g, h, p), g, den, m, p)
         if unit.den != 1:
             q = [v * unit.den for v in q]
         return Series._make(ring, [0] * shift + q, prec, self.den * dq)
@@ -567,15 +556,10 @@ def _little(cells: array) -> array:
 
 
 def _pack(v, w: int, signed: bool, ones: int) -> int:
-    """sum(v[i] << 8*w*i) for integers that fit a w-byte slot.
+    """sum(v[i] << 8*w*i) for integers that fit a w-byte slot of `_kmul`'s layout.
 
-    A slot of 1, 2, 4 or 8 bytes is one array cell.  A wider slot over F_p
-    holds a residue below 2^31: its 4-byte cell is copied into the slot's
-    low bytes, one strided copy per byte for the whole vector.  A wider Q
-    slot is the w bytes of int.to_bytes.  Signed values go in as two's
-    complement, so a negative one leaves 2^(8*w) in its slot; its sign bit,
-    gathered by ones (1 at the bottom of every slot), takes that back in one
-    subtraction.
+    A negative value leaves 2^(8*w) in its slot; its sign bit, gathered by
+    ones (1 at the bottom of every slot), takes that back in one subtraction.
     """
     if w <= 8:
         buf = _little(array(_CODES[w] if signed else _CODES[w].upper(), v)).tobytes()
@@ -595,19 +579,23 @@ def _pack(v, w: int, signed: bool, ones: int) -> int:
 def _kmul(a, b, m: int, p) -> list:
     """The first m coefficients of the product of two integer vectors.
 
-    Kronecker substitution: each vector becomes one integer, with a slot
-    wide enough for any product coefficient (plus a sign bit over Q, when p
-    is None), and one big-integer product does all the work.  A slot of at
-    most 8 bytes is rounded up to 1, 2, 4 or 8 bytes and is one array cell;
-    a wider slot is exactly as many bytes as it needs.  A wide F_p slot is
-    read as two 8-byte cells, bytes 0..7 and 8..w-1, split out by strided
-    slice operations, and lo + hi * (2^64 mod p) is reduced mod p; w <= 16
-    holds for any length below 2^66.  A wide Q slot is read by
-    int.from_bytes.  Over Q each product slot is offset by half its
-    range, so the slots separate without borrows, and the offset is then
-    flipped away, leaving two's complement.  Over F_p the vectors hold
-    residues and so does the result.  A factor with one coefficient just
-    scales the other, with no packing.
+    Kronecker substitution: each vector becomes one integer, with a slot per
+    coefficient wide enough for any product coefficient (plus a sign bit
+    over Q, when p is None), and one big-integer product does all the work.
+    A slot is one of three kinds.  One of at most 8 bytes is rounded up to
+    1, 2, 4 or 8 bytes and is one array cell.  A wider F_p slot is exactly
+    as many bytes as it needs and is moved by strided copies with no call
+    per coefficient: residues (p < 2^31) go in as 4-byte cells spread to the
+    slot width, and each product slot comes out as two 8-byte cells, bytes
+    0..7 and 8..w-1, and lo + hi * (2^64 mod p) is reduced mod p; w <= 16
+    holds for any length below 2^66.  A wider Q slot is plain bytes,
+    written by int.to_bytes and read by int.from_bytes.  Q numerators are
+    signed, so they go in as two's complement digits, and each product slot
+    is offset by half its range, so the slots separate without borrows; the
+    offset is then flipped away.  F_p residues are non-negative and need
+    neither, and the result holds residues too.  A factor with one
+    coefficient just scales the other, with no packing, so a packed vector
+    always has at least two coefficients.
     """
     same = a is b
     a = a[:m]
@@ -656,26 +644,24 @@ def _kmul(a, b, m: int, p) -> list:
 def _inverse(b, n: int, p, start=None) -> tuple[list, int]:
     """(g, den) with g/den = 1/b mod x^n for an integer vector b with b[0] a unit.
 
-    Newton doubling: from b*g = den + x^h*r (mod x^k), h < k <= 2h, the next
-    iterate g*(2 - b*g/den) is (den*g - x^h*g*r) / den^2, exact mod x^k.
-    start = (g, den, h), 0 < h < n, is an exact inverse mod x^h (g may stop
-    short of h): a shorter inverse of b, or that of a unit agreeing with b
-    that far; without one, g/den = 1/b[0].  The precisions run top-down: the
-    targets n, ceil(n/2), ceil(n/4), ... that exceed the start's length are
-    taken in rising order, so each step at most doubles and the last lands on
-    n (never 128 -> 132 after 64 -> 128).  The first product must show b*g =
-    den mod x^h, or IdentityFailedError.  The inverse mod x^n is unique, so
-    start and schedule change no result, and g comes back without trailing
-    zeros.  Over Q (p None) den > 0 and the content is divided out at every
-    step, or den would square the denominators of all of b's coefficients at
-    each doubling.  Over F_p den is 1 from the start and every vector holds
-    residues.  A one-term b with no start is inverted by its first iterate,
-    which stays one term, so a product by it is a scaling.
+    Newton doubling: each step is _quotient's on a = 1, whose q0 is g, so
+    every step checks b*g = den mod x^h.  start = (g, den, h), 0 < h < n, is
+    an inverse mod x^h (g may stop short of h): a shorter inverse of b, or
+    that of a unit agreeing with b that far; without one, g/den = 1/b[0].
+    The precisions run top-down: the targets n, ceil(n/2), ceil(n/4), ...
+    that exceed the start's length are taken in rising order, so each step
+    at most doubles and the last lands on n (never 128 -> 132 after
+    64 -> 128).  The inverse mod x^n is unique, so start and schedule change
+    no result, and g comes back without trailing zeros.  Over Q (p None)
+    den > 0 and the content is divided out at every step, or den would
+    square the denominators of all of b's coefficients at each doubling.
+    Over F_p den is 1 from the start and every vector holds residues.  A
+    one-term b with no start is inverted by its first iterate, which stays
+    one term, so a product by it is a scaling.
     """
     h = n if len(b) == 1 else 1
     if start is not None:
         g, den, h = start
-        g = g + [0] * (h - len(g))
     elif p is not None:
         g, den = [pow(b[0], -1, p)], 1
     else:
@@ -686,43 +672,38 @@ def _inverse(b, n: int, p, start=None) -> tuple[list, int]:
         targets.append(k)
         k = (k + 1) // 2
     for k in reversed(targets):
-        bg = _kmul(b, g, k, p)
-        if k == targets[-1] and bg[:h] != [den] + [0] * (h - 1):
-            raise IdentityFailedError(f"the start of a Newton inverse is not exact mod x^{h}")
-        t = _kmul(g, bg[h:], k - h, p)
+        g, den = _quotient((1,), b, g + [0] * (h - len(g)), g, den, k, p)
         if p is None:
-            g = [v * den for v in g] + [-v for v in t]
-            den *= den
             c = gcd(den, *g)
             g, den = [v // c for v in g], den // c
-        else:
-            g += [v and p - v for v in t]
         h = k
     return _trimmed(g), den
 
 
-def _quotient(a, b, g, den: int, m: int, p) -> tuple[list, int]:
-    """(q, dq) with q/dq = a/b mod x^m, from g/den = 1/b mod x^h, h = ceil(m/2).
+def _quotient(a, b, q0, g, den: int, m: int, p) -> tuple[list, int]:
+    """(q, dq) with q/dq = a/b mod x^m, from q0/den = a/b and g/den = 1/b mod x^h.
 
-    a[0] and b[0] are nonzero.  One Karp-Markstein correction (A. H. Karp and
-    P. Markstein, "High-precision division and square root", ACM TOMS 23(4),
-    1997): q0 = a*g/den mod x^h leaves a remainder e/den = a - b*q0 that
-    vanishes mod x^h, and a/b = q0 + x^h * (g/den) * (e/den)/x^h mod x^m needs
-    g only mod x^(m-h), m - h <= h.  As a is a unit, e vanishes mod x^h exactly
-    when b*g = den there; otherwise IdentityFailedError.  Over F_p den is 1.
+    h = len(q0), m - h <= h, and a[0] and b[0] are nonzero.  This is the
+    one Newton step of the module, written as a Karp-Markstein correction
+    (A. H. Karp and P. Markstein, "High-precision division and square
+    root", ACM TOMS 23(4), 1997): the remainder e/den = a - b*q0/den
+    vanishes mod x^h, and a/b = q0/den + x^h * (g/den) * (e/den)/x^h mod
+    x^m needs g only mod x^(m-h).  Callers form q0 = a*g mod x^h, so as a is
+    a unit, b*q0 = a*den holds mod x^h exactly when b*g = den does there;
+    otherwise IdentityFailedError.  On a = 1, with q0 = g, the step is
+    Newton doubling g <- g*(2 - b*g/den) for 1/b (Brent and Kung).  Over
+    F_p den is 1.
     """
-    h = (m + 1) // 2
-    q = _kmul(a, g, h, p)
-    bq = _kmul(b, q, m, p)
-    a = list(a[:m]) + [0] * (m - len(a))
-    if den != 1:
-        a = [den * v for v in a]
+    h = len(q0)
+    bq = _kmul(b, q0, m, p)
+    a = list(a[:m]) if den == 1 else [den * v for v in a[:m]]
+    a += [0] * (m - len(a))
     if a[:h] != bq[:h]:
         raise IdentityFailedError(f"the inverse of a quotient's divisor is not exact mod x^{h}")
     if m == h:
-        return q, den
-    e = list(map(sub, a[h:], bq[h:]))
-    t = _kmul(g, e if p is None else [v % p for v in e], m - h, p)
+        return q0, den
+    e = map(sub, a[h:], bq[h:])
+    t = _kmul(g, list(e) if p is None else [v % p for v in e], m - h, p)
     if den != 1:
-        q = [v * den for v in q]
-    return q + t, den * den
+        q0 = [v * den for v in q0]
+    return q0 + t, den * den

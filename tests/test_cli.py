@@ -369,8 +369,8 @@ def test_a_working_precision_above_the_cap_in_the_environment_exits_4(monkeypatc
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("argv", [["validate", CUSP], ["lift", "--json", CUSP]],
-                         ids=["validate", "lift-json"])
+@pytest.mark.parametrize("argv", [["validate", CUSP], ["lift", "--json", CUSP], ["--help"], ["lift", "--help"]],
+                         ids=["validate", "lift-json", "help", "lift-help"])
 def test_a_closed_stdout_exits_1_with_an_empty_stderr(monkeypatch, argv, unbuffered):
     """The pipe's read end is closed before the child starts, so its output fails to
     reach stdout whether print writes at once or the interpreter flushes at exit."""

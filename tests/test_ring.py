@@ -770,6 +770,51 @@ def test_a_tampered_warm_inverse_fails_the_identity(ring):
                 one.div_unit(_fresh(u), near)
 
 
+@pytest.mark.parametrize("ring", WARM_RINGS, ids=["Q", "F5", "Fbig"])
+def test_an_inverse_from_a_start_wrong_at_any_digit_fails_the_identity(ring):
+    """Every Newton step of _inverse checks b*g = den below its start's length h.
+
+    From an exact start of length h, Newton lands on the cold inverse; with
+    the start made wrong at digit j, for every j < h, it raises, whether one
+    step follows or several.
+    """
+    p = ring.field.p
+    rng = random.Random(7)
+    b = ring.series([3] + [rng.randint(-9, 9) for _ in range(63)]).nums
+    for h in (1, 2, 5, 8, 21):
+        g, den = ring_module._inverse(b, h, p)
+        g = g + [0] * (h - len(g))
+        for n in sorted({h + 1, 2 * h, 3 * h + 1}):
+            assert ring_module._inverse(b, n, p, (g, den, h)) == ring_module._inverse(b, n, p)
+            for j in range(h):
+                bad = list(g)
+                bad[j] = bad[j] + 1 if p is None else (bad[j] + 1) % p
+                with pytest.raises(IdentityFailedError):
+                    ring_module._inverse(b, n, p, (bad, den, h))
+
+
+@pytest.mark.parametrize("p", [None, 5], ids=["Q", "F5"])
+def test_a_cold_inverse_makes_two_products_per_doubling_step(monkeypatch, p):
+    """To n = 320 from 1/b[0], through the targets 2, 3, 5, 10, ..., 160, 320.
+
+    Each step is one _quotient: b*g to the target k, and the inverse times
+    the remainder's k - h digits past the previous length h.
+    """
+    rng = random.Random(11)
+    b = [rng.randint(1, 4)] + [rng.randint(-9, 9) if p is None else rng.randrange(p) for _ in range(319)]
+    plain, sizes = ring_module._kmul, []
+
+    def kmul(a, c, m, p):
+        sizes.append(m)
+        return plain(a, c, m, p)
+
+    monkeypatch.setattr(ring_module, "_kmul", kmul)
+    g, den = ring_module._inverse(b, 320, p)
+    targets = [1, 2, 3, 5, 10, 20, 40, 80, 160, 320]
+    assert sizes == [m for h, k in zip(targets, targets[1:]) for m in (k, k - h)]
+    assert plain(b, g, 320, p) == [den] + [0] * 319
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.data())
 def test_div_unit_stores_the_product_by_the_inverse(data):
