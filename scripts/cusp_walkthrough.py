@@ -1,30 +1,32 @@
 """Walk the full pipeline on the cusp Y1^2 = Y2^3, narrating each stage.
 
-Builds the smooth model for the jet (x^3, x^2), runs the verification
-battery, lifts a few arcs, inverts the parametrization, and closes with
-an offset/extract roundtrip.  Everything printed is exact arithmetic.
+Reads problems/cusp.json at the field and working precision given, builds
+the smooth model for its jet (x^3, x^2), runs the verification battery,
+lifts a few arcs, inverts the parametrization, and closes with an
+offset/extract roundtrip.  Everything printed is exact arithmetic.
 
     python3 scripts/cusp_walkthrough.py
     python3 scripts/cusp_walkthrough.py --field F5 --n-work 60
 """
 
 import argparse
+import json
+import sys
+from pathlib import Path
 
 from arclift import (
-    PrimeField,
-    QQ,
-    SeriesRing,
-    VarSpace,
+    ArcliftError,
     build_model,
     extract_params,
     extract_t,
     make_lift,
-    make_problem,
     offset_lift,
-    parse_poly,
     validate_problem,
     verify_model,
 )
+from arclift.cli import parse_problem
+
+CUSP = Path(__file__).resolve().parent.parent / "problems" / "cusp.json"
 
 
 def banner(text):
@@ -33,17 +35,8 @@ def banner(text):
 
 
 def run(field, n_work):
-    ring = SeriesRing(field, n_work)
-    space = VarSpace.ys(2)
-    problem = make_problem(
-        ring,
-        n=2,
-        ideal_gens=[parse_poly("Y1^2 - Y2^3", ring, space)],
-        f_idx=[1],
-        minor_cols=[1],
-        jet=(ring.parse("x^3"), ring.parse("x^2")),
-        c=4,
-    )
+    problem = parse_problem(dict(json.loads(CUSP.read_text()), field=field, n_work=n_work))
+    ring = problem.ring
 
     banner("certificate validation")
     report = validate_problem(problem)
@@ -56,7 +49,7 @@ def run(field, n_work):
     print(f"  d = {model.d}")
     print(f"  g_1 = {model.g[0].render()}")
     print(f"  localizer = {model.loc_s.render()}")
-    for name in space.names:
+    for name in problem.space.names:
         print(f"  {name} image: {model.images[name].render()}")
     verdicts = verify_model(model)
     print(f"  verification: {'all ok' if verdicts.ok else verdicts.failures()}")
@@ -95,13 +88,11 @@ def main():
     ap.add_argument("--field", default="Q", help="Q or F<p> (default Q)")
     ap.add_argument("--n-work", type=int, default=40, help="working precision")
     args = ap.parse_args()
-    if args.field == "Q":
-        field = QQ
-    elif args.field.startswith("F"):
-        field = PrimeField(int(args.field[1:]))
-    else:
-        ap.error(f"unknown field {args.field!r}")
-    run(field, args.n_work)
+    try:
+        run(args.field, args.n_work)
+    except ArcliftError as exc:
+        print(f"{ap.prog}: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)
 
 
 if __name__ == "__main__":

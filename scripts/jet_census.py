@@ -1,5 +1,6 @@
 """Count jet-space solutions over F_p window by window and compare with lifts.
 
+The cusp is read from problems/cusp.json over F_p at working precision 40.
 For each truncation window x^m the oracle enumerates every coefficient
 vector that extends the jet of the cusp and kills the ideal, then checks
 that randomly lifted arcs land inside the enumerated set.  Beyond the
@@ -13,34 +14,15 @@ by p^(n-r), the dimension of the smooth family: over F5 the census prints
 """
 
 import argparse
+import json
+import sys
 import time
+from pathlib import Path
 
-from arclift import (
-    PrimeField,
-    SeriesRing,
-    SplitMix64,
-    VarSpace,
-    build_model,
-    draw_series,
-    make_lift,
-    make_problem,
-    oracle_enumerate,
-    parse_poly,
-)
+from arclift import ArcliftError, SplitMix64, build_model, draw_series, make_lift, oracle_enumerate
+from arclift.cli import parse_problem
 
-
-def cusp_problem(p, n_work=40):
-    ring = SeriesRing(PrimeField(p), n_work)
-    space = VarSpace.ys(2)
-    return make_problem(
-        ring,
-        n=2,
-        ideal_gens=[parse_poly("Y1^2 - Y2^3", ring, space)],
-        f_idx=[1],
-        minor_cols=[1],
-        jet=(ring.parse("x^3"), ring.parse("x^2")),
-        c=4,
-    )
+CUSP = Path(__file__).resolve().parent.parent / "problems" / "cusp.json"
 
 
 def main():
@@ -53,8 +35,15 @@ def main():
     ap.add_argument("--samples", type=int, default=10, help="random lifts per window")
     ap.add_argument("--seed", type=int, default=0, help="seed for the sampled lifts")
     args = ap.parse_args()
+    try:
+        census(args)
+    except ArcliftError as exc:
+        print(f"{ap.prog}: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)
 
-    problem = cusp_problem(args.p)
+
+def census(args):
+    problem = parse_problem(dict(json.loads(CUSP.read_text()), field=f"F{args.p}", n_work=40))
     model = build_model(problem)
     ring = problem.ring
     rng = SplitMix64(args.seed)

@@ -121,11 +121,7 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
     """
     ring = model.ring
     r = model.r
-    t_free = tuple(t_free)
-    if len(t_free) != model.param_count:
-        raise StructureError(
-            f"expected {model.param_count} free components, got {len(t_free)}"
-        )
+    t_free = _series_vector(model, t_free, model.param_count, "free components", "free")
     if seed is None:
         t_bound = tuple(ring.zero(ring.n_work) for _ in range(r))
     else:

@@ -1,6 +1,7 @@
 """Command line driver: validate, build, lift, extract, roundtrip, enumerate.
 
-Problems live in JSON files:
+A problem is JSON data.  load_problem reads a file of it, and
+parse_problem builds it at the field and n_work the data names:
 
     {
       "field": "Q",                    "Q" or "F<p>" with p prime
@@ -132,7 +133,7 @@ _REQUIRED = ("field", "n", "ideal", "f", "minor_cols", "jet")
 
 
 def load_problem(path: str) -> Problem:
-    """Read and structurally check a problem JSON file."""
+    """Read a problem JSON file and build it with parse_problem."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -140,6 +141,11 @@ def load_problem(path: str) -> Problem:
         raise ParseError(f"problem file is not valid JSON: {exc}")
     except (OSError, ValueError) as exc:  # bad UTF-8, or a number past the int/str digit limit
         raise ParseError(f"cannot read problem file: {exc}")
+    return parse_problem(raw)
+
+
+def parse_problem(raw) -> Problem:
+    """Structurally check problem JSON data and build it at the field and n_work it names."""
     _expect(isinstance(raw, dict), "problem file must hold a JSON object")
     unknown = set(raw) - _TOP_KEYS
     _expect(not unknown, f"unknown problem keys: {', '.join(sorted(unknown))}")

@@ -46,7 +46,7 @@ from arclift import (
 )
 from arclift import arcs, linalg
 from arclift import ring as ring_module
-from arclift.cli import load_problem
+from arclift.cli import load_problem, parse_problem
 from arclift.polyring import Poly
 
 
@@ -178,24 +178,22 @@ def _outcome(solve, *args):
 
 
 @pytest.fixture(scope="module")
-def shipped_models(tmp_path_factory):
+def shipped_models():
     """(model, reference) for every shipped problem over its own field and over Q or F5.
 
     The reference is the strict one find_strict_reference finds, or the zero
     lift where there is none.
     """
     out, seen = [], set()
-    folder = tmp_path_factory.mktemp("fields")
     for path in helpers.shipped_problems():
         raw = json.loads(path.read_text())
         for field in (raw["field"], "F5" if raw["field"] == "Q" else "Q"):
-            text = json.dumps(dict(raw, field=field), sort_keys=True)
+            data = dict(raw, field=field)
+            text = json.dumps(data, sort_keys=True)
             if text in seen:
                 continue
             seen.add(text)
-            copy = folder / f"{path.stem}-{field}.json"
-            copy.write_text(text)
-            model = build_model(load_problem(str(copy)))
+            model = build_model(parse_problem(data))
             out.append((model, find_strict_reference(model) or make_lift(model)))
     return out
 
@@ -301,7 +299,7 @@ def _g_evaluations(monkeypatch):
     return evaluated
 
 
-def test_newton_inverts_det_from_the_previous_inverse(monkeypatch, tmp_path):
+def test_newton_inverts_det_from_the_previous_inverse(monkeypatch):
     """Newton's inverses and products on the F5 offjet lift at n_work 320.
 
     Each step divides by det(J), known mod x^w, with div_unit, handing it
@@ -316,9 +314,7 @@ def test_newton_inverts_det_from_the_previous_inverse(monkeypatch, tmp_path):
     start was checked once more inside the inverse.
     """
     raw = json.loads((helpers.PROBLEMS / "cusp_offjet_f5.json").read_text())
-    path = tmp_path / "offjet.json"
-    path.write_text(json.dumps(dict(raw, n_work=320)))
-    model = build_model(load_problem(str(path)))
+    model = build_model(parse_problem(dict(raw, n_work=320)))
     volume, inverses, quotients = [0], [], []
     plain_kmul, plain_inverse = ring_module._kmul, ring_module._inverse
     plain_div_unit = Series.div_unit
@@ -598,6 +594,8 @@ def test_make_lift_argument_errors(cusp_q, two_free):
 def test_hensel_solve_argument_errors(cusp_q):
     x, one = cusp_q.ring.x(), cusp_q.ring.one()
     _raises(StructureError, "expected 1 free components, got 2", hensel_solve, cusp_q, (x, x), 10)
+    _raises(FieldMismatchError, "free component 1 is not a series over the model ring",
+            hensel_solve, cusp_q, (SeriesRing(helpers.F5, 40).x(),), 10)
     _raises(StructureError, "seed must have 1 components",
             hensel_solve, cusp_q, (x,), 10, seed=(x, x))
     _raises(NoProgressError, "initial residual has order 0; Newton iteration needs positive order",
@@ -801,14 +799,12 @@ def test_reference_search_gives_up_honestly(offjet):
     assert find_strict_reference(offjet, search_depth=3) is None
 
 
-def test_reference_search_stops_at_layer_c(tmp_path):
+def test_reference_search_stops_at_layer_c():
     """Layers above c cannot reach the window, so depths c, c + 1, 8 and 20 agree."""
     for path in helpers.shipped_problems():
         raw = json.loads(path.read_text())
         for field in dict.fromkeys((raw["field"], "F5", "Q")):
-            copy = tmp_path / f"{path.stem}-{field}.json"
-            copy.write_text(json.dumps(dict(raw, field=field)))
-            model = build_model(load_problem(str(copy)))
+            model = build_model(parse_problem(dict(raw, field=field)))
             found = set()
             for depth in (model.c, model.c + 1, 8, 20):
                 ref = find_strict_reference(model, depth)
@@ -1088,27 +1084,19 @@ def test_offset_roundtrip_on_random_offsets(cusp_q):
 # -- power tables ----------------------------------------------------------
 
 
-def _field_copy(path, field):
-    """load_problem on path, its field replaced by field, through a copy in a temporary folder."""
-    def load(folder):
-        copy = folder / f"{path.stem}-{field}.json"
-        copy.write_text(json.dumps(dict(json.loads(path.read_text()), field=field)))
-        return load_problem(str(copy))
-
-    return load
-
-
 def _table_cases():
-    """folder -> Problem, one param each: every shipped problem, each Q one also over F5 and
+    """() -> Problem, one param each: every shipped problem, each Q one also over F5 and
     F_(2^31-1), the dense r = 3 coupled cusps and the n = 16 wide cusp."""
     cases = []
     for path in helpers.shipped_problems():
-        field = json.loads(path.read_text())["field"]
+        raw = json.loads(path.read_text())
+        field = raw["field"]
         for other in (field, "F5", "F2147483647") if field == "Q" else (field,):
-            cases.append((f"{path.stem}-{other}", _field_copy(path, other)))
+            data = dict(raw, field=other)
+            cases.append((f"{path.stem}-{other}", lambda data=data: parse_problem(data)))
     links = [(2, 3), (4, 5), (6, 1)]
-    cases.append(("coupled-r3", lambda folder: helpers.coupled_cusp_problem(3, links)))
-    cases.append(("cusp-n16", lambda folder: helpers.cusp_product_problem(1, 14)))
+    cases.append(("coupled-r3", lambda: helpers.coupled_cusp_problem(3, links)))
+    cases.append(("cusp-n16", lambda: helpers.cusp_product_problem(1, 14)))
     return [pytest.param(load, id=name) for name, load in cases]
 
 
@@ -1147,14 +1135,14 @@ def _pipeline(problem):
 
 
 @pytest.mark.parametrize("load", _table_cases())
-def test_shared_power_tables_change_no_stored_digit(load, monkeypatch, tmp_path):
+def test_shared_power_tables_change_no_stored_digit(load, monkeypatch):
     """build_model, verify_model's checks, make_lift, offset_lift and extract_params give
     the nums, den and prec of every series and the term set of every Poly that a fresh
     power table per walk gives, with the same newton_iterations, k0 and eff_prec."""
     with monkeypatch.context() as patched:
         patched.setattr(Poly, "_walk", power_reference.walk)
-        want = _pipeline(load(tmp_path))
-    got = _pipeline(load(tmp_path))
+        want = _pipeline(load())
+    got = _pipeline(load())
     assert got[0][0] == "build_model"
     assert got == want
 

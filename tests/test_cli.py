@@ -10,7 +10,8 @@ import pytest
 
 import cli_corpus
 import helpers
-from arclift import ArcliftError, SeriesRing, parse_series
+import power_reference
+from arclift import ArcliftError, ParseError, SeriesRing, parse_series
 from arclift import arcs, cli, polyring, ring
 from arclift.cli import MAX_COUNT, MAX_EXPONENT, MAX_NWORK, load_problem, main
 
@@ -33,21 +34,47 @@ def run(capsys, *argv):
 # -- problem files -------------------------------------------------------
 
 
+def _cusp_data(**changes):
+    return dict(json.loads((helpers.PROBLEMS / "cusp.json").read_text()), **changes)
+
+
+def _cusp_with(tmp_path, **changes):
+    path = tmp_path / "cusp_changed.json"
+    path.write_text(json.dumps(_cusp_data(**changes)))
+    return str(path)
+
+
 def test_every_shipped_problem_loads():
     for path in helpers.shipped_problems():
         prob = load_problem(str(path))
         assert prob.n == len(prob.jet)
 
 
-def test_load_rejects_unknown_keys(tmp_path):
-    bad = tmp_path / "bad.json"
-    payload = json.loads((helpers.PROBLEMS / "cusp.json").read_text())
-    payload["extra"] = 1
-    bad.write_text(json.dumps(payload))
-    from arclift import ParseError
+def _built(build, arg):
+    """build(arg) with every series as (nums, den, prec) and every Poly as its terms, or the error."""
+    try:
+        return power_reference.stored(build(arg))
+    except ArcliftError as exc:
+        return type(exc), str(exc)
 
+
+@pytest.mark.parametrize("n_work", [40, 160, 320])
+def test_parse_problem_builds_what_load_problem_reads_from_a_file(tmp_path, n_work):
+    """Every shipped problem over its own field, F5 and F_(2^31-1): the same ring, jet,
+    ideal, multiplier, cofactors and c, or the same error class and message."""
+    path = tmp_path / "problem.json"
+    for shipped in helpers.shipped_problems():
+        raw = json.loads(shipped.read_text())
+        for field in dict.fromkeys((raw["field"], "F5", "F2147483647")):
+            data = dict(raw, field=field, n_work=n_work)
+            path.write_text(json.dumps(data))
+            want = _built(load_problem, str(path))
+            assert _built(cli.parse_problem, data) == want, (shipped.name, field)
+
+
+def test_load_rejects_unknown_keys():
     with pytest.raises(ParseError):
-        load_problem(str(bad))
+        cli.parse_problem(_cusp_data(extra=1))
 
 
 # -- validate ------------------------------------------------------------
@@ -68,11 +95,7 @@ def test_validate_golden(capsys):
 
 
 def test_validate_failure_exits_2(capsys, tmp_path):
-    payload = json.loads((helpers.PROBLEMS / "cusp.json").read_text())
-    payload["jet"] = ["x^3", "x^2 + x^4"]
-    bad = tmp_path / "badjet.json"
-    bad.write_text(json.dumps(payload))
-    code, out, err = run(capsys, "validate", str(bad))
+    code, out, err = run(capsys, "validate", _cusp_with(tmp_path, jet=["x^3", "x^2 + x^4"]))
     assert code == 2
     assert "valid: no" in out
     assert "check jet-kills-ideal: FAIL" in out
@@ -111,22 +134,15 @@ def test_desingularize_golden(capsys):
 
 
 def test_desingularize_rejects_a_bad_depth(capsys, tmp_path):
-    payload = json.loads((helpers.PROBLEMS / "cusp.json").read_text())
-    payload["c"] = 3
-    bad = tmp_path / "c3.json"
-    bad.write_text(json.dumps(payload))
-    code, out, err = run(capsys, "desingularize", str(bad))
+    code, out, err = run(capsys, "desingularize", _cusp_with(tmp_path, c=3))
     assert code == 2
     assert "minor-order" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "desingularize"])
 def test_a_large_variable_exponent_is_no_recursion_error(command, tmp_path):
-    payload = json.loads((helpers.PROBLEMS / "cusp.json").read_text())
-    payload["ideal"] = ["Y1^2 - Y2^3 + Y1^5000"]
-    path = tmp_path / "cusp_y5000.json"
-    path.write_text(json.dumps(payload))
-    proc = helpers.python("-m", "arclift", command, str(path))
+    path = _cusp_with(tmp_path, ideal=["Y1^2 - Y2^3 + Y1^5000"])
+    proc = helpers.python("-m", "arclift", command, path)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -262,15 +278,8 @@ def test_bad_env_value_is_a_parse_error(capsys, monkeypatch):
     assert code == 4
 
 
-def _cusp_with(tmp_path, **changes):
-    payload = dict(json.loads((helpers.PROBLEMS / "cusp.json").read_text()), **changes)
-    path = tmp_path / "cusp_changed.json"
-    path.write_text(json.dumps(payload))
-    return str(path)
-
-
-def test_the_working_precision_cap_is_admitted(tmp_path):
-    assert load_problem(_cusp_with(tmp_path, n_work=MAX_NWORK)).ring.n_work == MAX_NWORK
+def test_the_working_precision_cap_is_admitted():
+    assert cli.parse_problem(_cusp_data(n_work=MAX_NWORK)).ring.n_work == MAX_NWORK
 
 
 def test_a_working_precision_above_the_cap_in_the_file_exits_4(tmp_path):
@@ -334,6 +343,17 @@ def test_a_strong_pseudoprime_field_order_is_a_parse_error(capsys, tmp_path):
     """2047 = 23 * 89 passes the base-2 Miller-Rabin round; the base-3 round refuses it."""
     _refused(capsys, 4, "parse error: bad field 'F2047': modulus 2047 is not prime",
              "validate", _cusp_with(tmp_path, field="F2047"))
+
+
+def test_a_denominator_divisible_by_the_field_prime_is_a_parse_error(capsys, tmp_path):
+    """The cusp with its generator divided by 5 is valid over Q and refused over F5."""
+    data = _cusp_data(ideal=["1/5*Y1^2 - 1/5*Y2^3"])
+    assert cli.parse_problem(data).c == 4
+    with pytest.raises(ParseError, match=r"^division by zero in F_5 \(at position 0\)$") as exc:
+        cli.parse_problem(dict(data, field="F5"))
+    assert exc.value.exit_code == 4
+    _refused(capsys, 4, f"parse error: {exc.value}",
+             "validate", _cusp_with(tmp_path, ideal=data["ideal"], field="F5"))
 
 
 def test_an_f_index_past_the_generators_is_refused_before_the_certificate_is_defaulted(
@@ -509,10 +529,8 @@ def test_oracle_refuses_a_huge_window_without_a_traceback(prec):
 def test_oracle_at_the_congruence_window_over_a_large_prime_builds_no_kernel(tmp_path):
     """At --prec 2c+1 there is no layer to extend, so J0's kernel, here p^2
     vectors over F_(2^31-1), is never built; the run needs no memory for it."""
-    path = tmp_path / "cusp_fbig.json"
-    payload = json.loads((helpers.PROBLEMS / "cusp_f5.json").read_text())
-    path.write_text(json.dumps(dict(payload, field="F2147483647")))
-    proc = helpers.python("-m", "arclift", "oracle", str(path), "--prec", "9", "--samples", "0",
+    path = _cusp_with(tmp_path, field="F2147483647")
+    proc = helpers.python("-m", "arclift", "oracle", path, "--prec", "9", "--samples", "0",
                           max_memory=1 << 30)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -522,11 +540,9 @@ def test_oracle_at_the_congruence_window_over_a_large_prime_builds_no_kernel(tmp
 
 
 def test_oracle_refuses_generators_known_short_of_the_window(capsys, tmp_path):
-    path = tmp_path / "cusp_f5_short.json"
-    payload = json.loads((helpers.PROBLEMS / "cusp_f5.json").read_text())
-    path.write_text(json.dumps(dict(payload, n_work=12)))
     _refused(capsys, 1, "a coefficient of generator 1 is known only through x^11, "
-             "short of the window x^13", "oracle", str(path), "--prec", "13")
+             "short of the window x^13", "oracle", _cusp_with(tmp_path, field="F5", n_work=12),
+             "--prec", "13")
 
 
 def test_oracle_exits_2_when_a_strict_lift_is_not_a_member(capsys, monkeypatch):
@@ -730,19 +746,13 @@ def test_each_series_and_poly_is_rendered_once(capsys, monkeypatch, argv, render
 
 
 def test_jet_prec_is_not_a_problem_key(capsys, tmp_path):
-    raw = json.loads((helpers.PROBLEMS / "cusp.json").read_text(encoding="utf-8"))
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps({**raw, "jet_prec": 20}), encoding="utf-8")
-    code, out, err = run(capsys, "validate", str(path))
+    code, out, err = run(capsys, "validate", _cusp_with(tmp_path, jet_prec=20))
     assert code == 4
     assert "unknown problem keys: jet_prec" in err
 
 
-def test_an_o_marker_in_the_jet_truncates_it(tmp_path):
-    raw = json.loads((helpers.PROBLEMS / "cusp.json").read_text(encoding="utf-8"))
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps({**raw, "jet": ["x^3 + O(x^20)", "x^2"]}), encoding="utf-8")
-    problem = load_problem(str(path))
+def test_an_o_marker_in_the_jet_truncates_it():
+    problem = cli.parse_problem(_cusp_data(jet=["x^3 + O(x^20)", "x^2"]))
     assert problem.jet[0].prec == 20
     assert problem.jet[0] == problem.ring.parse("x^3").truncate(20)
     assert problem.jet[1].prec == problem.ring.n_work
