@@ -57,10 +57,19 @@ class HenselResult(Record):
     """
 
     t_bound: tuple
-    iterations: int
-    k0: int
-    k_final: int
     orders: tuple
+
+    @property
+    def k0(self) -> int:
+        return self.orders[0]
+
+    @property
+    def k_final(self) -> int:
+        return self.orders[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.orders) - 1
 
 
 class LiftResult(Record):
@@ -145,13 +154,12 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
 
     k = k0
     orders = [k0]
-    iterations = 0
     one = ring.one()
     det_prev = None
     while k < target:
         if all(v.is_zero() for v in res):
             raise exhausted(k)
-        if iterations >= 64:
+        if len(orders) > 64:
             raise NoProgressError("Newton did not reach the target within 64 iterations")
         w = max(v.prec for v in res) - k
         jac = model.t_jac.eval({nm: s.truncate(w) for nm, s in point.items()})
@@ -166,7 +174,6 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
         certified = min(s.prec for s in res + delta)
         res = [_next_residual(gi, tail, point, tail_point, certified)
                for gi, tail in zip(model.g, tails)]
-        iterations += 1
         k_new = min(v.order_floor() for v in res)
         if k_new <= k:
             if all(v.is_zero() for v in res if v.order_floor() == k_new):
@@ -177,7 +184,7 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
     # Newton certifies the solution only modulo x^k, so cap the precision
     # of the result there; usually k is the residual's full precision and
     # this is a no-op.
-    return HenselResult(tuple(s.truncate(k) for s in t_bound), iterations, k0, k, tuple(orders))
+    return HenselResult(tuple(s.truncate(k) for s in t_bound), tuple(orders))
 
 
 def _next_residual(gi, tail, point, tail_point, certified: int) -> Series:

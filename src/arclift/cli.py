@@ -16,9 +16,9 @@ parse_problem builds it at the field and n_work the data names:
       "n_work": 40                     optional working precision
     }
 
-When "n_work" is absent the environment variable ARCLIFT_NWORK applies,
-then the built-in default.  Either way the working precision must lie in
-1..10000 (MAX_NWORK); a larger one is refused as unparsable input, and so
+When "n_work" is absent it is 40 (DEFAULT_PRECISION); nothing but the
+data sets a problem.  The working precision must lie in 1..10000
+(MAX_NWORK); a larger one is refused as unparsable input, and so
 is an exponent above 10000 (MAX_EXPONENT) on a variable Yi.  Series
 lists on the command line are comma separated (the series grammar itself
 has no commas).  `lift --random SEED COUNT`, `roundtrip --count` and
@@ -69,7 +69,7 @@ from .polyring import VarSpace, parse_poly
 from .prng import SplitMix64, draw_series
 from .ring import DEFAULT_PRECISION, PrimeField, QQ, SeriesRing, digits
 
-# the largest working precision a problem file or ARCLIFT_NWORK may ask for
+# the largest working precision problem data may ask for
 MAX_NWORK = 10_000
 
 # the largest exponent of a variable Yi in a problem file's polynomials
@@ -146,11 +146,11 @@ def load_problem(path: str) -> Problem:
 
 def parse_problem(raw) -> Problem:
     """Structurally check problem JSON data and build it at the field and n_work it names."""
-    _expect(isinstance(raw, dict), "problem file must hold a JSON object")
+    _expect(isinstance(raw, dict), "problem data must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
     _expect(not unknown, f"unknown problem keys: {', '.join(sorted(unknown))}")
     for key in _REQUIRED:
-        _expect(key in raw, f"problem file lacks required key '{key}'")
+        _expect(key in raw, f"problem data lacks required key '{key}'")
 
     desc = raw["field"]
     _expect(isinstance(desc, str), "'field' must be a string like 'Q' or 'F5'")
@@ -170,23 +170,7 @@ def parse_problem(raw) -> Problem:
     _expect(isinstance(jet_text, list), "'jet' must be a non-empty list of strings")
     if len(jet_text) != n:
         raise StructureError(f"jet must have {n} components, got {len(jet_text)}")
-    n_work = _opt_int(raw, "n_work")
-    if n_work is None:
-        env = os.environ.get("ARCLIFT_NWORK")
-        if env is not None:
-            plain = env.isascii() and env.isdigit()
-            # leading zeros count toward Python's int/str digit limit, not toward the value
-            text = (env.lstrip("0") or "0") if plain else env
-            try:
-                n_work = int(text)
-            except ValueError:
-                # int() refuses a plain digit string only past that limit, far above the cap
-                _expect(
-                    not plain, f"working precision of {len(text)} digits exceeds the cap {MAX_NWORK}"
-                )
-                raise ParseError(f"ARCLIFT_NWORK must be an integer, got {env!r}")
-    if n_work is None:
-        n_work = DEFAULT_PRECISION
+    n_work = _int_field(raw, "n_work") if "n_work" in raw else DEFAULT_PRECISION
     _expect(n_work >= 1, "working precision must be positive")
     _expect(n_work <= MAX_NWORK, f"working precision {n_work} exceeds the cap {MAX_NWORK}")
     ring = SeriesRing(field, n_work)

@@ -37,11 +37,11 @@ def _cases():
     def validate(label, problem):
         cases.append((f"validate {label}", lambda: validate_problem(problem)))
 
-    validate("cusp jet off the variety", helpers.cusp_problem(jet=("x^3", "x^2 + x^4")))
-    validate("cusp deep perturbation", helpers.cusp_problem(jet=("x^3", "x^2 + x^6")))
-    validate("cusp degenerate jet", helpers.cusp_problem(jet=("0", "0")))
-    validate("cusp c = 3", helpers.cusp_problem(c=3))
-    tcurve = helpers.tcurve_problem()
+    validate("cusp jet off the variety", helpers.problem("cusp", jet=["x^3", "x^2 + x^4"]))
+    validate("cusp deep perturbation", helpers.problem("cusp", jet=["x^3", "x^2 + x^6"]))
+    validate("cusp degenerate jet", helpers.problem("cusp", jet=["0", "0"]))
+    validate("cusp c = 3", helpers.problem("cusp", c=3))
+    tcurve = helpers.problem("tcurve")
     rows = [list(row) for row in tcurve.certificate.cofactors]
     rows[2][1] = parse_poly("Y2", tcurve.ring, tcurve.space)
     validate(
@@ -49,7 +49,7 @@ def _cases():
         tcurve.replace(certificate=Certificate(tcurve.certificate.n_poly, rows)),
     )
 
-    model = helpers.cusp_model()
+    model = helpers.model("cusp")
     ring, tspace = model.ring, model.tspace
 
     def verify(label, **fields):

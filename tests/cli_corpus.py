@@ -1,10 +1,9 @@
 """A byte corpus of the command line: one digest per invocation.
 
-Each entry holds an argv, an optional ARCLIFT_NWORK, and the sha256 of
-what `arclift.cli.main` gave for it: exit code, stdout, stderr and, for
-`--out`, the report file.  The argvs cover every subcommand and mode, in
-text and `--json`, on every problem shipped when the corpus was recorded,
-plus a few error cases.
+Each entry holds an argv and the sha256 of what `arclift.cli.main` gave
+for it: exit code, stdout, stderr and, for `--out`, the report file.  The
+argvs cover every subcommand and mode, in text and `--json`, on every
+problem shipped when the corpus was recorded, plus a few error cases.
 Paths are relative to the repository root, where the corpus is replayed.
 
 Record it again (only for a change meant to alter printed bytes) with
@@ -64,32 +63,20 @@ def _invocations():
         ["lift", "problems/cusp.json", "--t-free", "x^9", "--reference", "0"],
         ["lift", "problems/cusp.json", "--t-free", "x^9", "--search-depth", "3"],
     ]
-    entries = [{"argv": argv} for argv in argvs]
-    # at n_work 12 no sampled lift is precise enough to settle membership mod x^10
-    for mode in ([], ["--json"]):
-        entries.append(
-            {"argv": ["oracle", "problems/cusp_f5.json", "--prec", "10", *mode], "nwork": "12"}
-        )
-    return entries
+    return [{"argv": argv} for argv in argvs]
 
 
-def digest(argv, nwork=None) -> str:
+def digest(argv) -> str:
     """sha256 over (exit code, stdout, stderr, report file) of one in-process run."""
     from arclift.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    os.environ.pop("ARCLIFT_NWORK", None)
-    if nwork is not None:
-        os.environ["ARCLIFT_NWORK"] = nwork
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            report = os.path.join(tmp, "report.json")
-            argv = [report if a == OUT else a for a in argv]
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            written = Path(report).read_text(encoding="utf-8") if os.path.exists(report) else None
-    finally:
-        os.environ.pop("ARCLIFT_NWORK", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "report.json")
+        argv = [report if a == OUT else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        written = Path(report).read_text(encoding="utf-8") if os.path.exists(report) else None
     record = json.dumps([code, out.getvalue(), err.getvalue(), written])
     return hashlib.sha256(record.encode("utf-8")).hexdigest()
 
@@ -98,7 +85,7 @@ def record() -> None:
     os.chdir(REPO)
     entries = _invocations()
     for entry in entries:
-        entry["sha256"] = digest(entry["argv"], entry.get("nwork"))
+        entry["sha256"] = digest(entry["argv"])
     lines = ",\n".join(json.dumps(entry) for entry in entries)
     GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
     print(f"recorded {len(entries)} invocations in {GOLDEN.relative_to(REPO)}")

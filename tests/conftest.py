@@ -9,44 +9,42 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import helpers  # noqa: E402
 
-from arclift import build_model  # noqa: E402
-
 ACCEPTANCE_RESULTS = {}
 
 
 @pytest.fixture(scope="session")
 def cusp_q():
-    return helpers.cusp_model()
+    return helpers.model("cusp")
 
 
 @pytest.fixture(scope="session")
 def cusp_f5():
-    return helpers.cusp_model(field=helpers.F5)
+    return helpers.model("cusp_f5")
 
 
 @pytest.fixture(scope="session")
 def node():
-    return helpers.node_model()
+    return helpers.model("node")
 
 
 @pytest.fixture(scope="session")
 def shifted_node():
-    return helpers.node_model(jet=("x^2", "x^4 + x^11"))
+    return helpers.model("shifted_node")
 
 
 @pytest.fixture(scope="session")
 def offjet():
-    return helpers.cusp_model(jet=("x^3 + x^6", "x^2"))
+    return helpers.model("cusp_offjet")
 
 
 @pytest.fixture(scope="session")
 def tcurve():
-    return build_model(helpers.tcurve_problem())
+    return helpers.model("tcurve")
 
 
 @pytest.fixture(scope="session")
 def smooth():
-    return build_model(helpers.smooth_problem())
+    return helpers.model("smooth_point")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,5 +1,6 @@
 """Shared problem builders for the test suite."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,10 +9,8 @@ from pathlib import Path
 import pytest
 
 from arclift import (
-    Certificate,
     Poly,
     PolyMatrix,
-    PrimeField,
     QQ,
     SeriesRing,
     VarSpace,
@@ -20,11 +19,10 @@ from arclift import (
     make_problem,
     parse_poly,
 )
+from arclift.cli import parse_problem
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
-
-F5 = PrimeField(5)
 
 
 def python(*argv, max_memory=None, stdout=subprocess.PIPE):
@@ -56,72 +54,26 @@ def shipped_problems():
     return paths
 
 
-def cusp_problem(field=QQ, n_work=40, jet=("x^3", "x^2"), c=4):
-    ring = SeriesRing(field, n_work)
-    space = VarSpace.ys(2)
-    return make_problem(
-        ring,
-        n=2,
-        ideal_gens=[parse_poly("Y1^2 - Y2^3", ring, space)],
-        f_idx=[1],
-        minor_cols=[1],
-        jet=tuple(ring.parse(s) for s in jet),
-        c=c,
-    )
+def problem_data(name, **changes):
+    """problems/<name>.json as data with changes applied; a change of None drops its key."""
+    data = dict(json.loads((PROBLEMS / f"{name}.json").read_text()), **changes)
+    return {key: value for key, value in data.items() if value is not None}
 
 
-def node_problem(field=QQ, n_work=40, jet=("x^2", "x^4"), c=5):
-    ring = SeriesRing(field, n_work)
-    space = VarSpace.ys(2)
-    return make_problem(
-        ring,
-        n=2,
-        ideal_gens=[parse_poly("Y1*Y2 - x^6", ring, space)],
-        f_idx=[1],
-        minor_cols=[1],
-        jet=tuple(ring.parse(s) for s in jet),
-        c=c,
-    )
+def problem_file(directory, name, **changes):
+    """problem_data(name, **changes) written to <directory>/<name>.json; returns the path."""
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(problem_data(name, **changes)))
+    return str(path)
 
 
-def tcurve_problem(n_work=80):
-    ring = SeriesRing(QQ, n_work)
-    space = VarSpace.ys(3)
-    gens = [
-        parse_poly(s, ring, space)
-        for s in ("Y2^2 - Y1*Y3", "Y3^2 - Y1^2*Y2", "Y1^3 - Y2*Y3")
-    ]
-    cert = Certificate(
-        parse_poly("Y3", ring, space),
-        [
-            [parse_poly(s, ring, space) for s in row]
-            for row in (("Y3", "0"), ("0", "Y3"), ("-Y1^2", "-Y2"))
-        ],
-    )
-    return make_problem(
-        ring,
-        n=3,
-        ideal_gens=gens,
-        f_idx=[1, 2],
-        minor_cols=[2, 3],
-        jet=(ring.parse("x^3"), ring.parse("x^4"), ring.parse("x^5")),
-        certificate=cert,
-        c=15,
-    )
+def problem(name, **changes):
+    """The shipped problem <name>, built by parse_problem from its data with changes applied."""
+    return parse_problem(problem_data(name, **changes))
 
 
-def smooth_problem(n_work=40):
-    ring = SeriesRing(QQ, n_work)
-    space = VarSpace.ys(1)
-    return make_problem(
-        ring,
-        n=1,
-        ideal_gens=[parse_poly("Y1 - x", ring, space)],
-        f_idx=[1],
-        minor_cols=[1],
-        jet=(ring.parse("x"),),
-        c=1,
-    )
+def model(name, **changes):
+    return build_model(problem(name, **changes))
 
 
 def monomial_curve_problem(ring, q, p, arc):
@@ -201,11 +153,3 @@ def bordered(model):
     ident = PolyMatrix.identity(model.ring, model.problem.space, model.n)
     lower_g = ident.scale(model.p_poly).rows[model.r:]
     return PolyMatrix(model.h_mat.rows + ident.rows[model.r:]), PolyMatrix(model.g_mat.rows + lower_g)
-
-
-def cusp_model(**kw):
-    return build_model(cusp_problem(**kw))
-
-
-def node_model(**kw):
-    return build_model(node_problem(**kw))

@@ -5,7 +5,6 @@ conftest prints at the end of the session, then enforces its time budget.
 """
 
 import contextlib
-import json
 import time
 
 import pytest
@@ -174,7 +173,7 @@ def test_criterion_6(cusp_q):
 
 def test_criterion_7(cusp_f5):
     with criterion(7, "every sampled lift lands in the enumerated jet set", budget=30.0):
-        prob = helpers.cusp_problem(field=helpers.F5)
+        prob = helpers.problem("cusp_f5")
         first = oracle_enumerate(prob, 13)
         second = oracle_enumerate(prob, 13)
         assert first == second
@@ -202,19 +201,15 @@ def test_criterion_8(cusp_q, cusp_f5, node, shifted_node, offjet, tcurve, smooth
 
 def test_criterion_9(capsys, tmp_path):
     with criterion(9, "bad depth, bad jet, and tampered models are rejected", budget=1.0):
-        payload = json.loads((helpers.PROBLEMS / "cusp.json").read_text())
-        payload["c"] = 3
-        bad = tmp_path / "c3.json"
-        bad.write_text(json.dumps(payload))
-        code = main(["desingularize", str(bad)])
+        code = main(["desingularize", helpers.problem_file(tmp_path, "cusp", c=3)])
         capsys.readouterr()
         assert code == 2
 
-        report = validate_problem(helpers.cusp_problem(jet=("x^3", "x^2 + x^4")))
+        report = validate_problem(helpers.problem("cusp", jet=["x^3", "x^2 + x^4"]))
         failed = [c.name for c in report.checks if not c.ok]
         assert failed == ["jet-kills-ideal"]
 
-        model = helpers.cusp_model()
+        model = helpers.model("cusp")
         bump = Poly.variable(model.ring, model.tspace, "T1") * Poly.variable(
             model.ring, model.tspace, "T1"
         )

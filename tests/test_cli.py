@@ -34,16 +34,6 @@ def run(capsys, *argv):
 # -- problem files -------------------------------------------------------
 
 
-def _cusp_data(**changes):
-    return dict(json.loads((helpers.PROBLEMS / "cusp.json").read_text()), **changes)
-
-
-def _cusp_with(tmp_path, **changes):
-    path = tmp_path / "cusp_changed.json"
-    path.write_text(json.dumps(_cusp_data(**changes)))
-    return str(path)
-
-
 def test_every_shipped_problem_loads():
     for path in helpers.shipped_problems():
         prob = load_problem(str(path))
@@ -74,7 +64,16 @@ def test_parse_problem_builds_what_load_problem_reads_from_a_file(tmp_path, n_wo
 
 def test_load_rejects_unknown_keys():
     with pytest.raises(ParseError):
-        cli.parse_problem(_cusp_data(extra=1))
+        cli.parse_problem(helpers.problem_data("cusp", extra=1))
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "problem data must be a JSON object"),
+    ({"field": "Q"}, "problem data lacks required key 'n'"),
+])
+def test_a_structural_error_names_the_data_not_a_file(data, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        cli.parse_problem(data)
 
 
 # -- validate ------------------------------------------------------------
@@ -95,7 +94,8 @@ def test_validate_golden(capsys):
 
 
 def test_validate_failure_exits_2(capsys, tmp_path):
-    code, out, err = run(capsys, "validate", _cusp_with(tmp_path, jet=["x^3", "x^2 + x^4"]))
+    path = helpers.problem_file(tmp_path, "cusp", jet=["x^3", "x^2 + x^4"])
+    code, out, err = run(capsys, "validate", path)
     assert code == 2
     assert "valid: no" in out
     assert "check jet-kills-ideal: FAIL" in out
@@ -134,14 +134,14 @@ def test_desingularize_golden(capsys):
 
 
 def test_desingularize_rejects_a_bad_depth(capsys, tmp_path):
-    code, out, err = run(capsys, "desingularize", _cusp_with(tmp_path, c=3))
+    code, out, err = run(capsys, "desingularize", helpers.problem_file(tmp_path, "cusp", c=3))
     assert code == 2
     assert "minor-order" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "desingularize"])
 def test_a_large_variable_exponent_is_no_recursion_error(command, tmp_path):
-    path = _cusp_with(tmp_path, ideal=["Y1^2 - Y2^3 + Y1^5000"])
+    path = helpers.problem_file(tmp_path, "cusp", ideal=["Y1^2 - Y2^3 + Y1^5000"])
     proc = helpers.python("-m", "arclift", command, path)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -151,9 +151,9 @@ def test_a_large_variable_exponent_is_no_recursion_error(command, tmp_path):
 def test_a_variable_exponent_above_the_cap_exits_4(key, tmp_path):
     big = f"Y1^{MAX_EXPONENT + 1}"
     if key == "ideal":
-        path = _cusp_with(tmp_path, ideal=[f"Y1^2 - Y2^3 + {big}"])
+        path = helpers.problem_file(tmp_path, "cusp", ideal=[f"Y1^2 - Y2^3 + {big}"])
     else:
-        path = _cusp_with(tmp_path, certificate={"N": big, "cofactors": [["1"]]})
+        path = helpers.problem_file(tmp_path, "cusp", certificate={"N": big, "cofactors": [["1"]]})
     proc = helpers.python("-m", "arclift", "validate", path)
     assert proc.returncode == 4
     assert f"variable exponent {MAX_EXPONENT + 1} exceeds the cap {MAX_EXPONENT}" in proc.stderr
@@ -264,26 +264,22 @@ def test_lift_rejects_wrong_arity(capsys):
     assert code == 1
 
 
-def test_working_precision_env_override(capsys, monkeypatch):
+def test_the_environment_does_not_change_a_problem(capsys, monkeypatch):
+    """A variable in the environment does not set the precision of a file without n_work."""
     monkeypatch.setenv("ARCLIFT_NWORK", "20")
+    assert load_problem(CUSP).ring.n_work == 40
     code, out, err = run(capsys, "lift", CUSP, "--t-free", "x^9")
     assert code == 0
-    assert "y2_1 = x^3 + O(x^17)" in out
-    assert "eff_prec: 17" in out
-
-
-def test_bad_env_value_is_a_parse_error(capsys, monkeypatch):
-    monkeypatch.setenv("ARCLIFT_NWORK", "soon")
-    code, out, err = run(capsys, "validate", CUSP)
-    assert code == 4
+    assert "eff_prec: 37" in out
 
 
 def test_the_working_precision_cap_is_admitted():
-    assert cli.parse_problem(_cusp_data(n_work=MAX_NWORK)).ring.n_work == MAX_NWORK
+    assert helpers.problem("cusp", n_work=MAX_NWORK).ring.n_work == MAX_NWORK
 
 
 def test_a_working_precision_above_the_cap_in_the_file_exits_4(tmp_path):
-    path = _cusp_with(tmp_path, n_work=MAX_NWORK + 1, jet=["x^3 + x^999999999", "x^2"])
+    jet = ["x^3 + x^999999999", "x^2"]
+    path = helpers.problem_file(tmp_path, "cusp", n_work=MAX_NWORK + 1, jet=jet)
     proc = helpers.python("-m", "arclift", "validate", path)
     assert proc.returncode == 4
     assert f"exceeds the cap {MAX_NWORK}" in proc.stderr
@@ -291,7 +287,7 @@ def test_a_working_precision_above_the_cap_in_the_file_exits_4(tmp_path):
 
 
 def test_n_is_checked_against_the_jet_before_anything_n_wide_is_built(capsys, tmp_path, monkeypatch):
-    path = _cusp_with(tmp_path, n=100_000, ideal=["Y1^2 - Y2^3 + Y3"])
+    path = helpers.problem_file(tmp_path, "cusp", n=100_000, ideal=["Y1^2 - Y2^3 + Y3"])
     ys = cli.VarSpace.ys
 
     def no_wide_space(n):
@@ -307,7 +303,7 @@ def test_n_is_checked_against_the_jet_before_anything_n_wide_is_built(capsys, tm
 
 
 def test_a_jet_that_is_not_a_list_is_refused_before_anything_n_wide_is_built(capsys, tmp_path):
-    path = _cusp_with(tmp_path, n=10**6, jet="x^3")
+    path = helpers.problem_file(tmp_path, "cusp", n=10**6, jet="x^3")
     tracemalloc.start()
     try:
         code, out, err = run(capsys, "validate", path)
@@ -336,56 +332,44 @@ def test_a_truncated_problem_file_is_a_parse_error(capsys, tmp_path):
 
 def test_a_field_of_composite_order_is_a_parse_error(capsys, tmp_path):
     _refused(capsys, 4, "parse error: bad field 'F4': modulus 4 is not prime",
-             "validate", _cusp_with(tmp_path, field="F4"))
+             "validate", helpers.problem_file(tmp_path, "cusp", field="F4"))
 
 
 def test_a_strong_pseudoprime_field_order_is_a_parse_error(capsys, tmp_path):
     """2047 = 23 * 89 passes the base-2 Miller-Rabin round; the base-3 round refuses it."""
     _refused(capsys, 4, "parse error: bad field 'F2047': modulus 2047 is not prime",
-             "validate", _cusp_with(tmp_path, field="F2047"))
+             "validate", helpers.problem_file(tmp_path, "cusp", field="F2047"))
 
 
 def test_a_denominator_divisible_by_the_field_prime_is_a_parse_error(capsys, tmp_path):
     """The cusp with its generator divided by 5 is valid over Q and refused over F5."""
-    data = _cusp_data(ideal=["1/5*Y1^2 - 1/5*Y2^3"])
+    data = helpers.problem_data("cusp", ideal=["1/5*Y1^2 - 1/5*Y2^3"])
     assert cli.parse_problem(data).c == 4
     with pytest.raises(ParseError, match=r"^division by zero in F_5 \(at position 0\)$") as exc:
         cli.parse_problem(dict(data, field="F5"))
     assert exc.value.exit_code == 4
     _refused(capsys, 4, f"parse error: {exc.value}",
-             "validate", _cusp_with(tmp_path, ideal=data["ideal"], field="F5"))
+             "validate", helpers.problem_file(tmp_path, "cusp", ideal=data["ideal"], field="F5"))
 
 
 def test_an_f_index_past_the_generators_is_refused_before_the_certificate_is_defaulted(
     capsys, tmp_path
 ):
     _refused(capsys, 1, "f indices must be distinct members of 1..1",
-             "validate", _cusp_with(tmp_path, f=[2]))
+             "validate", helpers.problem_file(tmp_path, "cusp", f=[2]))
 
 
 def test_c_cannot_be_inferred_where_multiplier_times_minor_vanishes_at_the_jet(capsys, tmp_path):
-    payload = json.loads((helpers.PROBLEMS / "cusp.json").read_text())
-    del payload["c"]
-    payload["jet"] = ["0", "x^2"]
-    path = tmp_path / "no_c.json"
-    path.write_text(json.dumps(payload))
+    path = helpers.problem_file(tmp_path, "cusp", c=None, jet=["0", "x^2"])
     _refused(capsys, 1, "cannot infer c: multiplier times minor vanishes at the jet "
-             "to the checked precision x^40", "validate", str(path))
+             "to the checked precision x^40", "validate", path)
 
 
 @pytest.mark.parametrize("c", [10**9, 10**20])
 def test_a_huge_c_exits_1_against_the_jet_precision(capsys, tmp_path, c):
-    code, out, err = run(capsys, "validate", _cusp_with(tmp_path, c=c))
+    code, out, err = run(capsys, "validate", helpers.problem_file(tmp_path, "cusp", c=c))
     assert (code, out) == (1, "")
     assert f"need at least 2c+1 = {2 * c + 1}" in err
-
-
-def test_a_working_precision_above_the_cap_in_the_environment_exits_4(monkeypatch):
-    monkeypatch.setenv("ARCLIFT_NWORK", str(MAX_NWORK + 1))
-    proc = helpers.python("-m", "arclift", "validate", CUSP)
-    assert proc.returncode == 4
-    assert f"exceeds the cap {MAX_NWORK}" in proc.stderr
-    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
@@ -405,27 +389,6 @@ def test_a_closed_stdout_exits_1_with_an_empty_stderr(monkeypatch, argv, unbuffe
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, "")
-
-
-@pytest.mark.parametrize("value, message", [
-    ("soon", "ARCLIFT_NWORK must be an integer, got 'soon'"),
-    (str(MAX_NWORK + 1), f"working precision {MAX_NWORK + 1} exceeds the cap {MAX_NWORK}"),
-    ("1" * 5000, f"working precision of 5000 digits exceeds the cap {MAX_NWORK}"),
-])
-def test_a_bad_working_precision_in_the_environment_exits_4_with_a_short_message(
-    capsys, monkeypatch, value, message
-):
-    """A digit string that int() refuses for its length alone is above the cap, and not echoed."""
-    monkeypatch.setenv("ARCLIFT_NWORK", value)
-    code, out, err = run(capsys, "validate", CUSP)
-    assert (code, out, err) == (4, "", f"arclift: parse error: {message}\n")
-
-
-def test_leading_zeros_in_the_environment_do_not_count_toward_the_int_limit(capsys, monkeypatch):
-    monkeypatch.setenv("ARCLIFT_NWORK", "0" * 5000 + "20")
-    code, out, err = run(capsys, "lift", CUSP, "--t-free", "x^9")
-    assert code == 0
-    assert "eff_prec: 17" in out
 
 
 # -- extract and roundtrip ------------------------------------------------
@@ -529,7 +492,7 @@ def test_oracle_refuses_a_huge_window_without_a_traceback(prec):
 def test_oracle_at_the_congruence_window_over_a_large_prime_builds_no_kernel(tmp_path):
     """At --prec 2c+1 there is no layer to extend, so J0's kernel, here p^2
     vectors over F_(2^31-1), is never built; the run needs no memory for it."""
-    path = _cusp_with(tmp_path, field="F2147483647")
+    path = helpers.problem_file(tmp_path, "cusp", field="F2147483647")
     proc = helpers.python("-m", "arclift", "oracle", path, "--prec", "9", "--samples", "0",
                           max_memory=1 << 30)
     assert proc.returncode == 0, proc.stderr
@@ -541,8 +504,19 @@ def test_oracle_at_the_congruence_window_over_a_large_prime_builds_no_kernel(tmp
 
 def test_oracle_refuses_generators_known_short_of_the_window(capsys, tmp_path):
     _refused(capsys, 1, "a coefficient of generator 1 is known only through x^11, "
-             "short of the window x^13", "oracle", _cusp_with(tmp_path, field="F5", n_work=12),
+             "short of the window x^13", "oracle", helpers.problem_file(tmp_path, "cusp_f5", n_work=12),
              "--prec", "13")
+
+
+def test_oracle_skips_containment_when_no_sampled_lift_settles_membership(capsys, tmp_path):
+    """At n_work 12 no sampled lift of cusp_f5 is precise enough to settle membership mod x^10."""
+    path = helpers.problem_file(tmp_path, "cusp_f5", n_work=12)
+    code, out, err = run(capsys, "oracle", path, "--prec", "10")
+    assert (code, err) == (0, "")
+    assert "containment: skipped (precision cannot settle membership mod x^10)" in out.splitlines()
+    code, out, err = run(capsys, "oracle", path, "--prec", "10", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["containment"] is None
 
 
 def test_oracle_exits_2_when_a_strict_lift_is_not_a_member(capsys, monkeypatch):
@@ -711,12 +685,8 @@ def test_space_curve_cli(capsys):
 def test_the_cli_byte_corpus(monkeypatch):
     """Every recorded invocation still gives the same exit code, stdout, stderr and report."""
     monkeypatch.chdir(helpers.REPO)
-    monkeypatch.delenv("ARCLIFT_NWORK", raising=False)
     entries = json.loads(cli_corpus.GOLDEN.read_text(encoding="utf-8"))
-    changed = [
-        e["argv"] for e in entries if cli_corpus.digest(e["argv"], e.get("nwork")) != e["sha256"]
-    ]
-    assert changed == []
+    assert [e["argv"] for e in entries if cli_corpus.digest(e["argv"]) != e["sha256"]] == []
 
 
 @pytest.mark.parametrize(
@@ -746,13 +716,13 @@ def test_each_series_and_poly_is_rendered_once(capsys, monkeypatch, argv, render
 
 
 def test_jet_prec_is_not_a_problem_key(capsys, tmp_path):
-    code, out, err = run(capsys, "validate", _cusp_with(tmp_path, jet_prec=20))
+    code, out, err = run(capsys, "validate", helpers.problem_file(tmp_path, "cusp", jet_prec=20))
     assert code == 4
     assert "unknown problem keys: jet_prec" in err
 
 
 def test_an_o_marker_in_the_jet_truncates_it():
-    problem = cli.parse_problem(_cusp_data(jet=["x^3 + O(x^20)", "x^2"]))
+    problem = cli.parse_problem(helpers.problem_data("cusp", jet=["x^3 + O(x^20)", "x^2"]))
     assert problem.jet[0].prec == 20
     assert problem.jet[0] == problem.ring.parse("x^3").truncate(20)
     assert problem.jet[1].prec == problem.ring.n_work

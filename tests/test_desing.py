@@ -42,7 +42,7 @@ from arclift.polyring import shared_powers
 
 
 def test_validation_passes_on_the_cusp():
-    report = validate_problem(helpers.cusp_problem())
+    report = validate_problem(helpers.problem("cusp"))
     assert report.ok
     assert report.e == 3
     assert [c.name for c in report.checks] == [
@@ -54,7 +54,7 @@ def test_validation_passes_on_the_cusp():
 
 def test_validation_catches_an_arc_missing_the_variety():
     ring = SeriesRing(QQ)
-    prob = helpers.cusp_problem(jet=("x^3", "x^2 + x^4"))
+    prob = helpers.problem("cusp", jet=["x^3", "x^2 + x^4"])
     report = validate_problem(prob)
     bad = {c.name: c for c in report.checks if not c.ok}
     assert set(bad) == {"jet-kills-ideal"}
@@ -62,12 +62,12 @@ def test_validation_catches_an_arc_missing_the_variety():
 
 
 def test_validation_accepts_a_sufficiently_deep_perturbation():
-    report = validate_problem(helpers.cusp_problem(jet=("x^3", "x^2 + x^6")))
+    report = validate_problem(helpers.problem("cusp", jet=["x^3", "x^2 + x^6"]))
     assert report.checks[1].ok
 
 
 def test_validation_catches_a_degenerate_jet():
-    prob = helpers.cusp_problem(jet=("0", "0"))
+    prob = helpers.problem("cusp", jet=["0", "0"])
     report = validate_problem(prob)
     bad = {c.name: c for c in report.checks if not c.ok}
     assert "minor-order" in bad
@@ -75,14 +75,14 @@ def test_validation_catches_a_degenerate_jet():
 
 
 def test_validation_catches_a_minor_of_full_order():
-    report = validate_problem(helpers.cusp_problem(c=3))
+    report = validate_problem(helpers.problem("cusp", c=3))
     bad = [c for c in report.checks if not c.ok]
     assert bad and bad[0].name == "minor-order"
 
 
 def test_build_model_raises_with_the_report_attached():
     with pytest.raises(ValidationError) as exc:
-        helpers.cusp_model(c=3)
+        helpers.model("cusp", c=3)
     assert exc.value.report is not None
     assert not exc.value.report.ok
     assert "minor-order" in str(exc.value)
@@ -112,12 +112,12 @@ def test_identity_certificate_shape():
 
 
 def test_automatic_depth_choice():
-    prob = helpers.cusp_problem(c=None)
+    prob = helpers.problem("cusp", c=None)
     assert prob.c == 4
 
 
 def test_normalization_golden():
-    prob = helpers.cusp_problem()
+    prob = helpers.problem("cusp")
     norm = normalize_certificate(prob, e=3)
     ring = prob.ring
     assert norm.d == ring.parse("2*x^4")
@@ -125,7 +125,7 @@ def test_normalization_golden():
 
 
 def test_normalization_rejects_an_overdeep_minor():
-    prob = helpers.cusp_problem()
+    prob = helpers.problem("cusp")
     with pytest.raises(OrderTooHighError):
         normalize_certificate(prob, e=4)
 
@@ -133,7 +133,7 @@ def test_normalization_rejects_an_overdeep_minor():
 def test_normalization_refuses_an_e_that_is_not_the_minor_order():
     """e = 2 scales by x^2, so d = 2*x^5 misses c = 4."""
     with pytest.raises(IdentityFailedError, match="normalized denominator has order 5, expected c = 4"):
-        normalize_certificate(helpers.cusp_problem(), e=2)
+        normalize_certificate(helpers.problem("cusp"), e=2)
 
 
 def test_compute_g_refuses_a_p_that_g_does_not_invert_up_to(cusp_q):
@@ -144,7 +144,7 @@ def test_compute_g_refuses_a_p_that_g_does_not_invert_up_to(cusp_q):
 
 def test_taylor_decompose_refuses_a_jet_that_leaves_a_unit(cusp_q):
     """f(x^3, x^2 + x^4) = -3*x^8 + ... has the order of d^2, so a_1 is a unit."""
-    shallow = helpers.cusp_problem(jet=("x^3", "x^2 + x^4"))
+    shallow = helpers.problem("cusp", jet=["x^3", "x^2 + x^4"])
     with pytest.raises(OrderViolationError, match="f component 1 gives a unit after division by d\\^2"):
         desing.taylor_decompose(shallow, cusp_q.d2, cusp_q.dgy, cusp_q.perm, cusp_q.tspace)
 
@@ -160,7 +160,7 @@ def _build_with_taylor(monkeypatch, change):
     """build_model on the cusp, with taylor_decompose's (a, q, images) passed through change."""
     real = desing.taylor_decompose
     monkeypatch.setattr(desing, "taylor_decompose", lambda *args: change(*real(*args)))
-    return build_model(helpers.cusp_problem())
+    return build_model(helpers.problem("cusp"))
 
 
 def test_build_model_refuses_a_bound_jacobian_without_constant_term_1(monkeypatch):
@@ -244,7 +244,7 @@ def test_smooth_point_model(smooth):
 
 
 def test_minor_poly_golden():
-    prob = helpers.cusp_problem()
+    prob = helpers.problem("cusp")
     assert prob.minor == parse_poly("2*Y1", prob.ring, prob.space)
 
 
@@ -281,7 +281,7 @@ def test_problem_rejects_short_jets():
 
 def test_problem_rejects_bad_minor_columns():
     """A valid f, so the refusal is the minor columns': their count, then their range."""
-    base = helpers.cusp_problem()
+    base = helpers.problem("cusp")
     for cols, message in [((0, 1), "need exactly 1 minor columns, got 2"),
                           ((0,), r"minor columns must be distinct members of 1\.\.2"),
                           ((3,), r"minor columns must be distinct members of 1\.\.2")]:
@@ -304,7 +304,7 @@ def test_variety_mode_requires_constant_generators():
 
 def _cusp_fields(**changes):
     """The cusp problem's constructor arguments, c = 4, with the given ones replaced."""
-    base = helpers.cusp_problem()
+    base = helpers.problem("cusp")
     fields = {name: getattr(base, name) for name in base._fields}
     return dict(fields, **changes)
 
@@ -375,7 +375,7 @@ def test_problem_rejects_a_certificate_of_the_wrong_shape(certificate, message):
 
 def test_an_inferred_c_checks_the_jet_precision_against_itself():
     """x^3 + O(x^7) gives e = 3, so c is inferred as 4 and the jet must reach x^9."""
-    ring = helpers.cusp_problem().ring
+    ring = helpers.problem("cusp").ring
     jet = (ring.parse("x^3 + O(x^7)"), ring.parse("x^2"))
     with pytest.raises(StructureError, match=r"jet component 1 has precision 7, need at least 2c\+1 = 9"):
         make_problem(**_cusp_fields(jet=jet, c=None))
@@ -475,8 +475,8 @@ def test_substitution_images_read_n_entries_of_each_row(cusp_q):
 @pytest.mark.parametrize(
     "build",
     [
-        helpers.cusp_problem,
-        helpers.tcurve_problem,
+        lambda: helpers.problem("cusp"),
+        lambda: helpers.problem("tcurve"),
         lambda: helpers.cusp_product_problem(1, 14),
         lambda: helpers.coupled_cusp_problem(3, [(2, 3), (4, 5), (6, 1)]),
     ],
@@ -545,7 +545,7 @@ def test_monomial_curve_family_builds_and_verifies():
 
 def test_certificate_scaling_equivalence(cusp_q):
     """Scaling the certificate by x only rescales the chart coordinate."""
-    base = helpers.cusp_problem()
+    base = helpers.problem("cusp")
     scaled = base.replace(certificate=base.certificate.scale(base.ring.x()), c=5)
     m2 = build_model(scaled)
     assert m2.e == 4
@@ -610,16 +610,16 @@ def test_an_inferred_c_is_checked_once_and_equals_the_explicit_problem(monkeypat
         plain(problem)
 
     monkeypatch.setattr(desing.Problem, "__post_init__", counting)
-    problem = helpers.cusp_problem(c=None)
+    problem = helpers.problem("cusp", c=None)
     assert runs == [None]
-    assert problem == helpers.cusp_problem(c=4)
+    assert problem == helpers.problem("cusp")
 
 
 def test_an_inferred_c_builds_the_minor_once(monkeypatch):
     """The border and minor that infer c are the ones the returned Problem keeps:
     one Jacobian of f from construction through build and verify."""
     calls = _f_jacobians(monkeypatch)
-    problem = helpers.cusp_problem(c=None)
+    problem = helpers.problem("cusp", c=None)
     assert problem.c == 4
     assert verify_model(build_model(problem)).ok
     assert calls.count(problem.f_polys) == 1
@@ -692,7 +692,7 @@ def test_build_and_verify_take_adjugates_of_the_minor_block_only(monkeypatch):
     problems = (
         helpers.cusp_product_problem(1, 14),
         helpers.cusp_product_problem(4, 0),
-        helpers.tcurve_problem(),
+        helpers.problem("tcurve"),
     )
     for problem in problems:
         for seen in sizes.values():
@@ -719,7 +719,7 @@ def test_verify_in_an_open_block_touches_no_power_table_the_build_used(monkeypat
         return plain(powers, *args)
 
     monkeypatch.setattr(polyring, "_power", recording)
-    problem = helpers.tcurve_problem(40)
+    problem = helpers.problem("tcurve", n_work=40)
     with shared_powers():
         outer = polyring._active.powers
         model = build_model(problem)

@@ -7,7 +7,6 @@ may depend on that limit or end in a traceback.  The integers are built
 arithmetically, since int("...") itself is what the limit stops.
 """
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -30,14 +29,6 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def cusp_file(tmp_path, text=None, **keys):
-    """problems/cusp.json with some keys replaced, or raw text, written under tmp_path."""
-    raw = json.loads((helpers.PROBLEMS / "cusp.json").read_text(encoding="utf-8"))
-    path = tmp_path / "problem.json"
-    path.write_text(text if text is not None else json.dumps({**raw, **keys}), encoding="utf-8")
-    return path
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
@@ -73,7 +64,7 @@ def test_the_printer_writes_long_coefficients_exactly():
 
 
 def test_validate_reads_a_long_jet_coefficient(capsys, tmp_path):
-    path = cusp_file(tmp_path, jet=[f"x^3 + {ONES}*x^30", "x^2"])
+    path = helpers.problem_file(tmp_path, "cusp", jet=[f"x^3 + {ONES}*x^30", "x^2"])
     code, out, err = run(capsys, "validate", path)
     assert (code, err) == (0, "")
     assert "jet-kills-ideal: ok" in out
@@ -100,7 +91,7 @@ def test_series_arguments_read_long_coefficients(capsys, argv, expected):
 )
 def test_commands_print_coefficients_longer_than_the_digit_limit(capsys, tmp_path, argv):
     """At n_work 64 the square of the 2500-digit jet coefficient reaches the output."""
-    path = cusp_file(tmp_path, n_work=64, jet=[f"x^3 + {SEVENS}*x^30", "x^2"])
+    path = helpers.problem_file(tmp_path, "cusp", n_work=64, jet=[f"x^3 + {SEVENS}*x^30", "x^2"])
     code, out, err = run(capsys, argv[0], path, *argv[1:])
     assert (code, err) == (0, "")
     assert max(len(word) for word in out.replace("/", " ").replace("*", " ").split()) > 4300
@@ -108,7 +99,8 @@ def test_commands_print_coefficients_longer_than_the_digit_limit(capsys, tmp_pat
 
 def test_a_long_json_number_is_a_parse_error(capsys, tmp_path):
     text = (helpers.PROBLEMS / "cusp.json").read_text(encoding="utf-8")
-    path = cusp_file(tmp_path, text=text.replace('"c": 4', f'"c": {"9" * 5000}'))
+    path = tmp_path / "problem.json"
+    path.write_text(text.replace('"c": 4', f'"c": {"9" * 5000}'), encoding="utf-8")
     code, out, err = run(capsys, "validate", path)
     assert code == 4
     assert err.startswith("arclift: parse error: cannot read problem file:")
@@ -123,7 +115,7 @@ def test_a_problem_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
 
 
 def test_the_exponent_cap_names_a_long_exponent_exactly(capsys, tmp_path):
-    path = cusp_file(tmp_path, ideal=[f"Y1^2 - Y2^{ONES}"])
+    path = helpers.problem_file(tmp_path, "cusp", ideal=[f"Y1^2 - Y2^{ONES}"])
     code, out, err = run(capsys, "validate", path)
     assert code == 4
     assert f"variable exponent {ONES} exceeds the cap" in err

@@ -16,7 +16,7 @@ from arclift.ring import DEFAULT_PRECISION
 
 def test_fields_can_be_neither_assigned_nor_deleted():
     ring = SeriesRing(QQ, 40)
-    problem = helpers.cusp_problem()
+    problem = helpers.problem("cusp")
     for record, field in ((ring, "n_work"), (problem, "c"), (CheckResult("a", True, "d"), "ok")):
         with pytest.raises(AttributeError):
             setattr(record, field, 1)
@@ -35,7 +35,7 @@ def test_equal_rings_are_equal_and_hash_alike():
 
 
 def test_models_compare_by_identity():
-    problem = helpers.cusp_problem()
+    problem = helpers.problem("cusp")
     first, second = build_model(problem), build_model(problem)
     assert first == first
     assert first != second
@@ -43,7 +43,7 @@ def test_models_compare_by_identity():
 
 
 def test_replace_validates_again():
-    problem = helpers.cusp_problem()
+    problem = helpers.problem("cusp")
     with pytest.raises(StructureError, match="congruence level c must be a positive integer"):
         problem.replace(c=0)
     with pytest.raises(TypeError):
@@ -56,7 +56,7 @@ def test_replace_validates_again():
 def test_positional_keyword_and_default_construction():
     assert SeriesRing(QQ, 40) == SeriesRing(field=QQ, n_work=40) == SeriesRing(QQ, n_work=40)
     assert SeriesRing(QQ).n_work == SeriesRing(field=QQ).n_work == DEFAULT_PRECISION
-    problem = helpers.cusp_problem()
+    problem = helpers.problem("cusp")
     assert problem.mode == "dvr"
     jets = JetSet(5, 2, 3, (), candidates=1)
     assert (jets.p, jets.n, jets.m, jets.ordered, jets.candidates) == (5, 2, 3, (), 1)
@@ -74,7 +74,7 @@ def test_repr_matches_the_dataclass_form():
 
 
 def test_problem_space_is_built_once_and_not_carried_by_replace():
-    problem = helpers.cusp_problem()
+    problem = helpers.problem("cusp")
     assert problem.space is problem.space
     assert problem.space.names == ("Y1", "Y2")
     moved = problem.replace(c=5)
