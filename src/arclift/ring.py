@@ -29,10 +29,12 @@ construction and safe to share.
 A Series stores integer numerators over one positive denominator: the
 coefficient of x^k is nums[k] / den.  Over Q the pair is reduced,
 gcd(den, *nums) = 1; over F_p the numerators are residues in [0, p) and den
-is 1.  Neither keeps trailing zeros.  Sums scale to the lcm of the
-denominators and products multiply them, so arithmetic never builds a field
-scalar; Fractions appear only when coefficients are read out, and
-`render_terms` prints Series and Poly text straight from nums / den.
+is 1.  Neither keeps trailing zeros.  A sum rescales only the side whose
+denominator grows to the lcm, and a product multiplies the denominators once
+a one-term factor has cancelled its numerator against the other factor's
+denominator; so arithmetic never builds a field scalar, nor scales a value
+up for `_make` to divide back.  Fractions appear only when coefficients are
+read out, and `render_terms` prints Series and Poly text from nums / den.
 
 A product is one big-integer multiplication by Kronecker substitution (D.
 Harvey, "Faster polynomial multiplication via multipoint Kronecker
@@ -240,10 +242,10 @@ class Series:
             if c != 1:
                 nums, den = tuple([v // c for v in nums]), den // c
         obj = object.__new__(cls)
-        object.__setattr__(obj, "ring", ring)
-        object.__setattr__(obj, "nums", nums)
-        object.__setattr__(obj, "den", den)
-        object.__setattr__(obj, "prec", prec)
+        cls.ring.__set__(obj, ring)
+        cls.nums.__set__(obj, nums)
+        cls.den.__set__(obj, den)
+        cls.prec.__set__(obj, prec)
         return obj
 
     def __setattr__(self, *a):
@@ -265,8 +267,7 @@ class Series:
 
     def order_floor(self) -> int:
         """The certified lower bound for the valuation."""
-        o = self.order()
-        return self.prec if o is None else o
+        return next(compress(count(), self.nums), self.prec)
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -310,8 +311,10 @@ class Series:
         db = other.den
         if da != db:
             den = lcm(da, db)
-            a = [v * (den // da) for v in a]
-            b = [v * (den // db) for v in b]
+            if den != da:
+                a = [v * (den // da) for v in a]
+            if den != db:
+                b = [v * (den // db) for v in b]
         p = self.ring.field.p
         out = list(map(op, a, b)) if p is None else [v % p for v in map(op, a, b)]
         n = len(out)
@@ -348,8 +351,17 @@ class Series:
         m = min(prec, len(self.nums) + len(other.nums) - 1) - shift
         a = self.nums[fa:fa + m]
         b = a if other is self else other.nums[fb:fb + m]
+        da, db = self.den, other.den
+        # c * b/db over da: cancel gcd(c, db) first, so nothing is scaled up to come back out
+        if len(b) == 1 and da != 1:
+            a, b, da, db = b, a, db, da
+        if len(a) == 1 and db != 1:
+            c = gcd(a[0], db)
+            if c != 1:
+                a, db = (a[0] // c,), db // c
         out = _kmul(a, b, m, ring.field.p)
-        return Series._make(ring, [0] * shift + out, prec, self.den * other.den)
+        out[:0] = [0] * shift
+        return Series._make(ring, out, prec, da * db)
 
     def inv_unit(self) -> Series:
         """Inverse of a unit (order exactly 0), to its precision; never kept on self."""
@@ -595,7 +607,7 @@ def _kmul(a, b, m: int, p) -> list:
     offset is then flipped away.  F_p residues are non-negative and need
     neither, and the result holds residues too.  A factor with one
     coefficient just scales the other, with no packing, so a packed vector
-    always has at least two coefficients.
+    always has at least two coefficients; a factor of 1 is a copy.
     """
     same = a is b
     a = a[:m]
@@ -604,8 +616,9 @@ def _kmul(a, b, m: int, p) -> list:
         a, b = b, a
     if len(a) == 1:
         c = a[0]
-        out = [c * v for v in b] if p is None else [c * v % p for v in b]
-        return out + [0] * (m - len(out))
+        out = list(b) if c == 1 else [c * v for v in b] if p is None else [c * v % p for v in b]
+        out += [0] * (m - len(out))
+        return out
     signed = p is None
     # residues lie in [0, p), so p - 1 bounds them with no scan
     ta, tb = (max(map(abs, a)), max(map(abs, b))) if signed else (p - 1, p - 1)
@@ -688,8 +701,10 @@ def _quotient(a, b, q0, g, den: int, m: int, p) -> tuple[list, int]:
     (A. H. Karp and P. Markstein, "High-precision division and square
     root", ACM TOMS 23(4), 1997): the remainder e/den = a - b*q0/den
     vanishes mod x^h, and a/b = q0/den + x^h * (g/den) * (e/den)/x^h mod
-    x^m needs g only mod x^(m-h).  Callers form q0 = a*g mod x^h, so as a is
-    a unit, b*q0 = a*den holds mod x^h exactly when b*g = den does there;
+    x^m needs g only mod x^(m-h).  Past a's own digits the remainder is
+    -b*q0, so a = 1 is padded to h digits, not m, and residues already in
+    range are not reduced.  Callers form q0 = a*g mod x^h, so as a is a
+    unit, b*q0 = a*den holds mod x^h exactly when b*g = den does there;
     otherwise IdentityFailedError.  On a = 1, with q0 = g, the step is
     Newton doubling g <- g*(2 - b*g/den) for 1/b (Brent and Kung).  Over
     F_p den is 1.
@@ -697,13 +712,15 @@ def _quotient(a, b, q0, g, den: int, m: int, p) -> tuple[list, int]:
     h = len(q0)
     bq = _kmul(b, q0, m, p)
     a = list(a[:m]) if den == 1 else [den * v for v in a[:m]]
-    a += [0] * (m - len(a))
+    a += [0] * (h - len(a))
     if a[:h] != bq[:h]:
         raise IdentityFailedError(f"the inverse of a quotient's divisor is not exact mod x^{h}")
     if m == h:
         return q0, den
     e = map(sub, a[h:], bq[h:])
-    t = _kmul(g, list(e) if p is None else [v % p for v in e], m - h, p)
+    e = list(e) if p is None else [v % p for v in e]
+    e += _negated(bq[h + len(e):], p)
+    t = _kmul(g, e, m - h, p)
     if den != 1:
         q0 = [v * den for v in q0]
     return q0 + t, den * den

@@ -618,6 +618,9 @@ def test_sums_and_unit_products_match_the_full_pipeline(data):
 
     A zero certified at least to a.prec and 1 at full precision give a
     itself; every other case must still give what the full pipeline gives.
+    Over Q also sums of a series s and s/k, whose denominators divide one
+    another, and products of a one-term factor c*x^j with s/k, whose
+    denominator shares a factor with c, on either side and squared.
     """
     ring = data.draw(st.sampled_from(RINGS))
     n = ring.n_work
@@ -637,6 +640,21 @@ def test_sums_and_unit_products_match_the_full_pipeline(data):
     for u in units:
         want = _stored(reference.times(a, u))
         assert _stored(a * u) == _stored(u * a) == want
+    q = RINGS[0]
+    s = data.draw(_wide_series(q))
+    j = data.draw(st.integers(0, 3))
+    monomials = [q.monomial(j, c) for c in (1, -1, 2, -2, 6, 12, 3 * 2**70)]
+    terms = monomials + [t.truncate(j + 1) for t in monomials]
+    for t in terms:
+        assert _stored(t * t) == _stored(reference.times(t, t))
+    for k in (2, 3, 4, 6, 12, 2**80):
+        sk = s * q.scalar(Fraction(1, k))
+        for x, y in ((s, sk), (sk, s)):
+            assert _stored(x + y) == _stored(reference.plus(x, y))
+            assert _stored(x - y) == _stored(reference.minus(x, y))
+        for t in terms:
+            want = _stored(reference.times(t, sk))
+            assert _stored(t * sk) == _stored(sk * t) == want
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=("Q", "F5", "Fbig"))
@@ -793,6 +811,34 @@ def test_an_inverse_from_a_start_wrong_at_any_digit_fails_the_identity(ring):
                     ring_module._inverse(b, n, p, (bad, den, h))
 
 
+@pytest.mark.parametrize("ring", WARM_RINGS, ids=["Q", "F5", "Fbig"])
+def test_a_quotient_matches_schoolbook_on_every_remainder_segment(ring):
+    """_quotient against _school_div, from q0 = a*g and g = 1/b mod x^h, for m from h to 2h.
+
+    The remainder is checked zero below h, is a - b*q0 over a's own digits
+    and -b*q0 past them, so the dividends have fewer than h digits, exactly
+    h, more, and more than m; a = 1 is the inverse step of _inverse.
+    """
+    p = ring.field.p
+    rng = random.Random(2029)
+
+    def digits(n):
+        return [rng.randrange(p) if p else rng.randint(-(2**70), 2**70) for _ in range(n)]
+
+    b = [3] + digits(40)
+    divisor = ring.series(b)
+    for h in (1, 2, 5, 8, 13):
+        g, den = ring_module._inverse(b, h, p)
+        for m in range(h, 2 * h + 1):
+            q, dq = ring_module._quotient((1,), b, g + [0] * (h - len(g)), g, den, m, p)
+            _assert_same(ring_module.Series._make(ring, q, m, dq), _school_div(ring.series([1], m), divisor))
+            for n in sorted({1, max(1, h - 1), h, h + 1, m, m + 3}):
+                a = [rng.randrange(1, p) if p else rng.choice((-5, 7, 2**65 + 1))] + digits(n - 1)
+                q, dq = ring_module._quotient(a, b, _kmul(a, g, h, p), g, den, m, p)
+                got = ring_module.Series._make(ring, q, m, dq)
+                _assert_same(got, _school_div(ring.series(a, m), divisor))
+
+
 @pytest.mark.parametrize("p", [None, 5], ids=["Q", "F5"])
 def test_a_cold_inverse_makes_two_products_per_doubling_step(monkeypatch, p):
     """To n = 320 from 1/b[0], through the targets 2, 3, 5, 10, ..., 160, 320.
@@ -941,21 +987,21 @@ def test_kmul_matches_schoolbook_at_every_slot_width():
 
 
 def test_kmul_scales_by_a_one_term_factor():
-    """A one-coefficient operand on either side, with m beyond the longer operand."""
+    """A one-coefficient operand on either side, 1 and -1 among them, with m beyond the longer operand."""
     rng = random.Random(2025)
     p = 2**31 - 1
     for n in (1, 2, 5, 33):
         for bits in (0, 3, 63, 64, 200):
             top = 2**bits
             a = [rng.randrange(-top, top + 1) for _ in range(n)]
-            c = [rng.randrange(-top, top + 1)]
-            for m in (1, n, n + 1, 2 * n + 5):
-                assert _kmul(c, a, m, None) == _school_ints(c, a, m)
-                assert _kmul(a, c, m, None) == _school_ints(a, c, m)
-                assert _kmul(c, c, m, None) == _school_ints(c, c, m)
-                r, s = [v % p for v in a], [c[0] % p]
-                assert _kmul(s, r, m, p) == [v % p for v in _school_ints(s, r, m)]
-                assert _kmul(r, s, m, p) == [v % p for v in _school_ints(r, s, m)]
+            for c in ([rng.randrange(-top, top + 1)], [1], [-1]):
+                for m in (1, n, n + 1, 2 * n + 5):
+                    assert _kmul(c, a, m, None) == _school_ints(c, a, m)
+                    assert _kmul(a, c, m, None) == _school_ints(a, c, m)
+                    assert _kmul(c, c, m, None) == _school_ints(c, c, m)
+                    r, s = [v % p for v in a], [c[0] % p]
+                    assert _kmul(s, r, m, p) == [v % p for v in _school_ints(s, r, m)]
+                    assert _kmul(r, s, m, p) == [v % p for v in _school_ints(r, s, m)]
 
 
 def test_kmul_matches_schoolbook_in_ten_byte_residue_slots(monkeypatch):
