@@ -134,9 +134,7 @@ def hensel_solve(model: SmoothModel, t_free, target: int, seed=None) -> HenselRe
     if seed is None:
         t_bound = tuple(ring.zero(ring.n_work) for _ in range(r))
     else:
-        t_bound = tuple(seed)
-        if len(t_bound) != r:
-            raise StructureError(f"seed must have {r} components")
+        t_bound = _series_vector(model, seed, r, "seed components", "seed")
 
     names = model.tspace.names
     point = dict(zip(names, t_bound + t_free))

@@ -11,7 +11,7 @@ parse_problem builds it at the field and n_work the data names:
       "minor_cols": [1],               1-based Y columns of the Jacobian minor
       "jet": ["x^3", "x^2"],           series in x, one per component
       "c": 4,                          optional; inferred as e + 1 when absent
-      "certificate": {"N": "...", "cofactors": [["..."]]},   optional
+      "certificate": {"N": "...", "cofactors": [["..."]]},   optional; N = 1, cofactors follow f
       "mode": "dvr",                   optional; "variety" forbids x in the ideal
       "n_work": 40                     optional working precision
     }

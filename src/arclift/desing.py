@@ -67,7 +67,7 @@ class Certificate(Record):
 
 
 def identity_certificate(ring: SeriesRing, space: VarSpace, count: int) -> Certificate:
-    """The trivial certificate N = 1 for a system whose f covers every generator."""
+    """N = 1, identity cofactors: gen_j = f_j, right only when f lists 1..count in order."""
     rows = PolyMatrix.identity(ring, space, count).rows if count else ()
     return Certificate(Poly.constant(ring, space, 1), rows)
 
@@ -94,8 +94,9 @@ class Problem(Record):
     """A complete, structurally checked input; mathematical checks live in validate_problem.
 
     Every shape and type is checked before anything is built from them.  With
-    no certificate it then takes the trivial one, which needs f to cover every
-    generator; with no c it takes the least c, ord((N*M)(y')) + 1.  The jet's
+    no certificate it then takes N = 1 with cofactors that follow f (gen_j is
+    the f_k with f_idx[k] = j), which needs f to cover every generator; with
+    no c it takes the least c, ord((N*M)(y')) + 1.  The jet's
     precision is checked last, once, against the final c.
     """
 
@@ -159,7 +160,9 @@ class Problem(Record):
                     "a certificate is required when the subsystem f does not cover "
                     "every ideal generator"
                 )
-            object.__setattr__(self, "certificate", identity_certificate(self.ring, space, m))
+            ident = identity_certificate(self.ring, space, m)
+            rows = [[row[i - 1] for i in self.f_idx] for row in ident.cofactors]
+            object.__setattr__(self, "certificate", Certificate(ident.n_poly, rows))
         cert = self.certificate
         if foreign(cert.n_poly):
             raise StructureError("certificate multiplier is not a polynomial over this ring")

@@ -19,7 +19,7 @@ from arclift import (
     make_problem,
     parse_poly,
 )
-from arclift.cli import parse_problem
+from arclift.cli import main, parse_problem
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
@@ -46,12 +46,25 @@ def python(*argv, max_memory=None, stdout=subprocess.PIPE):
     )
 
 
+def run(capsys, *argv):
+    """cli.main on the arguments, each passed through str(); returns (code, stdout, stderr)."""
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def shipped_problems():
     """Every problems/*.json, sorted; fails when fewer than the eight shipped files are found."""
     paths = sorted(PROBLEMS.glob("*.json"))
     if len(paths) < 8:
         pytest.fail(f"found {len(paths)} problem files in {PROBLEMS}, expected at least 8")
     return paths
+
+
+# tcurve's first two generators with f listing them out of order and no certificate or c
+TCURVE_F_REVERSED = {
+    "ideal": ["Y2^2 - Y1*Y3", "Y3^2 - Y1^2*Y2"], "f": [2, 1], "c": None, "certificate": None,
+}
 
 
 def problem_data(name, **changes):

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import check_corpus
 import conftest
 import helpers
 from arclift import (
@@ -25,8 +26,6 @@ from arclift import (
     make_lift,
     offset_lift,
     oracle_enumerate,
-    validate_problem,
-    verify_model,
 )
 from arclift.cli import main
 
@@ -205,13 +204,9 @@ def test_criterion_9(capsys, tmp_path):
         capsys.readouterr()
         assert code == 2
 
-        report = validate_problem(helpers.problem("cusp", jet=["x^3", "x^2 + x^4"]))
-        failed = [c.name for c in report.checks if not c.ok]
+        off_variety, _ = check_corpus.case("validate cusp jet off the variety")
+        failed = [c.name for c in off_variety().checks if not c.ok]
         assert failed == ["jet-kills-ideal"]
 
-        model = helpers.model("cusp")
-        bump = Poly.variable(model.ring, model.tspace, "T1") * Poly.variable(
-            model.ring, model.tspace, "T1"
-        )
-        tampered = model.replace(q=(model.q[0] + bump.scale(model.ring.x()),))
-        assert not verify_model(tampered).ok
+        x_t1_squared, _ = check_corpus.case("verify cusp x*T1^2 in q")
+        assert not x_t1_squared().ok

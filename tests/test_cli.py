@@ -13,7 +13,8 @@ import helpers
 import power_reference
 from arclift import ArcliftError, ParseError, SeriesRing, parse_series
 from arclift import arcs, cli, polyring, ring
-from arclift.cli import MAX_COUNT, MAX_EXPONENT, MAX_NWORK, load_problem, main
+from arclift.cli import MAX_COUNT, MAX_EXPONENT, MAX_NWORK, load_problem
+from helpers import run
 
 CUSP = str(helpers.PROBLEMS / "cusp.json")
 CUSP5 = str(helpers.PROBLEMS / "cusp_f5.json")
@@ -23,12 +24,6 @@ OFFJET5 = str(helpers.PROBLEMS / "cusp_offjet_f5.json")
 SHIFTED = str(helpers.PROBLEMS / "shifted_node.json")
 SMOOTH = str(helpers.PROBLEMS / "smooth_point.json")
 TCURVE = str(helpers.PROBLEMS / "tcurve.json")
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 # -- problem files -------------------------------------------------------
@@ -131,6 +126,13 @@ def test_desingularize_golden(capsys):
     assert "loc_s = 1 + 2*x^2*T1 + 6*x^6*T2" in lines
     assert "verified: yes" in lines
     assert sum(1 for ln in lines if ln.startswith("verify ")) == 9
+
+
+def test_a_defaulted_certificate_follows_the_order_of_f(capsys, tmp_path):
+    path = helpers.problem_file(tmp_path, "tcurve", **helpers.TCURVE_F_REVERSED)
+    code, out, err = run(capsys, "desingularize", path)
+    assert (code, err) == (0, "")
+    assert "verified: yes" in out.splitlines()
 
 
 def test_desingularize_rejects_a_bad_depth(capsys, tmp_path):

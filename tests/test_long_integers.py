@@ -13,7 +13,7 @@ import pytest
 
 import helpers
 from arclift import QQ, PrimeField, SeriesRing, VarSpace, parse_poly, parse_series
-from arclift.cli import main
+from helpers import run
 
 
 def repunit(digit: int, length: int) -> int:
@@ -23,12 +23,6 @@ def repunit(digit: int, length: int) -> int:
 
 ONES = "1" * 5000
 SEVENS = "7" * 2500
-
-
-def run(capsys, *argv):
-    code = main([str(a) for a in argv])
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
