@@ -36,6 +36,16 @@ denominator; so arithmetic never builds a field scalar, nor scales a value
 up for `_make` to divide back.  Fractions appear only when coefficients are
 read out, and `render_terms` prints Series and Poly text from nums / den.
 
+A residue of a prime p < 128 fits a byte, and so does the sum of two, so
+over such a field no pass reduces coefficient by coefficient with `% p`:
+each prime has one cached set of 256-entry byte tables (b -> c*b mod p),
+and a sum is one integer sum of the two byte strings reduced by a table, a
+difference that sum with the subtrahend negated by its table, a negation or
+a scaling by c one `bytes.translate`, and a product packs residues as bytes
+and reads its cells through tables, as `_kmul` describes.  Q and larger
+primes keep the per-coefficient passes; the results are the same residues
+either way.
+
 A product is one big-integer multiplication by Kronecker substitution (D.
 Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 2009), in the slot layout that `_kmul`
@@ -58,6 +68,7 @@ import sys
 from array import array
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from itertools import compress, count
 from math import gcd, lcm
 from operator import add, sub
@@ -241,6 +252,11 @@ class Series:
             c = gcd(den, *nums)
             if c != 1:
                 nums, den = tuple([v // c for v in nums]), den // c
+        return cls._new(ring, nums, prec, den)
+
+    @classmethod
+    def _new(cls, ring: SeriesRing, nums: tuple, prec: int, den: int) -> Series:
+        """The series of a stored form that is already canonical (what _make returns)."""
         obj = object.__new__(cls)
         cls.ring.__set__(obj, ring)
         cls.nums.__set__(obj, nums)
@@ -315,14 +331,7 @@ class Series:
                 a = [v * (den // da) for v in a]
             if den != db:
                 b = [v * (den // db) for v in b]
-        p = self.ring.field.p
-        out = list(map(op, a, b)) if p is None else [v % p for v in map(op, a, b)]
-        n = len(out)
-        if len(a) > n:
-            out += a[n:]
-        else:
-            out += b[n:] if op is add else _negated(b[n:], p)
-        return Series._make(self.ring, out, prec, den)
+        return Series._make(self.ring, _combined(a, b, op, self.ring.field.p), prec, den)
 
     def __add__(self, other):
         return self._plus(other, add)
@@ -331,7 +340,8 @@ class Series:
         return self._plus(other, sub)
 
     def __neg__(self):
-        return Series._make(self.ring, _negated(self.nums, self.ring.field.p), self.prec, self.den)
+        # -v is 0 exactly where v is, and gcd(den, *nums) is the same: the pair stays canonical
+        return Series._new(self.ring, tuple(_negated(self.nums, self.ring.field.p)), self.prec, self.den)
 
     def __mul__(self, other):
         if not isinstance(other, Series):
@@ -392,9 +402,12 @@ class Series:
                 g = _trimmed(g[:h0])
                 if p is None:
                     # 1/(U/du) = 1/(N/dn) mod x^h0, so 1/U = dn * (g/den) / du there
-                    g, den = [v * near.den for v in g], den * self.den
+                    if near.den != 1:
+                        g = [v * near.den for v in g]
+                    den *= self.den
                     c = gcd(den, *g)
-                    g, den = [v // c for v in g], den // c
+                    if c != 1:
+                        g, den = [v // c for v in g], den // c
                 if h0 == n:
                     return g, den
                 start = (g, den, h0)
@@ -541,9 +554,42 @@ def product_precision(pa: int, fa: int, pb: int, fb: int, n_work: int) -> tuple[
     return prec, fa + fb
 
 
-def _negated(nums, p) -> list:
-    """-v for each v; over F_p (p not None) residues stay in [0, p)."""
+def _negated(nums, p):
+    """-v for each v; over F_p (p not None) residues stay in [0, p), as bytes when p < 128."""
+    if p is not None and p < _TABLE_PRIMES:
+        return bytes(nums).translate(_tables(p)[p - 1])
     return [-v for v in nums] if p is None else [v and p - v for v in nums]
+
+
+def _scaled(nums, c, p) -> list:
+    """c*v for each v; over F_p c is a residue, and so is each result (by c's table when p < 128)."""
+    if p is None:
+        return [c * v for v in nums]
+    if p < _TABLE_PRIMES:
+        return list(bytes(nums).translate(_tables(p)[c]))
+    return [c * v % p for v in nums]
+
+
+def _combined(a, b, op, p):
+    """a + b (op add) or a - b (op sub) coefficientwise, as long as the longer vector.
+
+    Over F_p with p < 128 both are residue bytes, and so is the result: b is
+    negated by its table for a difference, and as 2(p - 1) < 256 no byte of
+    the sum of the two byte strings, read as integers, carries into the
+    next; one table then reduces each byte.
+    """
+    if p is not None and p < _TABLE_PRIMES:
+        if op is sub:
+            b = _negated(b, p)
+        total = int.from_bytes(bytes(a), "little") + int.from_bytes(bytes(b), "little")
+        return total.to_bytes(max(len(a), len(b)), "little").translate(_tables(p)[1])
+    out = list(map(op, a, b)) if p is None else [v % p for v in map(op, a, b)]
+    n = len(out)
+    if len(a) > n:
+        out += a[n:]
+    else:
+        out += b[n:] if op is add else _negated(b[n:], p)
+    return out
 
 
 def _trimmed(nums: tuple) -> tuple:
@@ -552,6 +598,40 @@ def _trimmed(nums: tuple) -> tuple:
     while n and not nums[n - 1]:
         n -= 1
     return nums[:n]
+
+
+# -- residue bytes --------------------------------------------------------
+
+# residues of a prime below this fit a byte, and so does the sum of two
+_TABLE_PRIMES = 128
+
+
+@cache
+def _tables(p: int) -> tuple:
+    """The byte tables of a prime p < 128: entry c maps each byte b to c*b mod p.
+
+    Entry 1 reduces a byte mod p and entry p - 1 negates a residue; each is
+    the row c*i mod p, i < p, repeated to 256 bytes, as bytes.translate
+    reads a table.
+    """
+    return tuple([(bytes([c * i % p for i in range(p)]) * (256 // p + 1))[:256] for c in range(p)])
+
+
+def _residues(raw: bytes, w: int, p: int) -> bytes:
+    """Each w-byte little-endian cell of raw mod p, for w*(p - 1) < 256.
+
+    Byte j of a cell is worth b*256^j, which its table takes to
+    b*(256^j mod p) mod p; the w results of a cell sum to at most
+    w*(p - 1) < 256, so the w strided byte strings add as integers with no
+    carry between cells, and one more table reduces each sum.
+    """
+    t = _tables(p)
+    if w == 1:
+        return raw.translate(t[1])
+    total = 0
+    for j in range(w):
+        total += int.from_bytes(raw[j::w].translate(t[pow(256, j, p)]), "little")
+    return total.to_bytes(len(raw) // w, "little").translate(t[1])
 
 
 # -- the integer-vector kernel -------------------------------------------
@@ -567,13 +647,21 @@ def _little(cells: array) -> array:
     return cells
 
 
-def _pack(v, w: int, signed: bool, ones: int) -> int:
+def _pack(v, w: int, p, ones: int) -> int:
     """sum(v[i] << 8*w*i) for integers that fit a w-byte slot of `_kmul`'s layout.
 
-    A negative value leaves 2^(8*w) in its slot; its sign bit, gathered by
-    ones (1 at the bottom of every slot), takes that back in one subtraction.
+    Q numerators (p None) are signed: a negative value leaves 2^(8*w) in its
+    slot; its sign bit, gathered by ones (1 at the bottom of every slot),
+    takes that back in one subtraction.  A residue of p < 128 is a byte, and
+    is written to the bottom byte of its slot.
     """
-    if w <= 8:
+    signed = p is None
+    if not signed and p < _TABLE_PRIMES:
+        buf = cells = bytes(v)
+        if w > 1:
+            buf = bytearray(w * len(v))
+            buf[::w] = cells
+    elif w <= 8:
         buf = _little(array(_CODES[w] if signed else _CODES[w].upper(), v)).tobytes()
     elif signed:
         buf = b"".join([x.to_bytes(w, "little", signed=True) for x in v])
@@ -595,7 +683,8 @@ def _kmul(a, b, m: int, p) -> list:
     coefficient wide enough for any product coefficient (plus a sign bit
     over Q, when p is None), and one big-integer product does all the work.
     A slot is one of three kinds.  One of at most 8 bytes is rounded up to
-    1, 2, 4 or 8 bytes and is one array cell.  A wider F_p slot is exactly
+    1, 2, 4 or 8 bytes and is one array cell, or, for a residue of p < 128,
+    its bottom byte.  A wider F_p slot is exactly
     as many bytes as it needs and is moved by strided copies with no call
     per coefficient: residues (p < 2^31) go in as 4-byte cells spread to the
     slot width, and each product slot comes out as two 8-byte cells, bytes
@@ -605,7 +694,9 @@ def _kmul(a, b, m: int, p) -> list:
     signed, so they go in as two's complement digits, and each product slot
     is offset by half its range, so the slots separate without borrows; the
     offset is then flipped away.  F_p residues are non-negative and need
-    neither, and the result holds residues too.  A factor with one
+    neither, and the result holds residues too: a cell of w <= 8 bytes is
+    reduced through p's byte tables when w*(p - 1) < 256, which holds only
+    for p < 128 (`_residues`), and by `% p` otherwise.  A factor with one
     coefficient just scales the other, with no packing, so a packed vector
     always has at least two coefficients; a factor of 1 is a copy.
     """
@@ -615,8 +706,7 @@ def _kmul(a, b, m: int, p) -> list:
     if len(b) == 1:
         a, b = b, a
     if len(a) == 1:
-        c = a[0]
-        out = list(b) if c == 1 else [c * v for v in b] if p is None else [c * v % p for v in b]
+        out = list(b) if a[0] == 1 else _scaled(b, a[0], p)
         out += [0] * (m - len(out))
         return out
     signed = p is None
@@ -627,8 +717,8 @@ def _kmul(a, b, m: int, p) -> list:
     if w <= 8:
         w = 1 << (w - 1).bit_length()
     ones = int.from_bytes((b"\x01" + bytes(w - 1)) * m, "little") if signed else 0
-    packed = _pack(a, w, signed, ones)
-    low = packed * (packed if same else _pack(b, w, signed, ones))
+    packed = _pack(a, w, p, ones)
+    low = packed * (packed if same else _pack(b, w, p, ones))
     mask = (1 << 8 * w * m) - 1
     if signed:
         half = ones << 8 * w - 1
@@ -637,6 +727,8 @@ def _kmul(a, b, m: int, p) -> list:
         low &= mask
     raw = low.to_bytes(w * m, "little")
     if w <= 8:
+        if not signed and p < _TABLE_PRIMES and w * (p - 1) < 256:
+            return list(_residues(raw, w, p))
         out = _little(array(_CODES[w] if signed else _CODES[w].upper(), raw)).tolist()
         return out if signed else [v % p for v in out]
     if signed:
@@ -688,7 +780,8 @@ def _inverse(b, n: int, p, start=None) -> tuple[list, int]:
         g, den = _quotient((1,), b, g + [0] * (h - len(g)), g, den, k, p)
         if p is None:
             c = gcd(den, *g)
-            g, den = [v // c for v in g], den // c
+            if c != 1:
+                g, den = [v // c for v in g], den // c
         h = k
     return _trimmed(g), den
 
@@ -717,10 +810,7 @@ def _quotient(a, b, q0, g, den: int, m: int, p) -> tuple[list, int]:
         raise IdentityFailedError(f"the inverse of a quotient's divisor is not exact mod x^{h}")
     if m == h:
         return q0, den
-    e = map(sub, a[h:], bq[h:])
-    e = list(e) if p is None else [v % p for v in e]
-    e += _negated(bq[h + len(e):], p)
-    t = _kmul(g, e, m - h, p)
+    t = _kmul(g, _combined(a[h:], bq[h:], sub, p), m - h, p)
     if den != 1:
         q0 = [v * den for v in q0]
     return q0 + t, den * den

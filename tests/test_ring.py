@@ -1011,9 +1011,9 @@ def test_kmul_matches_schoolbook_in_ten_byte_residue_slots(monkeypatch):
     widths = []
     plain = ring_module._pack
 
-    def recording(v, w, signed, ones):
+    def recording(v, w, p, ones):
         widths.append(w)
-        return plain(v, w, signed, ones)
+        return plain(v, w, p, ones)
 
     monkeypatch.setattr(ring_module, "_pack", recording)
     for n, w in ((1023, 9), (1024, 10)):
@@ -1074,3 +1074,133 @@ def test_kmul_matches_schoolbook_on_wide_residue_slots():
     for la in range(2, 21):
         for lb in range(2, 21):
             check(la, lb, {2, min(la, lb), max(la, lb), la + lb - 1})
+
+
+# -- residues of small primes through byte tables -------------------------
+
+# Residues of every prime below 128 are reduced through byte tables; 131 is
+# the least prime whose residues are not.
+TABLE_PRIMES = [p for p in range(2, 128) if ring_module._is_prime(p)]
+
+
+def _width_steps(p):
+    """Factor lengths on both sides of each step of a residue product's cell width.
+
+    A cell holds two residues' bits and those of the shorter factor's
+    length, so the width steps where 2*bitlen(p - 1) + bitlen(n) passes 8
+    and 16 bits; length 2 is the shortest that is packed at all.
+    """
+    lengths = {2}
+    for bits in (8, 16):
+        k = bits - 2 * (p - 1).bit_length()
+        if k >= 1:
+            lengths |= {max(2, 2**k - 1), 2**k}
+    return sorted(lengths)
+
+
+def _residue_series(ring, rng, n, order=0, prec=None):
+    """A unit times x^order with n coefficients: zeros, 1, p - 1 and any residue, its last one nonzero.
+
+    With prec None the precision is drawn, and may cut the coefficients short.
+    """
+    p = ring.field.p
+    coeffs = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(n)]
+    coeffs[0] = rng.randrange(1, p)
+    coeffs[-1] = rng.randrange(1, p)
+    return ring.series([0] * order + coeffs, rng.randint(order + 1, ring.n_work) if prec is None else prec)
+
+
+def _check_residue_arithmetic(p, rng):
+    """Every residue pass of F_p against the reference, in stored form."""
+    ring = SeriesRing(PrimeField(p), 80)
+    a = _residue_series(ring, rng, 60)
+    b = _residue_series(ring, rng, 70)
+    u = _residue_series(ring, rng, 40)
+    tail = ring.series(list(a.nums[:20]) + [1, 0, 0], a.prec)
+    zero = ring.zero(50)
+    pairs = ((a, b), (b, a), (a, a), (a, -a), (a, a + ring.one()), (a, tail), (tail, a),
+             (a, zero), (zero, a), (a, b.truncate(7)))
+    for x, y in pairs:
+        assert _stored(x + y) == _stored(reference.plus(x, y)), (p, "sum")
+        assert _stored(x - y) == _stored(reference.minus(x, y)), (p, "difference")
+    for x in (a, b, tail, zero, ring.series([p - 1] * 80)):
+        assert _stored(-x) == _stored(reference.negate(x)), (p, "negation")
+    for c in sorted({1, 2 % p, p - 1, rng.randrange(p)}):
+        for t in (ring.scalar(c), ring.monomial(3, c), ring.monomial(5, c) + ring.zero(40)):
+            assert _stored(t * a) == _stored(a * t) == _stored(reference.times(a, t)), (p, c, "scaling")
+    assert _stored(a.div_unit(u)) == _stored(reference.quotient(a, u)), (p, "div_unit")
+    near = u + ring.monomial(9, 1)
+    b.div_unit(near)
+    assert _stored(a.div_unit(u, near)) == _stored(reference.quotient(a, u)), (p, "div_unit near")
+    d = _residue_series(ring, rng, 30, order=4)
+    for x in (a * d, a * d + ring.monomial(4, 1), ring.zero(70)):
+        assert _stored(x.div_exact(d)) == _stored(reference.quotient(x, d)), (p, "div_exact")
+    for n in _width_steps(p):
+        big = SeriesRing(PrimeField(p), 2 * n)
+        x, y = _residue_series(big, rng, n, prec=2 * n), _residue_series(big, rng, n, prec=2 * n)
+        for s, t in ((x, y), (x, x), (x, y.truncate(n + 1))):
+            assert _stored(s * t) == _stored(reference.times(s, t)), (p, n, "product")
+
+
+@pytest.mark.parametrize("p", TABLE_PRIMES + [131])
+def test_residue_arithmetic_of_small_primes_matches_the_reference(p, monkeypatch):
+    """Sums, differences, negation, scaling, quotients and products at cell widths 1, 2 and 4.
+
+    Products read through tables exactly where a cell's bytes, each reduced,
+    sum inside one byte: w*(p - 1) < 256.  So p = 127 reads its 2-byte cells
+    through them and its 4-byte cells not, and 131 never uses a table.
+    """
+    widths, tabled = set(), set()
+    pack, residues = ring_module._pack, ring_module._residues
+
+    def recording_pack(v, w, q, ones):
+        widths.add(w)
+        return pack(v, w, q, ones)
+
+    def recording_residues(raw, w, q):
+        tabled.add(w)
+        return residues(raw, w, q)
+
+    def refused(q):
+        raise AssertionError(f"F_{q} asked for byte tables")
+
+    monkeypatch.setattr(ring_module, "_pack", recording_pack)
+    monkeypatch.setattr(ring_module, "_residues", recording_residues)
+    if p > 127:
+        monkeypatch.setattr(ring_module, "_tables", refused)
+    _check_residue_arithmetic(p, random.Random(p))
+    assert widths == ({1, 2, 4} if p < 8 else {2, 4} if p < 128 else {4}), widths
+    assert tabled == {w for w in widths if w * (p - 1) < 256}, tabled
+    if p == 127:
+        assert tabled == {2}
+
+
+def test_a_broken_byte_table_fails_the_residue_reference(monkeypatch):
+    """One wrong byte in the reduction, negation or scaling table of F_5 fails the check."""
+    tables = ring_module._tables
+
+    for c in (1, 4, 2):
+        def broken(q, c=c):
+            t = list(tables(q))
+            if q == 5:
+                row = bytearray(t[c])
+                row[3] = (row[3] + 1) % 5
+                t[c] = bytes(row)
+            return tuple(t)
+
+        monkeypatch.setattr(ring_module, "_tables", broken)
+        with pytest.raises(AssertionError):
+            _check_residue_arithmetic(5, random.Random(5))
+    monkeypatch.undo()
+    _check_residue_arithmetic(5, random.Random(5))
+
+
+def test_negation_keeps_the_stored_pair_reduced():
+    """-a over Q is built without a content gcd; it must still be what the pipeline gives."""
+    rng = random.Random(2029)
+    for _ in range(50):
+        n = rng.randint(0, 12)
+        coeffs = [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**6)) for _ in range(n)]
+        a = R.series(coeffs + [0] * rng.randint(0, 3), rng.randint(1, R.n_work))
+        assert _stored(-a) == _stored(reference.negate(a))
+        assert _stored(-(-a)) == _stored(a)
